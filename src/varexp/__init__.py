@@ -20,6 +20,7 @@ from .fields import (
     vertex_grid_on_box,
     write_field,
     write_pgm,
+    write_table,
 )
 from .modular import (
     ExponentField,
@@ -51,6 +52,7 @@ __all__ = [
     "read_field",
     "export_csv",
     "write_pgm",
+    "write_table",
     "ExponentField",
     "constant_exponent",
     "conjugate",

@@ -143,11 +143,10 @@ class CheckLog:
         print(f"  [{status}] {invariant}: value={value:.6g} bound={bound:.6g}")
 
     def write_csv(self, path, stamp):
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"# {stamp}\n")
-            fh.write("invariant,value,bound,status\n")
-            for name, value, bound, ok in self.rows:
-                fh.write(f"{name},{value!r},{bound!r},{'pass' if ok else 'fail'}\n")
+        import varexp as vx
+
+        rows = [(n, value, bound, "pass" if ok else "fail") for n, value, bound, ok in self.rows]
+        vx.write_table(path, ["invariant", "value", "bound", "status"], rows, stamp)
 
     @property
     def failed(self):
@@ -307,19 +306,14 @@ def _exp_korn_figure(cfg, outdir, log):
     kn.write_ratio_csv(os.path.join(outdir, "korn_ratio.csv"), rows, comment=cfg.stamp())
     kn.write_heatmaps(outdir, cfg_k, dom, comment=cfg.stamp())
 
-    with open(os.path.join(outdir, "phi_profiles.csv"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# {cfg.stamp()}\n")
-        fh.write("t,phi_raw," + ",".join(f"phi_{n}" for n in range(1, n_max + 1)) + "\n")
-        tt = tg.axis_coords(0)
-        profiles = [kn.build_phi(n, tg).values for n in range(1, n_max + 1)]
-        raw = kn.phi_raw(tt)
-        for i, t in enumerate(tt):
-            fh.write(
-                ",".join(
-                    [repr(float(t)), repr(float(raw[i]))] + [repr(float(pr[i])) for pr in profiles]
-                )
-                + "\n"
-            )
+    tt = tg.axis_coords(0)
+    profiles = [kn.phi_raw(tt)] + [kn.build_phi(n, tg).values for n in range(1, n_max + 1)]
+    vx.write_table(
+        os.path.join(outdir, "phi_profiles.csv"),
+        ["t", "phi_raw"] + [f"phi_{n}" for n in range(1, n_max + 1)],
+        zip(tt, *profiles),
+        cfg.stamp(),
+    )
 
     increasing = all(rows[i + 1].ratio > rows[i].ratio for i in range(len(rows) - 1))
     log.record("korn.ratio_strictly_increasing", float(increasing), 1.0, increasing)
@@ -337,15 +331,12 @@ def _exp_poincare(cfg, outdir, log):
     n_samples = cfg.get("poincare", "samples", int)
     samples = _near_boundary_samples(dom, cone.h0, n_samples)
 
-    all_ok = True
     for name, u in pc.standard_test_fields(dom).items():
         rep = pc.poincare_verify(u, dom, samples, cone=cone, c0_budget=budget)
         pc.write_report_csv(
             os.path.join(outdir, f"poincare_{name}.csv"), rep, dom, comment=cfg.stamp()
         )
         log.record(f"poincare.pointwise_bound[{name}]", rep.c0_empirical, budget, rep.passed)
-        all_ok = all_ok and rep.passed
-    return all_ok
 
 
 def _near_boundary_samples(dom, h0, count):
@@ -401,11 +392,12 @@ def _exp_rothe(cfg, outdir, log):
         comment=cfg.stamp(),
         extra_columns={"l2_error": err_col},
     )
-    with open(os.path.join(outdir, "mms_convergence.csv"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# {cfg.stamp()}\n")
-        fh.write("steps,tau,max_l2_error\n")
-        for K_, err in zip(ladder, errors):
-            fh.write(f"{K_},{float(T / K_)!r},{float(err)!r}\n")
+    vx.write_table(
+        os.path.join(outdir, "mms_convergence.csv"),
+        ["steps", "tau", "max_l2_error"],
+        [(K_, T / K_, err) for K_, err in zip(ladder, errors)],
+        cfg.stamp(),
+    )
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     ok = all(1.4 <= r <= 2.6 for r in ratios)
     log.record("rothe.mms_first_order_in_tau", min(ratios), 1.4, ok)

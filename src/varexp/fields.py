@@ -36,6 +36,7 @@ __all__ = [
     "sym_pairs",
     "sym_weights",
     "fmt_float",
+    "write_table",
     "write_field",
     "read_field",
     "export_csv",
@@ -509,6 +510,28 @@ def fmt_float(v):
     return repr(float(v))
 
 
+def _cell(v):
+    if isinstance(v, (float, np.floating)):
+        return fmt_float(v)
+    if isinstance(v, np.integer):
+        return str(int(v))
+    return str(v)
+
+
+def write_table(path, header, rows, comment=None):
+    """CSV table: an optional `# comment` line, the header, one line per row.
+
+    Float cells (numpy scalars included) are written with fmt_float, integer
+    cells with str; any other cell, such as a label, is written as str(cell).
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
 _FIELD_KINDS = {"scalar": ScalarField, "vector": VectorField, "sym": SymTensorField}
 
 
@@ -543,9 +566,13 @@ def read_field(path):
         magic = fh.readline()
         if not magic.startswith("# varexp field"):
             raise ValueError(f"{path}: not a varexp field file")
+        keys = ("dims", "spacing", "origin", "ncomp", "layout")
         header = {}
-        while len(header) < 5:
+        while not all(key in header for key in keys):
             line = fh.readline()
+            if not line:
+                missing = next(key for key in keys if key not in header)
+                raise ValueError(f"{path}: header ends before the {missing!r} line")
             if line.startswith("#"):
                 continue
             key, _, rest = line.partition(" ")
@@ -555,7 +582,13 @@ def read_field(path):
         origin = [float(o) for o in header["origin"]]
         ncomp = int(header["ncomp"][0])
         layout = header["layout"][0]
-        values = np.loadtxt(fh, dtype=float).reshape(dims + ([ncomp] if ncomp > 1 else []))
+        values = np.array(fh.read().split(), dtype=float)
+        expected = int(np.prod(dims)) * ncomp
+        if values.size != expected:
+            raise ValueError(
+                f"{path}: {values.size} values for dims {dims} x ncomp {ncomp} (needs {expected})"
+            )
+        values = values.reshape(dims + ([ncomp] if ncomp > 1 else []))
     grid = Grid(dims, spacing, origin)
     if layout == "scalar":
         return ScalarField(grid, values)
@@ -569,18 +602,11 @@ def read_field(path):
 def export_csv(path, f, comment=None):
     """CSV export: one row per node, coordinates then components."""
     g = f.grid
-    kind = _field_kind(f)
-    ncomp = 1 if kind == "scalar" else f.values.shape[-1]
-    coords = [c.reshape(-1) for c in g.coords()]
-    flat = f.values.reshape(-1, ncomp) if ncomp > 1 else f.values.reshape(-1, 1)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        head = [f"x{a + 1}" for a in range(g.ndim)] + [f"c{c}" for c in range(ncomp)]
-        fh.write(",".join(head) + "\n")
-        for i in range(flat.shape[0]):
-            row = [fmt_float(c[i]) for c in coords] + [fmt_float(v) for v in flat[i]]
-            fh.write(",".join(row) + "\n")
+    ncomp = 1 if _field_kind(f) == "scalar" else f.values.shape[-1]
+    coords = np.stack([c.reshape(-1) for c in g.coords()], axis=-1)
+    flat = f.values.reshape(-1, ncomp)
+    header = [f"x{a + 1}" for a in range(g.ndim)] + [f"c{c}" for c in range(ncomp)]
+    write_table(path, header, np.concatenate([coords, flat], axis=1), comment)
 
 
 def write_pgm(path, f, maxval=255, comment=None):

@@ -20,7 +20,7 @@ from scipy import integrate as _sciint
 from scipy import ndimage as _ndi
 
 from .calculus import gradient, sym_gradient
-from .fields import Grid, ScalarField, VectorField, field_abs, fmt_float, write_pgm
+from .fields import Grid, ScalarField, VectorField, field_abs, write_pgm, write_table
 from .modular import ExponentField, luxembourg_norm
 from .mollify import MollifierFamily, convolve
 
@@ -248,21 +248,9 @@ def korn_ratio_sequence(cfg, domain, time_grid, n_max, tol=1e-8):
 
 
 def write_ratio_csv(path, rows, comment=None):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("n,norm_alpha,norm_beta,num,den,ratio,lower_bound\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    [str(r.n)]
-                    + [
-                        fmt_float(v)
-                        for v in (r.norm_alpha, r.norm_beta, r.num, r.den, r.ratio, r.lower_bound)
-                    ]
-                )
-                + "\n"
-            )
+    """One line per KornRatioRow, in field order."""
+    header = [f.name for f in dataclasses.fields(KornRatioRow)]
+    write_table(path, header, [dataclasses.astuple(r) for r in rows], comment)
 
 
 def write_heatmaps(outdir, cfg, domain, comment=None):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .calculus import sym_gradient
 from .fields import VectorField as VectorFieldNS
-from .fields import field_abs, fmt_float
+from .fields import field_abs, fmt_float, write_table
 
 log = logging.getLogger(__name__)
 
@@ -356,19 +356,13 @@ def write_report_csv(path, report, domain, comment=None):
     g = domain.grid
     origin = np.asarray(g.origin)
     spacing = np.asarray(g.spacing)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join([f"x{a + 1}" for a in range(g.ndim)] + ["r", "lhs", "rhs", "ratio"]) + "\n")
-        for k, nd in enumerate(report.nodes):
-            x = origin + np.asarray(nd) * spacing
-            ratio = report.lhs[k] / report.rhs[k] if report.rhs[k] > 0 else 0.0
-            row = [fmt_float(v) for v in x] + [
-                fmt_float(report.r[k]),
-                fmt_float(report.lhs[k]),
-                fmt_float(report.rhs[k]),
-                fmt_float(ratio),
-            ]
-            fh.write(",".join(row) + "\n")
-        verdict = "PASS" if report.passed else "FAIL"
-        fh.write(f"# c0_empirical {fmt_float(report.c0_empirical)} budget {fmt_float(report.budget)} {verdict}\n")
+    header = [f"x{a + 1}" for a in range(g.ndim)] + ["r", "lhs", "rhs", "ratio"]
+    rows = []
+    for k, nd in enumerate(report.nodes):
+        ratio = report.lhs[k] / report.rhs[k] if report.rhs[k] > 0 else 0.0
+        x = origin + np.asarray(nd) * spacing
+        rows.append([*x, report.r[k], report.lhs[k], report.rhs[k], ratio])
+    verdict = "PASS" if report.passed else "FAIL"
+    c0, budget = fmt_float(report.c0_empirical), fmt_float(report.budget)
+    rows.append([f"# c0_empirical {c0} budget {budget} {verdict}"])  # summary as a comment row
+    write_table(path, header, rows, comment)

@@ -21,8 +21,8 @@ import logging
 import numpy as np
 from scipy import sparse
 
-from .fields import Grid, ScalarField, VectorField, fmt_float, sym_pairs, sym_weights
-from .fields import _shift_bool  # stencil neighbor masks
+from .calculus import _axis_operator
+from .fields import Grid, ScalarField, VectorField, sym_pairs, sym_weights, write_table
 from .modular import ExponentField
 
 log = logging.getLogger(__name__)
@@ -230,41 +230,8 @@ class ProblemData:
 
 
 # ---------------------------------------------------------------------------
-# discrete symmetric-gradient operator (exact adjoint via sparse transpose)
-
-
-def _axis_matrix(grid, axis, mask):
-    """Sparse nodal derivative along one axis with the masked stencil rules."""
-    dims = grid.dims
-    N = int(np.prod(dims))
-    idx = np.arange(N).reshape(dims)
-    h = grid.spacing[axis]
-    up_ok = _shift_bool(mask, axis, +1)
-    dn_ok = _shift_bool(mask, axis, -1)
-    inside = mask
-    central = inside & up_ok & dn_ok
-    fwd = inside & up_ok & ~dn_ok
-    bwd = inside & ~up_ok & dn_ok
-    up_idx = np.roll(idx, -1, axis=axis)
-    dn_idx = np.roll(idx, +1, axis=axis)
-
-    rows, cols, vals = [], [], []
-
-    def add(sel, col_idx, coeff):
-        rows.append(idx[sel])
-        cols.append(col_idx[sel])
-        vals.append(np.full(np.count_nonzero(sel), coeff))
-
-    add(central, up_idx, +0.5 / h)
-    add(central, dn_idx, -0.5 / h)
-    add(fwd, up_idx, +1.0 / h)
-    add(fwd, idx, -1.0 / h)
-    add(bwd, idx, +1.0 / h)
-    add(bwd, dn_idx, -1.0 / h)
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=int)
-    vals = np.concatenate(vals) if vals else np.zeros(0)
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+# discrete symmetric-gradient operator (exact adjoint via sparse transpose),
+# built from the same masked stencil as calculus.gradient
 
 
 class EpsOperator:
@@ -298,7 +265,7 @@ class EpsOperator:
             (np.ones(self.n_free), (self.free_idx, np.arange(self.n_free))),
             shape=(N, self.n_free),
         ).tocsr()
-        D = [_axis_matrix(g, ax, domain.mask) for ax in range(d)]
+        D = [_axis_operator(domain.mask, ax, g.spacing[ax]) for ax in range(d)]
 
         blocks = []
         for i, j in sym_pairs(d):
@@ -313,10 +280,14 @@ class EpsOperator:
         self.B = sparse.bmat(blocks, format="csr")
 
     # -- dof packing -------------------------------------------------------
+    def free_values(self, nodal):
+        """Free-dof vector (component-major blocks) from nodal values of shape dims + (d,)."""
+        flat = nodal.reshape(-1, self.d)
+        return np.concatenate([flat[self.free_idx, i] for i in range(self.d)])
+
     def to_free(self, u):
         """Free-dof vector (component-major blocks) from a VectorField."""
-        flat = u.values.reshape(-1, self.d)
-        return np.concatenate([flat[self.free_idx, i] for i in range(self.d)])
+        return self.free_values(u.values)
 
     def to_field(self, x):
         g = self.domain.grid
@@ -358,8 +329,8 @@ class StepDiagnostics:
     iters: int
 
 
-def _step_energy_grad(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free):
-    """Energy value and gradient (per unit cell volume) at free dofs x."""
+def _step_energy(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free):
+    """Energy value (per unit cell volume) at free dofs x, and eps(x) at masked nodes."""
     eps = op.eps(x)
     w = op.weights
     mag = np.sqrt(np.sum(w * eps**2, axis=-1))
@@ -369,31 +340,23 @@ def _step_energy_grad(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_fr
         J -= float(np.dot(fk_free, x))
     if b_free is not None:
         J += float(np.dot(b_free, x))
-    S = law.flux(eps, p_nodes, op.d)
     if Fk_masked is not None:
         J -= float(np.sum(w * Fk_masked * eps))
+    return J, eps
+
+
+def _step_energy_grad(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free):
+    """Energy value and gradient (per unit cell volume) at free dofs x."""
+    J, eps = _step_energy(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free)
+    S = law.flux(eps, p_nodes, op.d)
+    if Fk_masked is not None:
         S = S - Fk_masked
-    g = du / tau + op.eps_adjoint(S)
+    g = (x - x_prev) / tau + op.eps_adjoint(S)
     if fk_free is not None:
         g -= fk_free
     if b_free is not None:
         g += b_free
     return J, g
-
-
-def _step_energy_only(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free):
-    eps = op.eps(x)
-    w = op.weights
-    mag = np.sqrt(np.sum(w * eps**2, axis=-1))
-    du = x - x_prev
-    J = float(np.sum(0.5 * du * du) / tau + np.sum(law.potential(mag, p_nodes)))
-    if fk_free is not None:
-        J -= float(np.dot(fk_free, x))
-    if b_free is not None:
-        J += float(np.dot(b_free, x))
-    if Fk_masked is not None:
-        J -= float(np.sum(w * Fk_masked * eps))
-    return J
 
 
 def _descend(op, x0, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free, tol, max_iter, trace=None):
@@ -418,7 +381,7 @@ def _descend(op, x0, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free, tol,
         noise = 1e-14 * (abs(J) + 1.0)
         for _ in range(60):
             xn = x - t * g
-            Jn = _step_energy_only(op, xn, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free)
+            Jn, _ = _step_energy(op, xn, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free)
             if Jn <= J - 1e-4 * t * gg + noise:
                 break
             t *= 0.5
@@ -439,6 +402,13 @@ def _descend(op, x0, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free, tol,
             f"energy step did not converge in {max_iter} iterations (residual {res:.3e})", res
         )
     return x, J, res, it
+
+
+def _regularized(law, p):
+    """The law with delta = 1e-8 where delta = 0 meets p < 2 (S is non-smooth at eps = 0)."""
+    if law.delta == 0.0 and float(np.min(p)) < 2.0:
+        return dataclasses.replace(law, delta=1e-8)
+    return law
 
 
 def _tolerance(data, u_prev, k, base_tol=1e-8):
@@ -465,16 +435,17 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, picard_max=50
     if op is None:
         op = EpsOperator(data.domain)
     p_all = law.exponent_at(data, k)
-    if law.delta == 0.0 and float(np.min(p_all)) < 2.0:
-        law = dataclasses.replace(law, delta=1e-8)
-        log.warning("delta=0 with p_min < 2 is non-smooth at eps=0; regularized with delta=1e-8")
+    regularized = _regularized(law, p_all)
+    if regularized is not law:
+        log.warning(
+            "delta=0 with p_min < 2 is non-smooth at eps=0; regularized with delta=%r",
+            regularized.delta,
+        )
+    law = regularized
     p_nodes = p_all.reshape(-1)[op.masked_idx]
     x_prev = op.to_free(u_prev)
     fk = data.f_at(k)
-    fk_free = None
-    if fk is not None:
-        flat = fk.reshape(-1, op.d)
-        fk_free = np.concatenate([flat[op.free_idx, i] for i in range(op.d)])
+    fk_free = op.free_values(fk) if fk is not None else None
     Fk = data.F_at(k)
     Fk_masked = op.masked_values(Fk, op.d * (op.d + 1) // 2) if Fk is not None else None
     tol = _tolerance(data, u_prev, k)
@@ -493,8 +464,7 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, picard_max=50
     total_iters = 0
     drift = np.inf
     for _ in range(picard_max):
-        b_nodes = low(op.to_field(v).values).reshape(-1, op.d)
-        b_free = np.concatenate([b_nodes[op.free_idx, i] for i in range(op.d)])
+        b_free = op.free_values(low(op.to_field(v).values))
         x, J, res, it = _descend(
             op, v, x_prev, data.tau, p_nodes, law, fk_free, Fk_masked, b_free, tol, max_iter
         )
@@ -558,18 +528,13 @@ def rothe_solve(data, law, low=None, collect_diagnostics=True):
 def write_diagnostics_csv(path, diags, comment=None, extra_columns=None):
     """Per-step diagnostics CSV: k,t,energy,l2norm,modular_eps,residual,iters."""
     extra = extra_columns or {}
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        cols = ["k", "t", "energy", "l2norm", "modular_eps", "residual", "iters"] + list(extra)
-        fh.write(",".join(cols) + "\n")
-        for i, dg in enumerate(diags):
-            row = [str(dg.k)] + [
-                fmt_float(v)
-                for v in (dg.t, dg.energy, dg.l2norm, dg.modular_eps, dg.residual)
-            ] + [str(dg.iters)]
-            row += [fmt_float(extra[name][i]) for name in extra]
-            fh.write(",".join(row) + "\n")
+    header = ["k", "t", "energy", "l2norm", "modular_eps", "residual", "iters"] + list(extra)
+    rows = [
+        [dg.k, dg.t, dg.energy, dg.l2norm, dg.modular_eps, dg.residual, dg.iters]
+        + [float(extra[name][i]) for name in extra]
+        for i, dg in enumerate(diags)
+    ]
+    write_table(path, header, rows, comment)
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +565,7 @@ def energy_inequality_report(traj, law, low, data):
     acc_floor = 0.0
     for k in range(1, data.steps + 1):
         p_nodes = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
-        law_eff = law
-        if law.delta == 0.0 and float(p_nodes.min()) < 2.0:
-            law_eff = dataclasses.replace(law, delta=1e-8)
+        law_eff = _regularized(law, p_nodes)
         x = op.to_free(traj[k])
         x_prev = op.to_free(traj[k - 1])
         eps = op.eps(x)
@@ -612,8 +575,7 @@ def energy_inequality_report(traj, law, low, data):
         fk_free = None
         f_pair = 0.0
         if fk is not None:
-            flat = fk.reshape(-1, d)
-            fk_free = np.concatenate([flat[op.free_idx, i] for i in range(d)])
+            fk_free = op.free_values(fk)
             f_pair = float(np.dot(fk_free, x)) * vol
         Fk = data.F_at(k)
         Fk_m = None
@@ -624,8 +586,7 @@ def energy_inequality_report(traj, law, low, data):
 
         b_free = None
         if low is not None and not low.is_zero:
-            b_nodes = low(traj[k].values).reshape(-1, d)
-            b_free = np.concatenate([b_nodes[op.free_idx, i] for i in range(d)])
+            b_free = op.free_values(low(traj[k].values))
         _, g = _step_energy_grad(
             op, x, x_prev, data.tau, p_nodes, law_eff, fk_free, Fk_m, b_free
         )
@@ -849,18 +810,7 @@ def mms_forcing_discrete(u_star, law, data, time_derivative):
     out = np.zeros((K + 1,) + g.dims + (d,))
     for k in range(K + 1):
         p_nodes = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
-        law_eff = law
-        if law.delta == 0.0 and float(p_nodes.min()) < 2.0:
-            law_eff = dataclasses.replace(law, delta=1e-8)
-        x = op.to_free(VectorField(g, u_star.values[k]))
-        eps = op.eps(x)
-        S = law_eff.flux(eps, p_nodes, d)
-        div_term = op.eps_adjoint(S)
-        dt_vals = time_derivative(k)  # exact time derivative on the spatial grid
-        flat = dt_vals.reshape(-1, d)
-        vec = np.concatenate([flat[op.free_idx, i] for i in range(d)]) + div_term
-        comp = np.zeros((g.node_count(), d))
-        for i in range(d):
-            comp[op.free_idx, i] = vec[i * op.n_free : (i + 1) * op.n_free]
-        out[k] = comp.reshape(g.dims + (d,))
+        S = _regularized(law, p_nodes).flux(op.eps(op.free_values(u_star.values[k])), p_nodes, d)
+        # time_derivative(k) is the exact time derivative on the spatial grid
+        out[k] = op.to_field(op.free_values(time_derivative(k)) + op.eps_adjoint(S)).values
     return VectorField(u_star.grid, out)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import varexp as vx
-from varexp.calculus import divergence, gradient, korn_steady_check, sym_gradient
+from varexp.calculus import axis_derivative, divergence, gradient, korn_steady_check, sym_gradient
 
 
 def square(res=48):
@@ -16,6 +16,45 @@ def interior(dom, cells=2):
         d = vx.Domain(dom.grid, inner, np.where(inner, 1.0, 0.0), dom.kind)
         inner = d.interior_mask()
     return inner
+
+
+def test_axis_derivative_stencil_rule():
+    # row 0 along axis 1: forward, central, central, backward, an outside
+    # node carrying a value that must not be read, and an isolated node;
+    # row 1 lies wholly inside.  h = 0.5 keeps every result exact.
+    h = 0.5
+    mask = np.array([[1, 1, 1, 1, 0, 1], [1, 1, 1, 1, 1, 1]], dtype=bool)
+    v = np.array([[1.0, 2.0, 4.0, 7.0, 1000.0, -3.0], [0.0, 1.0, 4.0, 9.0, 16.0, 25.0]])
+    inside_row = [2.0, 4.0, 8.0, 12.0, 16.0, 18.0]
+    assert np.array_equal(
+        axis_derivative(v, 1, h, mask), [[2.0, 3.0, 5.0, 6.0, 0.0, 0.0], inside_row]
+    )
+    assert np.array_equal(
+        axis_derivative(v, 1, h), [[2.0, 3.0, 5.0, 996.0, -10.0, -2006.0], inside_row]
+    )
+    # along axis 0 each column has two nodes: forward above, backward below;
+    # column 4 has one outside node and one with no masked neighbor
+    step = [-2.0, -2.0, 0.0, 4.0, 0.0, 56.0]
+    assert np.array_equal(axis_derivative(v, 0, h, mask), [step, step])
+    step[4] = -1968.0
+    assert np.array_equal(axis_derivative(v, 0, h), [step, step])
+    # a spatial mask under a leading time axis acts slice by slice
+    vt = np.stack([v, 2.0 * v, -v])
+    assert np.array_equal(
+        axis_derivative(vt, 2, h, mask), np.stack([axis_derivative(s, 1, h, mask) for s in vt])
+    )
+
+
+def test_spacetime_gradient_equals_slicewise():
+    grid = vx.grid_on_box([-1, -1], [1, 1], [20, 20])
+    dom = vx.make_disc_domain((0.1, 0.0), 0.8, grid)
+    st = vx.Grid((5,) + grid.dims, (0.2,) + grid.spacing, (0.1,) + grid.origin)
+    vals = np.random.default_rng(3).normal(size=st.dims + (2,)) * dom.mask[None, ..., None]
+    u = vx.VectorField(st, vals)
+    for domain in (dom, None):
+        G = gradient(u, domain).values
+        slices = [gradient(vx.VectorField(grid, vals[k]), domain).values for k in range(5)]
+        assert np.array_equal(G, np.stack(slices))
 
 
 def test_gradient_exact_on_affine():

@@ -181,6 +181,36 @@ def test_serialization_round_trip(tmp_path):
         assert np.array_equal(back.values, f.values)
 
 
+def test_read_field_truncated_header_raises(tmp_path):
+    path = tmp_path / "short.field"
+    path.write_text("# varexp field v1\ndims 4 4\n")
+    with pytest.raises(ValueError, match="'spacing'"):
+        vx.read_field(path)
+
+
+def test_read_field_short_body_raises(tmp_path):
+    grid = vx.grid_on_box([0, 0], [1, 1], [4, 3])
+    path = tmp_path / "field.txt"
+    vx.write_field(path, vx.VectorField(grid, np.ones(grid.dims + (2,))))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError, match=r"22 values for dims \[4, 3\] x ncomp 2 \(needs 24\)"):
+        vx.read_field(path)
+
+
+def test_write_table_cell_formatting(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [
+        ("a", np.float64(1.0), np.int64(3)),
+        ("b", 0.1, 7),
+        ("c", float("inf"), np.int32(-2)),
+    ]
+    vx.write_table(path, ["name", "x", "n"], rows, comment="probe")
+    assert path.read_bytes() == b"# probe\nname,x,n\na,1.0,3\nb,0.1,7\nc,inf,-2\n"
+    vx.write_table(path, ["x"], [[np.float64(2.0) / 3.0]])
+    assert path.read_bytes() == f"x\n{float(2.0 / 3.0)!r}\n".encode()
+
+
 def test_csv_and_pgm_outputs(tmp_path):
     grid = vx.grid_on_box([0, 0], [1, 1], [6, 6])
     f = vx.ScalarField(grid, grid.coords()[0])

@@ -154,14 +154,14 @@ def test_energy_gradient_matches_finite_differences():
     b = rng.normal(size=op.n_free * 2) * 0.2
     J0, grad = _step_energy_grad(op, x0, x_prev, tau, p_nodes, law, fk, Fk, b)
 
-    from varexp.rothe import _step_energy_only
+    from varexp.rothe import _step_energy
 
     for _ in range(20):
         v = rng.normal(size=x0.size)
         v /= np.linalg.norm(v)
         e = 1e-6
-        Jp = _step_energy_only(op, x0 + e * v, x_prev, tau, p_nodes, law, fk, Fk, b)
-        Jm = _step_energy_only(op, x0 - e * v, x_prev, tau, p_nodes, law, fk, Fk, b)
+        Jp, _ = _step_energy(op, x0 + e * v, x_prev, tau, p_nodes, law, fk, Fk, b)
+        Jm, _ = _step_energy(op, x0 - e * v, x_prev, tau, p_nodes, law, fk, Fk, b)
         fd = (Jp - Jm) / (2 * e)
         assert fd == pytest.approx(np.dot(grad, v), rel=1e-5, abs=1e-9)
 

@@ -354,7 +354,7 @@ def _exp_rothe(cfg, outdir, log):
     import varexp as vx
     from varexp import rothe as rt
 
-    dom_cells = max(16, min(cfg.resolution, 32))
+    dom_cells = cfg.resolution
     g = vx.vertex_grid_on_box([0, 0], [1, 1], [dom_cells, dom_cells])
     pad = 0.01 / dom_cells
     dom = vx.make_rectangle_domain([-pad, -pad], [1 + pad, 1 + pad], g)

@@ -178,17 +178,18 @@ def luxembourg_norm(f, p, domain, tol=1e-8):
     if a.size == 0:
         return 0.0
     w = f.grid.cell_volume
-    # c_i = w * a_i^{q_i}; rho(lam) = sum c_i * exp(-q_i log lam)
-    c = w * a**q
+    # rho(lam) = w * sum exp(q_i (log a_i - log lam)), never forming a_i^{q_i},
+    # which under- or overflows at extreme magnitudes and large exponents
+    log_a = np.log(a)
 
     def rho(lam):
-        return float(np.sum(c * np.exp(-q * np.log(lam))))
+        return w * float(np.sum(np.exp(q * (log_a - np.log(lam)))))
 
     measure = domain.measure()
     if f.grid != domain.grid:
         # space-time cylinder: measure of I x Omega
         measure *= f.grid.dims[0] * f.grid.spacing[0]
-    hi = max(1.0, float(a.max())) * max(1.0, measure) ** (1.0 / p.p_minus)
+    hi = float(a.max()) * max(1.0, measure) ** (1.0 / p.p_minus)
     guard = 0
     while rho(hi) > 1.0:
         hi *= 2.0
@@ -196,11 +197,13 @@ def luxembourg_norm(f, p, domain, tol=1e-8):
         if guard > 200:
             raise RuntimeError("luxembourg_norm failed to bracket from above")
     lo = hi
-    while rho(lo) <= 1.0:
-        lo /= 2.0
-        guard += 1
-        if guard > 400:
-            raise RuntimeError("luxembourg_norm failed to bracket from below")
+    # rho(lo) may overflow to inf while halving; inf > 1 ends the loop correctly
+    with np.errstate(over="ignore"):
+        while rho(lo) <= 1.0:
+            lo /= 2.0
+            guard += 1
+            if guard > 400:
+                raise RuntimeError("luxembourg_norm failed to bracket from below")
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
         if rho(mid) > 1.0:

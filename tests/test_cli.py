@@ -76,6 +76,14 @@ def test_cli_experiments_smoke(tmp_path, args):
     assert any(p.endswith(".csv") for p in os.listdir(out))
 
 
+def test_cli_rothe_solve_honors_resolution(tmp_path):
+    import varexp as vx
+
+    out = tmp_path / "rs"
+    assert main(["rothe-solve", "--out", str(out), "--seed", "0", "--resolution", "48"]) == 0
+    assert vx.read_field(str(out / "u_0000.field")).grid.dims == (49, 49)
+
+
 def test_cli_korn_figure_small(tmp_path):
     cfg = tmp_path / "korn.ini"
     cfg.write_text("[korn]\ntime_resolution = 128\nn_max = 3\n")

@@ -135,6 +135,15 @@ def test_luxembourg_constant_exponent_oracle(q):
         assert lux == pytest.approx(vx.modular(f, p, dom) ** (1.0 / q), rel=1e-6)
 
 
+@pytest.mark.parametrize("c, q", [(1e-4, 100.0), (1e-200, 3.0)])
+def test_luxembourg_constant_field_extreme_magnitudes(c, q):
+    # c^q underflows to 0 in floating point; the norm must not
+    grid, dom = unit_square(16)
+    f = vx.ScalarField(grid, np.full(grid.dims, c))
+    lux = vx.luxembourg_norm(f, vx.constant_exponent(grid, q), dom)
+    assert lux == pytest.approx(c * dom.measure() ** (1.0 / q), rel=1e-6, abs=0.0)
+
+
 def test_luxembourg_two_region_root_oracle():
     # piecewise-constant exponent, constant field: the norm solves
     # c^1.1 m1 / lam^1.1 + c^2 m2 / lam^2 = 1

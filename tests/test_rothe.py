@@ -25,6 +25,8 @@ from varexp.rothe import (
     write_diagnostics_csv,
     _descend,
     _step_energy_grad,
+    _step_hessian,
+    _tolerance,
 )
 
 
@@ -183,6 +185,34 @@ def test_descent_energy_monotone():
     assert np.all(np.diff(trail) <= 1e-12 * scale)  # nonincreasing up to roundoff
 
 
+@pytest.mark.parametrize("delta", [1e-3, 0.05])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0])
+def test_step_hessian_matches_finite_differences(p, delta):
+    rng = np.random.default_rng(12)
+    dom = box_domain(10)
+    g = dom.grid
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(g, p), delta=delta)
+    op = EpsOperator(dom)
+    p_nodes = np.full(op.n_masked, p)
+    tau = 0.05
+    x_prev = rng.normal(size=op.n_free * 2) * 0.3
+    x0 = x_prev + 0.1 * rng.normal(size=x_prev.size)
+    fk = rng.normal(size=op.n_free * 2)
+    Fk = rng.normal(size=(op.n_masked, 3))
+    b = rng.normal(size=op.n_free * 2) * 0.2
+    H = _step_hessian(op, x0, tau, p_nodes, law)
+
+    for _ in range(10):
+        v = rng.normal(size=x0.size)
+        v /= np.linalg.norm(v)
+        e = 1e-6
+        _, gp = _step_energy_grad(op, x0 + e * v, x_prev, tau, p_nodes, law, fk, Fk, b)
+        _, gm = _step_energy_grad(op, x0 - e * v, x_prev, tau, p_nodes, law, fk, Fk, b)
+        fd = (gp - gm) / (2 * e)
+        Hv = H @ v
+        assert np.linalg.norm(fd - Hv) <= 1e-5 * np.linalg.norm(Hv)
+
+
 def test_energy_step_zero_data_is_zero():
     dom = box_domain(10)
     g = dom.grid
@@ -291,16 +321,49 @@ def test_energy_inequality_on_random_data():
 
 
 def test_nonconvergence_raises_with_residual():
+    # p = 1.1 with small delta and strong forcing: two Newton steps are not enough
     dom = box_domain(10)
     g = dom.grid
-    law = ConstitutiveLaw(exponent=vx.constant_exponent(g, 2.0), delta=0.0)
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(g, 1.1), delta=1e-3)
     rng = np.random.default_rng(9)
     st = spacetime(g, 0.2, 2)
-    f = vx.VectorField(st, rng.normal(size=st.dims + (2,)))
+    f = vx.VectorField(st, 50.0 * rng.normal(size=st.dims + (2,)))
     data = ProblemData(domain=dom, u0=vx.VectorField(g, np.zeros(g.dims + (2,))), T=0.2, tau=0.1, f=f)
     with pytest.raises(RotheStepError) as err:
         energy_step(data.u0, 1, law, None, data, max_iter=2)
     assert err.value.residual > 0
+
+
+def test_newton_ladder_converges_mesh_independently():
+    # one unforced step from the manufactured bump over the exponent and
+    # delta ladder; delta = 0 with p < 2 runs at the solver's regularization
+    T, K = 0.01, 1
+    max_iters = {}
+    for n in (32, 64):
+        dom = box_domain(n)
+        g = dom.grid
+        op = EpsOperator(dom)
+        _, _, u0 = mms_solution_p2(dom, T, K)
+        data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K)
+        iters = []
+        for p in (1.1, 1.5, 2.0, 3.0):
+            for delta in (0.0, 1e-3, 0.05):
+                law = ConstitutiveLaw(exponent=vx.constant_exponent(g, p), delta=delta)
+                _, info = energy_step(data.u0, 1, law, None, data, op=op, return_info=True)
+                assert info["residual"] <= _tolerance(data, data.u0, 1)
+                iters.append(info["iters"])
+        max_iters[n] = max(iters)
+    assert max_iters[64] <= 2 * max_iters[32]
+
+    # p = 2 is quadratic, so the exact Hessian solves it in one Newton step,
+    # also where eps(u) = 0 and delta = 0: the bump fills only the middle box
+    dom = box_domain(128)
+    g = dom.grid
+    _, _, u0 = mms_solution_p2(dom, T, K, box=([0.25, 0.25], [0.75, 0.75]))
+    data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K)
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(g, 2.0), delta=0.0)
+    _, info = energy_step(data.u0, 1, law, None, data, return_info=True)
+    assert info["iters"] == 1
 
 
 # -- integration by parts in time --------------------------------------------

@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from .fields import SymTensorField, TensorField, VectorField, _shift_bool, field_abs, sym_pairs
+from .fields import SymTensorField, TensorField, VectorField, _shift, field_abs, sym_pairs
 from .modular import luxembourg_norm
 
 __all__ = [
@@ -42,8 +42,9 @@ def _axis_operator(mask, axis, h):
     dims = mask.shape
     N = mask.size
     idx = np.arange(N).reshape(dims)
-    up_ok = _shift_bool(mask, axis, +1)
-    dn_ok = _shift_bool(mask, axis, -1)
+    e = (0,) * axis
+    up_ok = _shift(mask, e + (1,))
+    dn_ok = _shift(mask, e + (-1,))
     central = mask & up_ok & dn_ok
     fwd = mask & up_ok & ~dn_ok
     bwd = mask & ~up_ok & dn_ok

@@ -106,7 +106,7 @@ def load_config(experiment, path, overrides):
         raise ConfigError("[run] seed must be a nonnegative integer")
     resolution = int(run.get("resolution", "64"))
     if resolution < 16:
-        raise ConfigError(f"[run] resolution must be >= 16 nodes per axis, got {resolution}")
+        raise ConfigError(f"[run] resolution must be >= 16 cells per axis, got {resolution}")
     spec = sections.get("modular", {}).get("exponent", "two-region").split()
     if spec and spec[0] == "file":
         if len(spec) != 2 or not os.path.exists(spec[1]):
@@ -536,7 +536,7 @@ def main(argv=None):
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (recorded in outputs)")
-        p.add_argument("--resolution", type=int, default=None, help="nodes per spatial axis")
+        p.add_argument("--resolution", type=int, default=None, help="grid cells per spatial axis")
     args = parser.parse_args(argv)
 
     try:

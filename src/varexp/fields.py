@@ -329,9 +329,9 @@ class Domain:
     1-Lipschitz across neighboring nodes up to one grid spacing.
     """
 
-    __slots__ = ("grid", "mask", "r", "kind", "geom")
+    __slots__ = ("grid", "mask", "r", "kind")
 
-    def __init__(self, grid, mask, r, kind, geom=None):
+    def __init__(self, grid, mask, r, kind):
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != grid.dims:
             raise ValueError("mask shape does not match grid")
@@ -344,7 +344,6 @@ class Domain:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "r", _freeze(r))
         object.__setattr__(self, "kind", str(kind))
-        object.__setattr__(self, "geom", geom)  # analytic shape data, if known
         if self.is_empty:
             log.warning("domain of kind %r has an empty mask", kind)
 
@@ -363,21 +362,21 @@ class Domain:
         """Masked nodes whose axis neighbors are all masked too."""
         inner = self.mask.copy()
         for ax in range(self.grid.ndim):
-            inner &= _shift_bool(self.mask, ax, +1) & _shift_bool(self.mask, ax, -1)
+            e = (0,) * ax
+            inner &= _shift(self.mask, e + (1,)) & _shift(self.mask, e + (-1,))
         return inner
 
 
-def _shift_bool(mask, axis, step):
-    out = np.zeros_like(mask)
-    src = [slice(None)] * mask.ndim
-    dst = [slice(None)] * mask.ndim
-    if step > 0:
-        src[axis] = slice(step, None)
-        dst[axis] = slice(None, -step)
-    else:
-        src[axis] = slice(None, step)
-        dst[axis] = slice(-step, None)
-    out[tuple(dst)] = mask[tuple(src)]
+def _shift(a, offsets):
+    """Zero-filled shift by integer offsets along the leading axes: out[i] = a[i + offsets]."""
+    if not any(offsets):
+        return a
+    src, dst = [], []
+    for k in offsets:
+        src.append(slice(k, None) if k >= 0 else slice(None, k))
+        dst.append(slice(None, -k) if k > 0 else slice(-k, None))
+    out = np.zeros_like(a)
+    out[tuple(dst)] = a[tuple(src)]
     return out
 
 
@@ -402,7 +401,7 @@ def make_disc_domain(center, radius, grid):
     xx = grid.coords()
     dist = np.sqrt(sum((xx[a] - center[a]) ** 2 for a in range(2)))
     r = np.clip(radius - dist, 0.0, None)
-    return Domain(grid, dist < radius, r, "disc", geom={"center": tuple(center), "radius": radius})
+    return Domain(grid, dist < radius, r, "disc")
 
 
 def make_rectangle_domain(lo, hi, grid):
@@ -436,7 +435,8 @@ def domain_from_mask(mask, grid):
     if mask.any() and not mask.all():
         near = np.zeros_like(mask)
         for ax in range(grid.ndim):
-            near |= _shift_bool(mask, ax, +1) | _shift_bool(mask, ax, -1)
+            e = (0,) * ax
+            near |= _shift(mask, e + (1,)) | _shift(mask, e + (-1,))
         boundary = near & ~mask
         bpts = np.argwhere(boundary) * np.asarray(grid.spacing)
         mpts = np.argwhere(mask) * np.asarray(grid.spacing)
@@ -470,23 +470,26 @@ def shrink(domain, eps):
         return domain
     mask = domain.r > eps
     r = np.where(mask, domain.r - eps, 0.0)
-    geom = domain.geom
-    if domain.kind == "disc" and geom is not None:
-        geom = {"center": geom["center"], "radius": geom["radius"] - eps}
-    return Domain(domain.grid, mask, r, domain.kind, geom=geom)
+    return Domain(domain.grid, mask, r, domain.kind)
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
 
-def _mask_for(f_grid, domain):
-    """Domain mask broadcast to a field grid (spatial or space-time)."""
-    if f_grid == domain.grid:
-        return domain.mask
-    if f_grid.matches_spatial(domain.grid):
-        return np.broadcast_to(domain.mask, f_grid.dims)
-    raise ValueError("grid mismatch: field grid is neither the domain grid nor a space-time grid over it")
+def _on_field_grid(f_grid, grid, values, what):
+    """Nodal values on `grid` placed on a field grid.
+
+    As-is when f_grid is `grid`; broadcast along time when f_grid is a
+    space-time grid over it.  `what` names the values' owner in the error.
+    """
+    if f_grid == grid:
+        return values
+    if f_grid.matches_spatial(grid):
+        return np.broadcast_to(values, f_grid.dims)
+    raise ValueError(
+        f"grid mismatch: field grid is neither the {what} grid nor a space-time grid over it"
+    )
 
 
 def integrate(f, domain):
@@ -498,7 +501,7 @@ def integrate(f, domain):
     """
     if not isinstance(f, ScalarField):
         raise TypeError("integrate expects a ScalarField")
-    mask = _mask_for(f.grid, domain)
+    mask = _on_field_grid(f.grid, domain.grid, domain.mask, "domain")
     return float(np.sum(f.values[mask]) * f.grid.cell_volume)
 
 

@@ -211,7 +211,7 @@ def korn_ratio_sequence(cfg, domain, time_grid, n_max, tol=1e-8):
     bound is the separable-region factorization
         ||phi_n||_beta ||grad u||_{beta, far region} /
         (||phi_n||_alpha ||eps u||_{alpha, ring}),
-    computed independently of the bisection path.
+    computed independently of the Luxembourg root finder.
     """
     u = build_velocity(cfg, domain)
     p = build_exponent(cfg, domain, velocity=u)

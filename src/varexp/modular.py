@@ -2,20 +2,18 @@
 
 The modular of a field f with exponent p is the integral of |f(x)|^p(x)
 over the domain; the Luxembourg norm is the equality root of
-lambda -> modular(f / lambda) = 1, found by bracketing and bisection.
-For f not identically zero the map is strictly decreasing, so the root is
-unique; the norm of the zero field is 0.
+lambda -> modular(f / lambda) = 1.  For f not identically zero the map is
+strictly decreasing, so the root is unique; the norm of the zero field is 0.
+The root is found by Newton's method on the log-modular in s = log lambda,
+which is convex and decreasing, and is returned once a Newton step in s is
+below the tolerance: a relative accuracy in lambda.
 """
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
-from .fields import ScalarField, field_abs, integrate, _mask_for
-
-log = logging.getLogger(__name__)
+from .fields import ScalarField, _on_field_grid, field_abs, integrate
 
 __all__ = [
     "ExponentField",
@@ -135,86 +133,60 @@ def conjugate(p):
     return ExponentField(ScalarField(p.grid, vals / (vals - 1.0)))
 
 
-def _exponent_on(f_grid, p):
-    """Exponent values broadcast to a field grid, extending constantly in time."""
-    if p.grid == f_grid:
-        return p.values.values
-    if f_grid.matches_spatial(p.grid):
-        return np.broadcast_to(p.values.values, f_grid.dims)
-    raise ValueError("exponent grid matches neither the field grid nor its spatial part")
-
-
 def modular(f, p, domain):
     """rho_p(f) = integral of |f(x)|^p(x) over the domain (>= 0).
 
     |f| is the Euclidean / Frobenius magnitude for vector / tensor fields.
     A spatial exponent on a space-time field is extended constantly in time.
     """
-    absf = field_abs(f)
-    pv = _exponent_on(f.grid, p)
-    mask = _mask_for(f.grid, domain)
-    a = absf.values[mask]
-    q = np.broadcast_to(pv, absf.values.shape)[mask]
+    pv = _on_field_grid(f.grid, p.grid, p.values.values, "exponent")
+    mask = _on_field_grid(f.grid, domain.grid, domain.mask, "domain")
+    a = field_abs(f).values[mask]
+    q = pv[mask]
     return float(np.sum(a**q) * f.grid.cell_volume)
 
 
 def luxembourg_norm(f, p, domain, tol=1e-8):
-    """Luxembourg norm by bracketing + bisection on lambda -> modular(f/lambda).
+    """Luxembourg norm: the root lambda of modular(f/lambda) = 1, by Newton in s = log lambda.
 
-    Returns the equality root to relative bracket width `tol`; returns 0 for
-    the zero field.  If the modular at the returned lambda differs from 1 by
-    more than 10*tol, a log record flags it (degenerate supports).
+    G(s) = log modular(f/e^s) = logsumexp(q (log a - s)) + log w, over the
+    nonzero magnitudes a with exponents q and cell volume w, is convex and
+    decreasing.  Newton starts at s0 = log a_top + log(w)/q_top with top the
+    largest magnitude, where that node alone gives G(s0) >= 0, so every
+    iterate stays left of the root and climbs to it monotonically.  The loop
+    stops once a Newton step is <= `tol` and returns e^s; returns 0 for the
+    zero field.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     absf = field_abs(f)
     if not np.all(np.isfinite(absf.values)):
         raise ValueError("field has non-finite values")
-    mask = _mask_for(f.grid, domain)
+    mask = _on_field_grid(f.grid, domain.grid, domain.mask, "domain")
     a = absf.values[mask]
-    q = np.broadcast_to(_exponent_on(f.grid, p), absf.values.shape)[mask]
+    q = _on_field_grid(f.grid, p.grid, p.values.values, "exponent")[mask]
     nz = a > 0.0
     a, q = a[nz], q[nz]
     if a.size == 0:
         return 0.0
-    w = f.grid.cell_volume
-    # rho(lam) = w * sum exp(q_i (log a_i - log lam)), never forming a_i^{q_i},
-    # which under- or overflows at extreme magnitudes and large exponents
+    # log space throughout: a_i^{q_i} under- or overflows at extreme
+    # magnitudes and large exponents
     log_a = np.log(a)
-
-    def rho(lam):
-        return w * float(np.sum(np.exp(q * (log_a - np.log(lam)))))
-
-    measure = domain.measure()
-    if f.grid != domain.grid:
-        # space-time cylinder: measure of I x Omega
-        measure *= f.grid.dims[0] * f.grid.spacing[0]
-    hi = float(a.max()) * max(1.0, measure) ** (1.0 / p.p_minus)
-    guard = 0
-    while rho(hi) > 1.0:
-        hi *= 2.0
-        guard += 1
-        if guard > 200:
-            raise RuntimeError("luxembourg_norm failed to bracket from above")
-    lo = hi
-    # rho(lo) may overflow to inf while halving; inf > 1 ends the loop correctly
-    with np.errstate(over="ignore"):
-        while rho(lo) <= 1.0:
-            lo /= 2.0
-            guard += 1
-            if guard > 400:
-                raise RuntimeError("luxembourg_norm failed to bracket from below")
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if rho(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    gap = abs(rho(lam) - 1.0)
-    if gap > 10.0 * tol:
-        log.info("luxembourg_norm: modular at root differs from 1 by %.3e", gap)
-    return lam
+    log_w = np.log(f.grid.cell_volume)
+    top = int(np.argmax(a))
+    s = log_a[top] + log_w / q[top]
+    for _ in range(100):
+        e = q * (log_a - s)
+        top_e = e.max()
+        t = np.exp(e - top_e)
+        total = np.sum(t)
+        # step = G / -G'.  np.sum(q * t), not np.dot: inside this loop the
+        # BLAS dot made a 315k-node norm 2.5x slower on a 2-vCPU machine
+        step = (top_e + np.log(total) + log_w) * total / np.sum(q * t)
+        s += step
+        if step <= tol:
+            return float(np.exp(s))
+    raise RuntimeError("luxembourg_norm: Newton did not converge in 100 steps")
 
 
 def _contract(f, g):

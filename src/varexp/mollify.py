@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate as _sciint
 from scipy import ndimage as _ndi
 
-from .fields import Grid, ScalarField, SymTensorField, VectorField
+from .fields import Grid, ScalarField, SymTensorField, VectorField, _shift
 from .calculus import axis_derivative, sym_gradient
 from .modular import ExponentField
 
@@ -191,30 +191,12 @@ def maximal(f):
             half = int(np.sqrt(r_phys * r_phys - rho2) / h_last)
             lo = np.clip(idx - half, 0, n_last)
             hi = np.clip(idx + half + 1, 0, n_last)
-            sc = _shift_csum(csum, o)
-            s1 = _shift_csum(csum1, o)
+            sc = _shift(csum, o)
+            s1 = _shift(csum1, o)
             total += sc[..., hi] - sc[..., lo]
             count += s1[..., hi] - s1[..., lo]
         np.maximum(best, np.divide(total, count, out=np.zeros_like(total), where=count > 0), out=best)
     return ScalarField(g, best)
-
-
-def _shift_csum(csum, offsets):
-    """Cumulative-sum array of the source shifted by integer offsets in the leading axes."""
-    if all(k == 0 for k in offsets):
-        return csum
-    out = np.zeros_like(csum)
-    src = [slice(None)] * csum.ndim
-    dst = [slice(None)] * csum.ndim
-    for ax, k in enumerate(offsets):
-        if k > 0:
-            src[ax] = slice(k, None)
-            dst[ax] = slice(None, -k)
-        elif k < 0:
-            src[ax] = slice(None, k)
-            dst[ax] = slice(-k, None)
-    out[tuple(dst)] = csum[tuple(src)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -316,60 +298,14 @@ def _snap_scale(h, domain):
     return cells * hx
 
 
-def _disc_cutoff_values(grid, center, rho0, eps):
-    """Exact radial evaluation of (omega_eps * chi_ball(rho0)) on the grid.
-
-    G(rho) integrates the kernel ring-by-ring against the angular measure of
-    the ball; the table is spline-sampled at the nodes.  This keeps eta an
-    exactly sampled smooth function, so discrete product rules see a clean
-    O(spacing^2) defect.
-    """
-    from scipy.interpolate import CubicSpline
-
-    fam = MollifierFamily(2)
-    c = fam.c_norm
-
-    def G(rho):
-        if rho <= 1e-12:
-            return 1.0 if rho0 >= eps else 0.0
-        if rho <= rho0 - eps:
-            return 1.0
-        if rho >= rho0 + eps:
-            return 0.0
-
-        def integrand(s):
-            y = s / eps
-            w = c / eps**2 * np.exp(-1.0 / (1.0 - y * y)) if y < 1.0 else 0.0
-            cosphi = (rho**2 + s**2 - rho0**2) / (2.0 * rho * s) if s > 0 else -1.0
-            phi = np.arccos(np.clip(cosphi, -1.0, 1.0))
-            return w * 2.0 * phi * s
-
-        val, _ = _sciint.quad(integrand, 0.0, eps, limit=200)
-        return min(max(val, 0.0), 1.0)
-
-    table_rho = np.linspace(max(rho0 - eps, 0.0) - 1e-9, rho0 + eps + 1e-9, 257)
-    table_val = np.array([G(r) for r in table_rho])
-    spline = CubicSpline(table_rho, table_val)
-    xx = grid.coords()
-    dist = np.sqrt(sum((xx[a] - center[a]) ** 2 for a in range(2)))
-    vals = np.where(
-        dist <= table_rho[0],
-        table_val[0],
-        np.where(dist >= table_rho[-1], 0.0, spline(np.clip(dist, table_rho[0], table_rho[-1]))),
-    )
-    return np.clip(vals, 0.0, 1.0)
-
-
 class CutoffFamily:
     """Smooth plateau eta_h: mollification of the indicator of the 5h/2 shrinkage.
 
     eta_h equals 1 on the 3h shrinkage, is supported in the 2h shrinkage
     (both up to one cell), takes values in [0, 1], and |grad eta_h| stays
-    below c_eta / h with c_eta uniform over the tested range of h.
-
-    Disc domains evaluate the defining convolution by exact radial
-    quadrature (smooth sampled cutoff); other masks use the discrete
-    convolution of a one-cell antialiased indicator.
+    below c_eta / h with c_eta uniform over the tested range of h.  Every
+    domain takes the discrete convolution of a one-cell antialiased
+    indicator built from its distance function r.
     """
 
     __slots__ = ("domain", "h", "eta", "c_eta")
@@ -377,26 +313,14 @@ class CutoffFamily:
     def __init__(self, domain, h):
         h = _snap_scale(h, domain)
         hx = max(domain.grid.spacing)
-        if domain.kind == "disc" and domain.geom is not None and domain.grid.ndim == 2:
-            rho0 = domain.geom["radius"] - 2.5 * h
-            if rho0 <= 0:
-                vals = np.zeros(domain.grid.dims)
-            else:
-                vals = _disc_cutoff_values(
-                    domain.grid, domain.geom["center"], rho0, max(0.5 * h, 1.5 * hx)
-                )
-            eta = ScalarField(domain.grid, vals)
-        else:
-            # antialiased indicator: nodal cell-coverage of {r > 5h/2}.  A
-            # sharp 0/1 sampling would leave O(spacing) quadrature wiggles
-            # in eta; the one-cell ramp keeps the sampling second order.
-            chi = ScalarField(
-                domain.grid, np.clip(0.5 + (domain.r - 2.5 * h) / hx, 0.0, 1.0)
-            )
-            # kernel scale floors at 1.5 cells so the sampled kernel keeps
-            # off-center weights even when h/2 dips below one spacing
-            eps = max(0.5 * h, 1.5 * hx)
-            eta = convolve(chi, eps)
+        # antialiased indicator: nodal cell-coverage of {r > 5h/2}.  A sharp
+        # 0/1 sampling would leave O(spacing) quadrature wiggles in eta; the
+        # one-cell ramp keeps the sampling second order.
+        chi = ScalarField(domain.grid, np.clip(0.5 + (domain.r - 2.5 * h) / hx, 0.0, 1.0))
+        # kernel scale floors at 1.5 cells so the sampled kernel keeps
+        # off-center weights even when h/2 dips below one spacing
+        eps = max(0.5 * h, 1.5 * hx)
+        eta = convolve(chi, eps)
         grad_sup = 0.0
         for ax in range(domain.grid.ndim):
             dv = axis_derivative(eta.values, ax, domain.grid.spacing[ax], None)

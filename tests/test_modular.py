@@ -144,6 +144,21 @@ def test_luxembourg_constant_field_extreme_magnitudes(c, q):
     assert lux == pytest.approx(c * dom.measure() ** (1.0 / q), rel=1e-6, abs=0.0)
 
 
+@pytest.mark.parametrize("q", [1.1, 100.0])
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_luxembourg_root_hits_unit_modular(c, q, caplog):
+    # the returned norm is the root itself: rho(f / ||f||) = 1 to roundoff,
+    # with no gap record, on a domain of measure 2
+    grid = vx.grid_on_box([0, 0], [2, 1], [32, 16])
+    dom = vx.make_rectangle_domain([-0.1, -0.1], [2.1, 1.1], grid)
+    f = vx.ScalarField(grid, np.full(grid.dims, c))
+    p = vx.constant_exponent(grid, q)
+    with caplog.at_level(logging.INFO, logger="varexp.modular"):
+        norm = vx.luxembourg_norm(f, p, dom)
+    assert abs(vx.modular(f * (1.0 / norm), p, dom) - 1.0) <= 1e-12
+    assert not [r for r in caplog.records if r.name == "varexp.modular"]
+
+
 def test_luxembourg_two_region_root_oracle():
     # piecewise-constant exponent, constant field: the norm solves
     # c^1.1 m1 / lam^1.1 + c^2 m2 / lam^2 = 1

@@ -307,15 +307,22 @@ def field_abs(f):
     """
     if isinstance(f, ScalarField):
         return ScalarField(f.grid, np.abs(f.values))
-    if isinstance(f, VectorField):
-        return ScalarField(f.grid, np.sqrt(np.sum(f.values**2, axis=-1)))
-    if isinstance(f, SymTensorField):
-        w = sym_weights(f.d)
-        return ScalarField(f.grid, np.sqrt(np.sum(w * f.values**2, axis=-1)))
-    if isinstance(f, TensorField):
-        sq = np.sum(f.values**2, axis=(-1, -2))
-        return ScalarField(f.grid, np.sqrt(sq))
-    raise TypeError(f"not a field: {type(f)!r}")
+    if not isinstance(f, (VectorField, SymTensorField, TensorField)):
+        raise TypeError(f"not a field: {type(f)!r}")
+    v = f.values
+    axes = (-1, -2) if isinstance(f, TensorField) else (-1,)
+    w = sym_weights(f.d) if isinstance(f, SymTensorField) else 1.0
+    # v * v overflows above about 1e154 and underflows below about 1e-162, so
+    # unless every nonzero component lies in [1e-150, 1e150], each node whose
+    # largest component m lies outside that range is divided by m first
+    if max(v.max(), -v.min()) <= 1e150:
+        sq = v * v
+        if np.count_nonzero(sq >= 1e-300) == np.count_nonzero(v):
+            return ScalarField(f.grid, np.sqrt(np.sum(w * sq, axis=axes)))
+    m = np.max(np.abs(v), axis=axes)
+    m = np.where(((m > 1e150) & (m < np.inf)) | ((m < 1e-150) & (m > 0.0)), m, 1.0)
+    v = v / m[(...,) + (None,) * len(axes)]
+    return ScalarField(f.grid, m * np.sqrt(np.sum(w * v**2, axis=axes)))
 
 
 # ---------------------------------------------------------------------------

@@ -147,36 +147,39 @@ def modular(f, p, domain):
 
 
 def luxembourg_norm(f, p, domain, tol=1e-8):
-    """Luxembourg norm: the root lambda of modular(f/lambda) = 1, by Newton in s = log lambda.
-
-    G(s) = log modular(f/e^s) = logsumexp(q (log a - s)) + log w, over the
-    nonzero magnitudes a with exponents q and cell volume w, is convex and
-    decreasing.  Newton starts at s0 = log a_top + log(w)/q_top with top the
-    largest magnitude, where that node alone gives G(s0) >= 0, so every
-    iterate stays left of the root and climbs to it monotonically.  The loop
-    stops once a Newton step is <= `tol` and returns e^s; returns 0 for the
-    zero field.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    """Luxembourg norm: the root lambda of modular(f/lambda) = 1, by Newton in s = log lambda
+    (see `_luxembourg_root`); 0 for the zero field."""
     absf = field_abs(f)
     if not np.all(np.isfinite(absf.values)):
         raise ValueError("field has non-finite values")
     mask = _on_field_grid(f.grid, domain.grid, domain.mask, "domain")
     a = absf.values[mask]
     q = _on_field_grid(f.grid, p.grid, p.values.values, "exponent")[mask]
-    nz = a > 0.0
-    a, q = a[nz], q[nz]
+    return _luxembourg_root(a, q, np.zeros_like(a), np.log(f.grid.cell_volume), tol)
+
+
+def _luxembourg_root(a, q, log_c, log_w, tol):
+    """e^s at the root of G(s) = logsumexp(q (log a - s) + log c) + log w.
+
+    G = log sum w c a^q e^(-q s) over the nodes with a > 0 and c > 0 (magnitudes
+    a, exponents q, per-node factors c, cell volume w) is convex and decreasing.
+    Newton starts at s0 = log a_top + (log w + log c_top)/q_top, top the largest
+    magnitude, where that node alone gives G(s0) >= 0, so the iterates climb to
+    the root from the left.  Stops once a step is <= `tol`; 0 if no node counts.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    nz = (a > 0.0) & (log_c > -np.inf)
+    a, q, log_c = a[nz], q[nz], log_c[nz]
     if a.size == 0:
         return 0.0
     # log space throughout: a_i^{q_i} under- or overflows at extreme
     # magnitudes and large exponents
     log_a = np.log(a)
-    log_w = np.log(f.grid.cell_volume)
     top = int(np.argmax(a))
-    s = log_a[top] + log_w / q[top]
+    s = log_a[top] + (log_w + log_c[top]) / q[top]
     for _ in range(100):
-        e = q * (log_a - s)
+        e = q * (log_a - s) + log_c
         top_e = e.max()
         t = np.exp(e - top_e)
         total = np.sum(t)

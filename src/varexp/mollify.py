@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate as _sciint
 from scipy import ndimage as _ndi
 
-from .fields import Grid, ScalarField, SymTensorField, VectorField, _shift
+from .fields import Grid, ScalarField, SymTensorField, VectorField, _Field, _shift
 from .calculus import axis_derivative, sym_gradient
 from .modular import ExponentField
 
@@ -106,32 +106,21 @@ class MollifierFamily:
         return w / total
 
 
-def _component_views(f):
-    """List of (component array,) views plus a rebuild function."""
-    if isinstance(f, ScalarField):
-        return [f.values], lambda comps: ScalarField(f.grid, comps[0])
-    if isinstance(f, VectorField):
-        arrs = [f.values[..., i] for i in range(f.ncomp)]
-        return arrs, lambda comps: VectorField(f.grid, np.stack(comps, axis=-1))
-    if isinstance(f, SymTensorField):
-        arrs = [f.values[..., i] for i in range(f.ncomp)]
-        return arrs, lambda comps: SymTensorField(f.grid, np.stack(comps, axis=-1))
-    raise TypeError(f"unsupported field type {type(f).__name__}")
-
-
 def convolve(f, eps, family=None):
-    """Discrete convolution with the sampled scaled mollifier.
+    """Discrete convolution with the sampled scaled mollifier, componentwise.
 
     The field is treated as zero outside its grid (zero-extension).  Direct
     summation; desk-scale grids do not need FFTs.
     """
+    if not isinstance(f, _Field):
+        raise TypeError(f"not a field: {type(f)!r}")
     family = family or MollifierFamily(f.grid.ndim)
     if family.dim != f.grid.ndim:
         raise ValueError("mollifier dimension does not match the field grid")
     w = family.sampled_weights(f.grid.spacing, eps)
-    comps, rebuild = _component_views(f)
-    out = [_ndi.convolve(c, w, mode="constant", cval=0.0) for c in comps]
-    return rebuild(out)
+    # trailing singleton axes leave the component axes unmixed
+    w = w.reshape(w.shape + (1,) * (f.values.ndim - w.ndim))
+    return type(f)(f.grid, _ndi.convolve(f.values, w, mode="constant", cval=0.0))
 
 
 def _maximal_radii(max_cells, ndim):

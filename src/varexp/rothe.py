@@ -516,7 +516,7 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, picard_max=50
     raise RotheStepError(f"Picard loop did not settle in {picard_max} iterations", drift)
 
 
-def rothe_solve(data, law, low=None, collect_diagnostics=True):
+def rothe_solve(data, law, low=None):
     """March the implicit scheme over all steps; returns (trajectory, diagnostics).
 
     The trajectory holds K+1 VectorFields starting from u0 projected onto
@@ -542,22 +542,21 @@ def rothe_solve(data, law, low=None, collect_diagnostics=True):
     for k in range(1, data.steps + 1):
         u, info = energy_step(traj[-1], k, law, low, data, op=op, return_info=True)
         traj.append(u)
-        if collect_diagnostics:
-            x = op.to_free(u)
-            p_nodes = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
-            eps = op.eps(x)
-            mag = np.sqrt(np.sum(op.weights * eps**2, axis=-1))
-            diags.append(
-                StepDiagnostics(
-                    k=k,
-                    t=k * data.tau,
-                    energy=info["energy"] * vol,
-                    l2norm=float(np.sqrt(np.sum(u.values**2) * vol)),
-                    modular_eps=float(np.sum(mag**p_nodes) * vol),
-                    residual=info["residual"],
-                    iters=info["iters"],
-                )
+        x = op.to_free(u)
+        p_nodes = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
+        eps = op.eps(x)
+        mag = np.sqrt(np.sum(op.weights * eps**2, axis=-1))
+        diags.append(
+            StepDiagnostics(
+                k=k,
+                t=k * data.tau,
+                energy=info["energy"] * vol,
+                l2norm=float(np.sqrt(np.sum(u.values**2) * vol)),
+                modular_eps=float(np.sum(mag**p_nodes) * vol),
+                residual=info["residual"],
+                iters=info["iters"],
             )
+        )
     return traj, diags
 
 

@@ -227,3 +227,26 @@ def test_csv_and_pgm_outputs(tmp_path):
     assert content[0] == "P2"
     side = (tmp_path / "field.pgm.range.txt").read_text()
     assert side.startswith("min ")
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("kind", ["vector", "sym", "full"])
+def test_magnitude_at_extreme_scales(kind, scale):
+    # every stored component equals `scale`, so |v| = scale * sqrt(2) for the
+    # vector and scale * 2 for both 2x2 tensor storages; with p = 2 the norm
+    # of the constant field is |v| sqrt(measure)
+    grid = vx.grid_on_box([0, 0], [1, 1], [8, 8])
+    dom = vx.make_rectangle_domain([0, 0], [1, 1], grid)
+    cls, comps, unit = {
+        "vector": (vx.VectorField, (2,), np.sqrt(2.0)),
+        "sym": (vx.SymTensorField, (3,), 2.0),
+        "full": (vx.TensorField, (2, 2), 2.0),
+    }[kind]
+    vals = np.full((8, 8) + comps, scale)
+    norm = vx.luxembourg_norm(cls(grid, vals), vx.constant_exponent(grid, 2.0), dom)
+    assert norm == pytest.approx(unit * scale * np.sqrt(dom.measure()), rel=1e-12, abs=0.0)
+    # normal-range nodes next to extreme ones keep their magnitude
+    vals[0] = 1.0
+    expected = np.full((8, 8), unit * scale)
+    expected[0] = unit
+    assert vx.field_abs(cls(grid, vals)).values == pytest.approx(expected, rel=1e-14, abs=0.0)

@@ -139,6 +139,25 @@ def test_separable_factorization():
     assert lux == pytest.approx(psi_a * F_a, rel=1e-6)
 
 
+@pytest.mark.parametrize("alpha,beta", [(1.1, 2.0), (1.5, 1.5)])
+def test_ratio_sequence_matches_full_spacetime_norms(alpha, beta):
+    # reference: the Luxembourg norm of the explicit space-time fields
+    # phi_n |grad u| and phi_n |eps(u)| with the exponent extended in time
+    dom = figure_domain(48)
+    tg = vx.grid_on_box([-1.5], [1.5], [64])
+    cfg = WetBlanketConfig(alpha=alpha, beta=beta)
+    u = build_velocity(cfg, dom)
+    p = build_exponent(cfg, dom, velocity=u)
+    st = vx.Grid((64,) + dom.grid.dims, (tg.spacing[0],) + dom.grid.spacing, (tg.origin[0],) + dom.grid.origin)
+    pst = p.extend_constant_in_time(st)
+    spatial = [vx.field_abs(gradient(u, dom)).values, vx.field_abs(sym_gradient(u, dom)).values]
+    for row in korn_ratio_sequence(cfg, dom, tg, 4):
+        phi = build_phi(row.n, tg).values[:, None, None]
+        num, den = (vx.luxembourg_norm(vx.ScalarField(st, phi * F), pst, dom) for F in spatial)
+        assert row.num == pytest.approx(num, rel=1e-13)
+        assert row.den == pytest.approx(den, rel=1e-13)
+
+
 def test_ratio_sequence_monotone_and_bounded_contrast():
     dom = figure_domain(48)
     tg = vx.grid_on_box([-1.5], [1.5], [128])

@@ -312,14 +312,12 @@ def field_abs(f):
     v = f.values
     axes = (-1, -2) if isinstance(f, TensorField) else (-1,)
     w = sym_weights(f.d) if isinstance(f, SymTensorField) else 1.0
-    # v * v overflows above about 1e154 and underflows below about 1e-162, so
-    # unless every nonzero component lies in [1e-150, 1e150], each node whose
-    # largest component m lies outside that range is divided by m first
-    if max(v.max(), -v.min()) <= 1e150:
-        sq = v * v
-        if np.count_nonzero(sq >= 1e-300) == np.count_nonzero(v):
-            return ScalarField(f.grid, np.sqrt(np.sum(w * sq, axis=axes)))
-    m = np.max(np.abs(v), axis=axes)
+    # v * v overflows above about 1e154 and underflows below about 1e-162, so a
+    # node whose largest component m lies outside [1e-150, 1e150] is computed
+    # as m |v / m|; every other node takes m = 1, which is exact.  The max runs
+    # over a component-major copy: along the short trailing axes it is ~10x slower
+    comps = np.abs(v).reshape(f.grid.dims + (-1,))
+    m = np.max(np.moveaxis(comps, -1, 0).copy(), axis=0)
     m = np.where(((m > 1e150) & (m < np.inf)) | ((m < 1e-150) & (m > 0.0)), m, 1.0)
     v = v / m[(...,) + (None,) * len(axes)]
     return ScalarField(f.grid, m * np.sqrt(np.sum(w * v**2, axis=axes)))

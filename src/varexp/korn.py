@@ -217,6 +217,8 @@ def korn_ratio_sequence(cfg, domain, time_grid, n_max, tol=1e-8):
     eu = sym_gradient(u, domain)
     abs_gu = field_abs(gu)
     abs_eu = field_abs(eu)
+    if not (np.all(np.isfinite(abs_gu.values)) and np.all(np.isfinite(abs_eu.values))):
+        raise ValueError("field has non-finite values")
 
     # pure-exponent regions for the factorized bound
     ring = abs_eu.values > 1e-13 * abs_eu.max_abs()

@@ -179,7 +179,8 @@ def _luxembourg_root(a, q, log_c, log_w, tol):
     top = int(np.argmax(a))
     s = log_a[top] + (log_w + log_c[top]) / q[top]
     for _ in range(100):
-        e = q * (log_a - s) + log_c
+        e = q * (log_a - s)
+        e += log_c
         top_e = e.max()
         t = np.exp(e - top_e)
         total = np.sum(t)

@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate as sciint
 
 import varexp as vx
+from varexp import korn
 from varexp.calculus import gradient, sym_gradient
 from varexp.korn import (
     KornRatioRow,
@@ -156,6 +157,23 @@ def test_ratio_sequence_matches_full_spacetime_norms(alpha, beta):
         num, den = (vx.luxembourg_norm(vx.ScalarField(st, phi * F), pst, dom) for F in spatial)
         assert row.num == pytest.approx(num, rel=1e-13)
         assert row.den == pytest.approx(den, rel=1e-13)
+
+
+def test_ratio_sequence_rejects_non_finite_magnitudes(monkeypatch):
+    # a NaN in u reaches |grad u| and |eps(u)|; the Luxembourg root drops
+    # nodes that fail a > 0, so without a check it would return a finite norm
+    dom = figure_domain(48)
+    tg = vx.grid_on_box([-1.5], [1.5], [64])
+    cfg = WetBlanketConfig()
+    u = build_velocity(cfg, dom)
+    p = build_exponent(cfg, dom, velocity=u)
+    vals = u.values.copy()
+    vals[24, 24, 0] = np.nan
+    assert dom.mask[24, 24]
+    monkeypatch.setattr(korn, "build_velocity", lambda cfg, domain: vx.VectorField(dom.grid, vals))
+    monkeypatch.setattr(korn, "build_exponent", lambda cfg, domain, velocity=None: p)
+    with pytest.raises(ValueError, match="non-finite"):
+        korn_ratio_sequence(cfg, dom, tg, 1)
 
 
 def test_ratio_sequence_monotone_and_bounded_contrast():

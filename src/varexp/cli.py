@@ -169,7 +169,7 @@ def _build_domain(cfg, resolution=None):
     raise ConfigError(f"[domain] kind must be disc or rectangle, got {kind!r}")
 
 
-def _random_smooth_field(rng, grid, modes=4, cls=None):
+def _random_smooth_field(rng, grid, modes=4):
     """Seeded band-limited random field: a short trigonometric series."""
     import numpy as np
     import varexp as vx
@@ -187,7 +187,7 @@ def _random_smooth_field(rng, grid, modes=4, cls=None):
         for a in range(grid.ndim):
             term = term * np.sin(np.pi * ks[a] * (xx[a] - grid.axis_coords(a)[0]) / span[a] + phase[a])
         vals += amp * term
-    return vx.ScalarField(grid, vals) if cls is None else cls(grid, vals)
+    return vx.ScalarField(grid, vals)
 
 
 # ---------------------------------------------------------------------------

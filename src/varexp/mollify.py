@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate as _sciint
 from scipy import ndimage as _ndi
 
 from .fields import Grid, ScalarField, SymTensorField, VectorField, _Field, _shift
@@ -35,12 +34,22 @@ __all__ = [
 
 _CNORM_CACHE = {}
 
+# the one quadrature rule of the package (Golub & Welsch, Math. Comp. 23, 1969)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
+
+
+def _gauss_legendre(f, lo, hi):
+    """Integral of a smooth f over [lo, hi]; bounds broadcast, the rule runs on a new last axis."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    return half * (f((0.5 * (hi + lo))[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS)
+
 
 def _unit_ball_mass(dim):
-    """Integral of exp(-1/(1-|x|^2)) over the unit ball in R^dim."""
+    """Integral of exp(-1/(1-|x|^2)) over the unit ball in R^dim, by the radial rule."""
     surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-    val, _ = _sciint.quad(lambda s: s ** (dim - 1) * math.exp(-1.0 / (1.0 - s * s)), 0.0, 1.0)
-    return surf * val
+    radial = _gauss_legendre(lambda s: s ** (dim - 1) * np.exp(-1.0 / (1.0 - s * s)), 0.0, 1.0)
+    return surf * float(radial)
 
 
 class MollifierFamily:

@@ -273,8 +273,6 @@ def standard_test_fields(domain, support_radius=None):
     compared across resolutions.  The third field is rigid (rotation) on an
     inner core, so its symmetric gradient vanishes there.
     """
-    import numpy as np
-
     g = domain.grid
     # pass support_radius explicitly when fields must agree across grids;
     # r.max() is only a per-grid fallback

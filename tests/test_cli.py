@@ -1,6 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
+
+import varexp
 
 from varexp.cli import ConfigError, load_config, main
 
@@ -99,3 +103,12 @@ def test_cli_poincare_small(tmp_path):
     assert {"poincare_radial.csv", "poincare_swirl.csv", "poincare_rigid_core.csv"} <= set(
         os.listdir(out)
     )
+
+
+def test_import_leaves_quadrature_and_optimize_unloaded():
+    # a fresh interpreter, so earlier tests' imports do not count
+    src = os.path.dirname(os.path.dirname(varexp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, varexp; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -16,6 +16,7 @@ from varexp.korn import (
     write_heatmaps,
     write_ratio_csv,
 )
+from varexp.mollify import MollifierFamily
 
 A = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -121,6 +122,40 @@ def test_build_phi_profiles():
     tail = np.abs(np.abs(t) - 0.6) < 0.1
     phi5 = build_phi(5, tg)
     assert np.abs(phi5.values[tail] - phi_raw(t)[tail]).max() < 0.02
+
+
+def _phi_reference(n, t):
+    """Tight adaptive quadrature of (phi * omega_{2^-n})(t), split at the singularity."""
+    delta = 2.0 ** -n
+    c = MollifierFamily(1).c_norm
+
+    def integrand(s):
+        y = (t - s) / delta
+        return (abs(s) ** -0.5 - 1.0) * c / delta * np.exp(-1.0 / (1.0 - y * y)) if abs(y) < 1.0 else 0.0
+
+    lo, hi = max(-1.0, t - delta), min(1.0, t + delta)
+    if lo >= hi:
+        return 0.0
+    pts = [0.0] if lo < 0.0 < hi else None
+    return sciint.quad(integrand, lo, hi, points=pts, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+
+@pytest.mark.parametrize(
+    "n,cells,picks",
+    [(n, 256, slice(None, None, 8)) for n in range(1, 6)]
+    # 1025 cells put a node at t = 0; also the nodes where the window meets +-1
+    + [(8, 1025, [0, 170, 171, 172, 510, 511, 512, 513, 514, 852, 853, 854, 1024])],
+)
+def test_build_phi_matches_tight_quadrature(n, cells, picks):
+    tg = vx.grid_on_box([-1.5], [1.5], [cells])
+    phi = build_phi(n, tg).values
+    t = tg.axis_coords(0)
+    idx = np.arange(cells)[picks]
+    if cells == 1025:
+        assert t[512] == 0.0
+        assert np.abs(np.abs(t[idx]) - 1.0).min() < 2.0 ** -n
+    ref = np.array([_phi_reference(n, float(tk)) for tk in t[idx]])
+    assert np.abs(phi[idx] - ref).max() <= 1e-12 * np.abs(phi).max()
 
 
 def test_separable_factorization():

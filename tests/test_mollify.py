@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate as sciint
@@ -35,6 +37,12 @@ def test_profile_normalization_and_support(dim):
     assert mass == pytest.approx(1.0, abs=5e-3)
     outside = np.linalg.norm(pts, axis=-1) >= 1.0
     assert np.all(w[outside] == 0.0)
+    # the normalizing constant against a tight radial quadrature
+    surf = 2.0 * np.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    radial, _ = sciint.quad(
+        lambda s: s ** (dim - 1) * np.exp(-1.0 / (1.0 - s * s)), 0.0, 1.0, epsabs=0.0, epsrel=1e-13
+    )
+    assert 1.0 / fam.c_norm == pytest.approx(surf * radial, rel=1e-13)
 
 
 def test_sampled_weights_sum_to_one_and_reject_small_scale():

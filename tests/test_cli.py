@@ -5,7 +5,6 @@ import sys
 import pytest
 
 import varexp
-
 from varexp.cli import ConfigError, load_config, main
 
 
@@ -109,6 +108,6 @@ def test_import_leaves_quadrature_and_optimize_unloaded():
     # a fresh interpreter, so earlier tests' imports do not count
     src = os.path.dirname(os.path.dirname(varexp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, varexp; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    probe = "import sys, varexp; print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

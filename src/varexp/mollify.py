@@ -2,9 +2,11 @@
 
 The scaled standard mollifier is sampled on the grid and its weights are
 renormalized to sum exactly to 1, so convolution is exact on constants.
-The smoothing operator cuts off, zero-extends, then mollifies; its quasi
-adjoint mollifies first and cuts off afterwards.  Smoothing scales are
-snapped to whole grid cells so support statements stay cell-exact.
+Convolution is a direct sum; the maximal operator is one zero-padded FFT
+correlation per ladder radius.  The smoothing operator cuts off,
+zero-extends, then mollifies; its quasi adjoint mollifies first and cuts
+off afterwards.  Smoothing scales are snapped to whole grid cells so
+support statements stay cell-exact.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import numpy as np
 from scipy import ndimage as _ndi
 
-from .fields import Grid, ScalarField, SymTensorField, VectorField, _Field, _shift
+from .fields import Grid, ScalarField, SymTensorField, VectorField, _Field
 from .calculus import axis_derivative, sym_gradient
 from .modular import ExponentField
 
@@ -119,7 +121,9 @@ def convolve(f, eps, family=None):
     """Discrete convolution with the sampled scaled mollifier, componentwise.
 
     The field is treated as zero outside its grid (zero-extension).  Direct
-    summation; desk-scale grids do not need FFTs.
+    summation, so the result is exactly 0 wherever the kernel meets only
+    zeros; an FFT leaves roundoff there, and the support statements of the
+    cutoff and smoothing operators rely on the exact zeros.
     """
     if not isinstance(f, _Field):
         raise TypeError(f"not a field: {type(f)!r}")
@@ -145,55 +149,60 @@ def _maximal_radii(max_cells, ndim):
     return radii
 
 
+def _lattice_ball(offsets, spacing, r):
+    """Indicator of the lattice ball of radius r on broadcast signed offsets.
+
+    A leading-axis offset k counts when |k| <= r/s and the leading radius
+    rho stays within r; the last axis then keeps |k| <= floor(sqrt(r^2 -
+    rho^2)/h_last).
+    """
+    *lead, last = offsets
+    rho2 = 0.0
+    keep = True
+    for k, s in zip(lead, spacing[:-1]):
+        rho2 = rho2 + (k * s) ** 2
+        keep = keep & (np.abs(k) <= int(r / s))
+    keep = keep & (rho2 <= r * r)
+    half = np.floor(np.sqrt(np.maximum(r * r - rho2, 0.0)) / spacing[-1])
+    return keep & (np.abs(last) <= half)
+
+
 def maximal(f):
     """Discrete Hardy-Littlewood maximal function of |f|.
 
     M(f)(x) = max over a fixed radius ladder of the average of |f| over
     in-grid nodes within distance r of x (masked midpoint quadrature).
-    Averages over in-grid nodes keep M(const) = const exact, and the
-    ladder starts at the node value itself -- the discrete r -> 0 limit --
-    so M(f) >= |f| pointwise as in the continuum.
+    Each rung is one zero-padded FFT correlation of |f|, and of the
+    in-grid indicator, with the lattice ball; the node counts are rounded
+    to integers.  Averages over in-grid nodes keep M(const) = const up to
+    roundoff, and the ladder starts at the node value itself -- the
+    discrete r -> 0 limit -- so M(f) >= |f| holds exactly, as in the
+    continuum.
     """
     from .fields import field_abs
 
     g = f.grid
     a = field_abs(f).values
     spacing = np.asarray(g.spacing)
-    h_last = spacing[-1]
-    max_cells = int(np.ceil(g.diameter() / min(spacing)))
-    radii = _maximal_radii(max_cells, g.ndim)
+    h_min = float(min(spacing))
+    radii = _maximal_radii(int(np.ceil(g.diameter() / h_min)), g.ndim)
 
-    # prefix sums along the last axis make every row segment an O(1) lookup;
-    # a parallel prefix sum of ones counts the in-grid nodes per segment
-    pad = np.zeros(a.shape[:-1] + (1,))
-    csum = np.concatenate([pad, np.cumsum(a, axis=-1)], axis=-1)
-    ones = np.ones_like(a)
-    csum1 = np.concatenate([pad, np.cumsum(ones, axis=-1)], axis=-1)
-    n_last = a.shape[-1]
-    idx = np.arange(n_last)
+    # zero padding to 2n nodes per axis keeps the circular correlation
+    # acyclic; its layout holds the offsets -n..n-1, and no offset of size
+    # n or more reaches an in-grid node
+    shape = tuple(2 * n for n in g.dims)
+    axes = tuple(range(g.ndim))
+    inside = tuple(slice(0, n) for n in g.dims)
+    fa = np.fft.rfftn(a, shape, axes)
+    fone = np.fft.rfftn(np.ones(g.dims), shape, axes)
+    offsets = np.ix_(*[np.fft.fftfreq(m, 1.0 / m) for m in shape])
 
     best = a.copy()
     for r_cells in radii:
-        r_phys = r_cells * float(min(spacing))
-        total = np.zeros_like(a)
-        count = np.zeros_like(a)
-        # offsets over the leading axes; the last axis is handled by segments
-        lead_ranges = [
-            range(-int(r_phys / s), int(r_phys / s) + 1) for s in spacing[:-1]
-        ]
-        for off in np.ndindex(*[len(rg) for rg in lead_ranges]):
-            o = tuple(rg[i] for rg, i in zip(lead_ranges, off))
-            rho2 = sum((k * s) ** 2 for k, s in zip(o, spacing[:-1]))
-            if rho2 > r_phys * r_phys:
-                continue
-            half = int(np.sqrt(r_phys * r_phys - rho2) / h_last)
-            lo = np.clip(idx - half, 0, n_last)
-            hi = np.clip(idx + half + 1, 0, n_last)
-            sc = _shift(csum, o)
-            s1 = _shift(csum1, o)
-            total += sc[..., hi] - sc[..., lo]
-            count += s1[..., hi] - s1[..., lo]
-        np.maximum(best, np.divide(total, count, out=np.zeros_like(total), where=count > 0), out=best)
+        fk = np.fft.rfftn(_lattice_ball(offsets, spacing, r_cells * h_min), axes=axes)
+        total = np.fft.irfftn(fa * fk, shape, axes)[inside]
+        count = np.rint(np.fft.irfftn(fone * fk, shape, axes)[inside])
+        np.maximum(best, total / count, out=best)
     return ScalarField(g, best)
 
 

@@ -470,15 +470,14 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, picard_max=50
     """
     if op is None:
         op = EpsOperator(data.domain)
-    p_all = law.exponent_at(data, k)
-    regularized = _regularized(law, p_all)
+    p_nodes = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
+    regularized = _regularized(law, p_nodes)
     if regularized is not law:
         log.warning(
             "delta=0 with p_min < 2 is non-smooth at eps=0; regularized with delta=%r",
             regularized.delta,
         )
     law = regularized
-    p_nodes = p_all.reshape(-1)[op.masked_idx]
     x_prev = op.to_free(u_prev)
     fk = data.f_at(k)
     fk_free = op.free_values(fk) if fk is not None else None
@@ -486,21 +485,14 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, picard_max=50
     Fk_masked = op.masked_values(Fk, op.d * (op.d + 1) // 2) if Fk is not None else None
     tol = _tolerance(data, u_prev, k)
 
-    if low is None or low.is_zero:
-        x, J, res, it = _descend(
-            op, x_prev, x_prev, data.tau, p_nodes, law, fk_free, Fk_masked, None, tol, max_iter
-        )
-        u = op.to_field(x)
-        if return_info:
-            return u, {"energy": J, "residual": res, "iters": it}
-        return u
-
-    # damped fixed point in the explicit b argument
+    # damped fixed point in the explicit b argument; without a lower-order
+    # term the first sweep is the whole step
+    plain = low is None or low.is_zero
     v = x_prev.copy()
     total_iters = 0
     drift = np.inf
     for _ in range(picard_max):
-        b_free = op.free_values(low(op.to_field(v).values))
+        b_free = None if plain else op.free_values(low(op.to_field(v).values))
         x, J, res, it = _descend(
             op, v, x_prev, data.tau, p_nodes, law, fk_free, Fk_masked, b_free, tol, max_iter
         )
@@ -508,7 +500,7 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, picard_max=50
         v_new = 0.5 * v + 0.5 * x
         drift = float(np.sqrt(np.sum((v_new - v) ** 2) / max(v.size, 1)))
         v = v_new
-        if drift <= tol:
+        if plain or drift <= tol:
             u = op.to_field(x)
             if return_info:
                 return u, {"energy": J, "residual": res, "iters": total_iters}

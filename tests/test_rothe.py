@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -332,6 +334,26 @@ def test_nonconvergence_raises_with_residual():
     with pytest.raises(RotheStepError) as err:
         energy_step(data.u0, 1, law, None, data, max_iter=2)
     assert err.value.residual > 0
+
+
+def test_regularization_decided_on_masked_nodes(caplog):
+    # p < 2 only off the mask with delta = 0: the solver and the report both
+    # see p = 2.5 alone, so neither regularizes
+    rng = np.random.default_rng(10)
+    g = vx.vertex_grid_on_box([0, 0], [1, 1], [16, 16])
+    dom = vx.make_disc_domain((0.5, 0.5), 0.4, g)
+    law = ConstitutiveLaw(
+        exponent=vx.ExponentField(vx.ScalarField(g, np.where(dom.mask, 2.5, 1.5))), delta=0.0
+    )
+    u0v = np.zeros(g.dims + (2,))
+    inner = dom.interior_mask()
+    u0v[inner] = 0.2 * rng.normal(size=(int(inner.sum()), 2))
+    data = ProblemData(domain=dom, u0=vx.VectorField(g, u0v), T=0.1, tau=0.05)
+    with caplog.at_level(logging.WARNING, logger="varexp.rothe"):
+        traj, _ = rothe_solve(data, law)
+    assert not [r for r in caplog.records if "regularized" in r.getMessage()]
+    for lhs, rhs in energy_inequality_report(traj, law, None, data):
+        assert lhs <= rhs + 1e-9 * (abs(rhs) + 1.0)
 
 
 def test_newton_ladder_converges_mesh_independently():

@@ -195,7 +195,7 @@ def maximal(f):
     inside = tuple(slice(0, n) for n in g.dims)
     fa = np.fft.rfftn(a, shape, axes)
     fone = np.fft.rfftn(np.ones(g.dims), shape, axes)
-    offsets = np.ix_(*[np.fft.fftfreq(m, 1.0 / m) for m in shape])
+    offsets = np.ix_(*[np.fft.ifftshift(np.arange(-n, n)) for n in g.dims])
 
     best = a.copy()
     for r_cells in radii:

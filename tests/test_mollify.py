@@ -155,7 +155,13 @@ def _maximal_reference(f):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["scalar", "vector"])
 @pytest.mark.parametrize(
-    "lo,hi,cells", [([0, 0], [1, 0.37], [13, 29]), ([0, 0, 0], [1, 0.5, 0.8], [9, 11, 14])]
+    "lo,hi,cells",
+    [
+        ([0, 0], [1, 0.37], [13, 29]),
+        ([0, 0, 0], [1, 0.5, 0.8], [9, 11, 14]),
+        # padded to 98, where float offsets k*(1 + 2^-52) would drop every rim node
+        ([0, 0], [1, 1], [7, 49]),
+    ],
 )
 def test_maximal_matches_direct_ball_averages(lo, hi, cells, kind):
     rng = np.random.default_rng(11)

@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from .fields import SymTensorField, TensorField, VectorField, _shift, field_abs, sym_pairs
+from .fields import SymTensorField, TensorField, VectorField, _shift, _sym_part, field_abs
 from .modular import luxembourg_norm
 
 __all__ = [
@@ -139,12 +139,7 @@ def gradient(u, domain):
 
 def sym_gradient(u, domain):
     """Symmetric part of the gradient in compact storage; symmetric by construction."""
-    g = gradient(u, domain).values
-    d = g.shape[-1]
-    comps = []
-    for i, j in sym_pairs(d):
-        comps.append(g[..., i, i] if i == j else 0.5 * (g[..., i, j] + g[..., j, i]))
-    return SymTensorField(u.grid, np.stack(comps, axis=-1))
+    return SymTensorField(u.grid, _sym_part(gradient(u, domain).values))
 
 
 def divergence(T, domain):
@@ -176,14 +171,15 @@ class KornReport:
     flagged: bool
 
 
-def korn_steady_check(u, p, domain, tol=1e-8):
+def korn_steady_check(u, p, domain):
     """Steady Korn ratio report for a compactly supported field.
 
-    Rigid motions (eps(u) = 0 with grad u != 0) are flagged: the ratio is
+    Both norms are Luxembourg norms at their default accuracy.  Rigid
+    motions (eps(u) = 0 with grad u != 0) are flagged: the ratio is
     reported as inf and must not be read as a Korn constant.
     """
-    num = luxembourg_norm(field_abs(gradient(u, domain)), p, domain, tol)
-    den = luxembourg_norm(field_abs(sym_gradient(u, domain)), p, domain, tol)
+    num = luxembourg_norm(field_abs(gradient(u, domain)), p, domain)
+    den = luxembourg_norm(field_abs(sym_gradient(u, domain)), p, domain)
     floor = 1e-14 * max(num, 1.0)
     if den <= floor:
         return KornReport(num, den, float("inf"), True)

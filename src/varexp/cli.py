@@ -19,6 +19,15 @@ import hashlib
 import os
 import sys
 
+import numpy as np
+
+import varexp as vx
+from varexp import korn as kn
+from varexp import poincare as pc
+from varexp import rothe as rt
+from varexp.calculus import gradient, sym_gradient
+from varexp.mollify import MollifierFamily, convolve, extend_exponent, maximal, reflect_extend, zero_extend
+
 EXPERIMENTS = (
     "norms",
     "mollify",
@@ -54,11 +63,17 @@ class ConfigError(Exception):
 @dataclasses.dataclass
 class RunConfig:
     experiment: str
-    seed: int
     out: str
-    resolution: int
     sections: dict
     digest: str
+
+    @property
+    def seed(self):
+        return self.get("run", "seed", int)
+
+    @property
+    def resolution(self):
+        return self.get("run", "resolution", int)
 
     def get(self, section, key, cast=str):
         try:
@@ -71,10 +86,10 @@ class RunConfig:
             raise ConfigError(f"bad config value [{section}] {key} = {raw!r}: {exc}")
 
     def get_floats(self, section, key):
-        return [float(tok) for tok in self.get(section, key).split()]
+        return self.get(section, key, lambda raw: [float(tok) for tok in raw.split()])
 
     def get_ints(self, section, key):
-        return [int(tok) for tok in self.get(section, key).split()]
+        return self.get(section, key, lambda raw: [int(tok) for tok in raw.split()])
 
     def stamp(self):
         return f"config {self.digest} seed {self.seed}"
@@ -101,12 +116,6 @@ def load_config(experiment, path, overrides):
         if value is not None:
             run[key] = str(value)
 
-    seed = int(run.get("seed", "0"))
-    if seed < 0:
-        raise ConfigError("[run] seed must be a nonnegative integer")
-    resolution = int(run.get("resolution", "64"))
-    if resolution < 16:
-        raise ConfigError(f"[run] resolution must be >= 16 cells per axis, got {resolution}")
     spec = sections.get("modular", {}).get("exponent", "two-region").split()
     if spec and spec[0] == "file":
         if len(spec) != 2 or not os.path.exists(spec[1]):
@@ -121,14 +130,12 @@ def load_config(experiment, path, overrides):
                 continue  # the output location is not part of the experiment
             canon.append(f"[{name}] {key} = {sections[name][key]}")
     digest = hashlib.sha256(("\n".join([experiment] + canon)).encode()).hexdigest()[:16]
-    return RunConfig(
-        experiment=experiment,
-        seed=seed,
-        out=run.get("out", "out"),
-        resolution=resolution,
-        sections=sections,
-        digest=digest,
-    )
+    cfg = RunConfig(experiment=experiment, out=run.get("out", "out"), sections=sections, digest=digest)
+    if cfg.seed < 0:
+        raise ConfigError("[run] seed must be a nonnegative integer")
+    if cfg.resolution < 16:
+        raise ConfigError(f"[run] resolution must be >= 16 cells per axis, got {cfg.resolution}")
+    return cfg
 
 
 class CheckLog:
@@ -143,8 +150,6 @@ class CheckLog:
         print(f"  [{status}] {invariant}: value={value:.6g} bound={bound:.6g}")
 
     def write_csv(self, path, stamp):
-        import varexp as vx
-
         rows = [(n, value, bound, "pass" if ok else "fail") for n, value, bound, ok in self.rows]
         vx.write_table(path, ["invariant", "value", "bound", "status"], rows, stamp)
 
@@ -153,13 +158,10 @@ class CheckLog:
         return [name for name, _, _, ok in self.rows if not ok]
 
 
-def _build_domain(cfg, resolution=None):
-    import varexp as vx
-
-    res = resolution or cfg.resolution
+def _build_domain(cfg):
     kind = cfg.get("domain", "kind")
     lo, hi = cfg.get_floats("domain", "extent")
-    grid = vx.grid_on_box([lo, lo], [hi, hi], [res, res])
+    grid = vx.grid_on_box([lo, lo], [hi, hi], [cfg.resolution] * 2)
     if kind == "disc":
         center = cfg.get_floats("domain", "center")
         radius = cfg.get("domain", "radius", float)
@@ -169,17 +171,14 @@ def _build_domain(cfg, resolution=None):
     raise ConfigError(f"[domain] kind must be disc or rectangle, got {kind!r}")
 
 
-def _random_smooth_field(rng, grid, modes=4):
-    """Seeded band-limited random field: a short trigonometric series."""
-    import numpy as np
-    import varexp as vx
-
+def _random_smooth_field(rng, grid):
+    """Seeded band-limited random field: a sum of four trigonometric products."""
     xx = grid.coords()
     span = [
         (grid.axis_coords(a)[-1] - grid.axis_coords(a)[0]) or 1.0 for a in range(grid.ndim)
     ]
     vals = np.zeros(grid.dims)
-    for _ in range(modes):
+    for _ in range(4):
         ks = rng.integers(1, 4, size=grid.ndim)
         phase = rng.uniform(0, 2 * np.pi, size=grid.ndim)
         amp = rng.normal()
@@ -196,8 +195,6 @@ def _random_smooth_field(rng, grid, modes=4):
 
 def _configured_exponent(cfg, dom):
     """Exponent source per config: constant value, two-region, or field file."""
-    import varexp as vx
-
     spec = cfg.get("modular", "exponent").split()
     if spec[0] == "constant":
         return vx.constant_exponent(dom.grid, float(spec[1]) if len(spec) > 1 else 1.7)
@@ -207,9 +204,6 @@ def _configured_exponent(cfg, dom):
 
 
 def _exp_norms(cfg, outdir, log):
-    import numpy as np
-    import varexp as vx
-
     rng = np.random.default_rng(cfg.seed)
     dom = _build_domain(cfg)
     grid = dom.grid
@@ -236,21 +230,18 @@ def _exp_norms(cfg, outdir, log):
 
     n_pairs = cfg.get("norms", "pairs", int)
     worst_holder = 0.0
-    pc = vx.conjugate(p_two)
+    p_conj = vx.conjugate(p_two)
     for _ in range(n_pairs):
         f = _random_smooth_field(rng, grid)
         g = _random_smooth_field(rng, grid)
         pairing = abs(vx.holder_pairing(f, g, p_two, dom))
-        bound = 2.0 * vx.luxembourg_norm(f, pc, dom) * vx.luxembourg_norm(g, p_two, dom)
+        bound = 2.0 * vx.luxembourg_norm(f, p_conj, dom) * vx.luxembourg_norm(g, p_two, dom)
         worst_holder = max(worst_holder, pairing - bound)
     log.record("modular.holder_constant_two", worst_holder, 1e-6, worst_holder <= 1e-6)
     log.write_csv(os.path.join(outdir, "norms.csv"), cfg.stamp())
 
 
 def _two_region_exponent(dom):
-    import numpy as np
-    import varexp as vx
-
     xx = dom.grid.coords()
     rho = np.sqrt(sum(c**2 for c in xx))
     scale = float(dom.r.max())
@@ -259,10 +250,6 @@ def _two_region_exponent(dom):
 
 
 def _exp_mollify(cfg, outdir, log):
-    import numpy as np
-    import varexp as vx
-    from varexp.mollify import convolve, maximal
-
     rng = np.random.default_rng(cfg.seed)
     dom = _build_domain(cfg)
     grid = dom.grid
@@ -289,9 +276,6 @@ def _exp_mollify(cfg, outdir, log):
 
 
 def _exp_korn_figure(cfg, outdir, log):
-    import varexp as vx
-    from varexp import korn as kn
-
     dom = _build_domain(cfg)
     t_lo, t_hi = cfg.get_floats("korn", "time_interval")
     t_res = cfg.get("korn", "time_resolution", int)
@@ -322,9 +306,6 @@ def _exp_korn_figure(cfg, outdir, log):
 
 
 def _exp_poincare(cfg, outdir, log):
-    import numpy as np
-    from varexp import poincare as pc
-
     dom = _build_domain(cfg)
     cone = pc.cone_params_for(dom, theta=np.pi / 4, h=1.0)
     budget = cfg.get("poincare", "budget", float)
@@ -340,20 +321,12 @@ def _exp_poincare(cfg, outdir, log):
 
 
 def _near_boundary_samples(dom, h0, count):
-    import numpy as np
-
-    cand = np.argwhere(dom.mask & (dom.r > 0) & (dom.r <= h0))
-    order = np.lexsort((cand[:, 1], cand[:, 0]))
-    cand = cand[order]
+    cand = np.argwhere(dom.mask & (dom.r > 0) & (dom.r <= h0))  # C order
     stride = max(1, len(cand) // count)
     return [tuple(nd) for nd in cand[::stride][:count]]
 
 
 def _exp_rothe(cfg, outdir, log):
-    import numpy as np
-    import varexp as vx
-    from varexp import rothe as rt
-
     dom_cells = cfg.resolution
     g = vx.vertex_grid_on_box([0, 0], [1, 1], [dom_cells, dom_cells])
     pad = 0.01 / dom_cells
@@ -363,6 +336,8 @@ def _exp_rothe(cfg, outdir, log):
     p_const = cfg.get("rothe", "p_constant", float)
     law = rt.ConstitutiveLaw(exponent=vx.constant_exponent(g, p_const), delta=delta)
     ladder = cfg.get_ints("rothe", "steps_ladder")
+    if len(ladder) < 2:
+        raise ConfigError(f"[rothe] steps_ladder needs two or more rungs, got {ladder}")
 
     errors = []
     for K in ladder:
@@ -397,13 +372,6 @@ def _exp_rothe(cfg, outdir, log):
 
 
 def _exp_property_suite(cfg, outdir, log):
-    import numpy as np
-    import varexp as vx
-    from varexp import poincare as pc
-    from varexp.calculus import gradient, sym_gradient
-    from varexp.mollify import MollifierFamily, reflect_extend, zero_extend
-    from varexp.rothe import ConstitutiveLaw
-
     rng = np.random.default_rng(cfg.seed)
     g = vx.grid_on_box([0, 0], [1, 1], [24, 24])
     dom = vx.make_rectangle_domain([0, 0], [1, 1], g)
@@ -435,8 +403,6 @@ def _exp_property_suite(cfg, outdir, log):
     p_var = _two_region_exponent(dom)
     big = zero_extend(f1, g.extended(0, 4, 4).extended(1, 3, 5))
     dom_big = vx.make_rectangle_domain([-2, -2], [3, 3], big.grid)
-    from varexp.mollify import extend_exponent
-
     ext_err = abs(
         vx.modular(big, extend_exponent(p_var, big.grid), dom_big) - vx.modular(f1, p_var, dom)
     )
@@ -465,17 +431,15 @@ def _exp_property_suite(cfg, outdir, log):
     log.record("poincare.riesz_monotone_in_eps", mono_gap, 1e-14, mono_gap <= 1e-14)
 
     # korn: exponent sandwich with exact pure regions
-    from varexp.korn import WetBlanketConfig, build_exponent
-
     g_k = vx.grid_on_box([-3, -3], [3, 3], [48, 48])
     disc_k = vx.make_disc_domain((0, 0), 2.5, g_k)
-    cfg_k = WetBlanketConfig()
-    p_k = build_exponent(cfg_k, disc_k)
+    cfg_k = kn.WetBlanketConfig()
+    p_k = kn.build_exponent(cfg_k, disc_k)
     sandwich = max(cfg_k.alpha - p_k.p_minus, p_k.p_plus - cfg_k.beta)
     log.record("korn.exponent_sandwich", sandwich, 1e-12, sandwich <= 1e-12)
 
     # rothe: constitutive sampling
-    law = ConstitutiveLaw(exponent=vx.constant_exponent(g, 1.8), delta=0.1)
+    law = rt.ConstitutiveLaw(exponent=vx.constant_exponent(g, 1.8), delta=0.1)
     A = rng.normal(size=(2000, 3))
     B = rng.normal(size=(2000, 3))
     p_s = rng.uniform(1.1, 3.5, size=2000)
@@ -510,7 +474,8 @@ def run(cfg):
 
 
 def main(argv=None):
-    # honor the thread cap before the numeric stack spins up
+    # numpy is already loaded here, so the cap reaches only the environment
+    # of child processes; this process's thread pools keep their size
     threads = os.environ.get("VAREXP_THREADS")
     if threads is not None:
         if not threads.isdigit() or int(threads) < 1:

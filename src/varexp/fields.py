@@ -261,16 +261,13 @@ class SymTensorField(_Field):
     Frobenius norms and contractions weight off-diagonals by 2.
     """
 
-    def __init__(self, grid, values, d=None):
+    def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
         if values.ndim != grid.ndim + 1 or values.shape[: grid.ndim] != grid.dims:
             raise ValueError(f"sym tensor values shape {values.shape} incompatible with grid {grid.dims}")
-        m = values.shape[-1]
-        if d is None:
-            d = int(round((np.sqrt(8 * m + 1) - 1) / 2))
-        if d * (d + 1) // 2 != m:
-            raise ValueError(f"{m} components is not a d(d+1)/2 count")
         super().__init__(grid, values)
+        if self.d * (self.d + 1) // 2 != self.ncomp:
+            raise ValueError(f"{self.ncomp} components is not a d(d+1)/2 count")
 
     @property
     def d(self):
@@ -291,13 +288,34 @@ class SymTensorField(_Field):
         return TensorField(self.grid, full)
 
     @classmethod
-    def from_full(cls, tensor, check=True):
+    def from_full(cls, tensor):
+        """Compact storage of a full tensor field; raises unless it is exactly symmetric."""
         full = tensor.values
-        d = tensor.d
-        if check and not np.array_equal(full, np.swapaxes(full, -1, -2)):
+        if not np.array_equal(full, np.swapaxes(full, -1, -2)):
             raise ValueError("tensor is not exactly symmetric")
-        comps = np.stack([full[..., i, j] for (i, j) in sym_pairs(d)], axis=-1)
-        return cls(tensor.grid, comps)
+        return cls(tensor.grid, _sym_part(full))
+
+
+def _sym_part(full):
+    """Compact components of (A + A^T)/2 for full d x d tensors on the trailing two axes."""
+    comps = [full[..., i, i] if i == j else 0.5 * (full[..., i, j] + full[..., j, i])
+             for i, j in sym_pairs(full.shape[-1])]
+    return np.stack(comps, axis=-1)
+
+
+def _magnitude(v, w, axes):
+    """Pointwise sqrt(sum of w v^2) over the component `axes` of v, safe at extreme magnitudes.
+
+    v * v overflows above about 1e154 and underflows below about 1e-162, so a
+    node whose largest component m lies outside [1e-150, 1e150] is computed
+    as m |v / m|; every other node takes m = 1, which is exact.  The max runs
+    over a component-major copy: along the short trailing axes it is ~10x slower.
+    """
+    comps = np.abs(v).reshape(v.shape[: v.ndim - len(axes)] + (-1,))
+    m = np.max(np.moveaxis(comps, -1, 0).copy(), axis=0)
+    m = np.where(((m > 1e150) & (m < np.inf)) | ((m < 1e-150) & (m > 0.0)), m, 1.0)
+    v = v / m[(...,) + (None,) * len(axes)]
+    return m * np.sqrt(np.sum(w * v**2, axis=axes))
 
 
 def field_abs(f):
@@ -310,18 +328,9 @@ def field_abs(f):
         return ScalarField(f.grid, np.abs(f.values))
     if not isinstance(f, (VectorField, SymTensorField, TensorField)):
         raise TypeError(f"not a field: {type(f)!r}")
-    v = f.values
     axes = (-1, -2) if isinstance(f, TensorField) else (-1,)
     w = sym_weights(f.d) if isinstance(f, SymTensorField) else 1.0
-    # v * v overflows above about 1e154 and underflows below about 1e-162, so a
-    # node whose largest component m lies outside [1e-150, 1e150] is computed
-    # as m |v / m|; every other node takes m = 1, which is exact.  The max runs
-    # over a component-major copy: along the short trailing axes it is ~10x slower
-    comps = np.abs(v).reshape(f.grid.dims + (-1,))
-    m = np.max(np.moveaxis(comps, -1, 0).copy(), axis=0)
-    m = np.where(((m > 1e150) & (m < np.inf)) | ((m < 1e-150) & (m > 0.0)), m, 1.0)
-    v = v / m[(...,) + (None,) * len(axes)]
-    return ScalarField(f.grid, m * np.sqrt(np.sum(w * v**2, axis=axes)))
+    return ScalarField(f.grid, _magnitude(f.values, w, axes))
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +382,20 @@ class Domain:
         return inner
 
 
+def _shift_slices(offsets):
+    """(src, dst) index tuples with dst[i] = src[i + offsets]; both cover the overlap."""
+    src = tuple(slice(k, None) if k >= 0 else slice(None, k) for k in offsets)
+    dst = tuple(slice(None, -k) if k > 0 else slice(-k, None) for k in offsets)
+    return src, dst
+
+
 def _shift(a, offsets):
     """Zero-filled shift by integer offsets along the leading axes: out[i] = a[i + offsets]."""
     if not any(offsets):
         return a
-    src, dst = [], []
-    for k in offsets:
-        src.append(slice(k, None) if k >= 0 else slice(None, k))
-        dst.append(slice(None, -k) if k > 0 else slice(-k, None))
+    src, dst = _shift_slices(offsets)
     out = np.zeros_like(a)
-    out[tuple(dst)] = a[tuple(src)]
+    out[dst] = a[src]
     return out
 
 
@@ -606,23 +619,24 @@ def export_csv(path, f, comment=None):
     write_table(path, header, np.concatenate([coords, flat], axis=1), comment)
 
 
-def write_pgm(path, f, maxval=255, comment=None):
+def write_pgm(path, f, comment=None):
     """Scalar field as an ASCII portable graymap plus a value-range sidecar.
 
-    The raster maps axis 0 to rows.  The sidecar `<path>.range.txt` records
-    the min and max so the gray levels can be mapped back.
+    The raster maps axis 0 to rows and [min, max] to gray levels 0..255.
+    The sidecar `<path>.range.txt` records the min and max so the gray
+    levels can be mapped back.
     """
     if not isinstance(f, ScalarField) or f.grid.ndim != 2:
         raise TypeError("write_pgm expects a ScalarField on a 2-d grid")
     v = f.values
     vmin, vmax = float(v.min()), float(v.max())
     span = vmax - vmin
-    levels = np.zeros_like(v, dtype=int) if span == 0 else np.rint((v - vmin) / span * maxval).astype(int)
+    levels = np.zeros_like(v, dtype=int) if span == 0 else np.rint((v - vmin) / span * 255).astype(int)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("P2\n")
         if comment:
             fh.write(f"# {comment}\n")
-        fh.write(f"{v.shape[1]} {v.shape[0]}\n{maxval}\n")
+        fh.write(f"{v.shape[1]} {v.shape[0]}\n255\n")
         for row in levels:
             fh.write(" ".join(str(int(x)) for x in row) + "\n")
     with open(str(path) + ".range.txt", "w", encoding="ascii", newline="\n") as fh:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import os
 
 import numpy as np
 from scipy import ndimage as _ndi
@@ -184,12 +185,12 @@ class KornRatioRow:
     lower_bound: float
 
 
-def korn_ratio_sequence(cfg, domain, time_grid, n_max, tol=1e-8):
+def korn_ratio_sequence(cfg, domain, time_grid, n_max):
     """Table of (n, norms, num, den, ratio, lower bound) for n = 1..n_max.
 
     num and den are space-time Luxembourg norms of phi_n grad u and
-    phi_n eps(u); the exponent p(x) must be constant in time.  Then the
-    modular factors exactly,
+    phi_n eps(u), to the relative accuracy 1e-8 of `luxembourg_norm`; the
+    exponent p(x) must be constant in time.  Then the modular factors exactly,
         rho(phi_n F / lambda) = sum_x w |F(x)|^p(x) lambda^-p(x) Phi_n(p(x)),
     with Phi_n(q) the midpoint-rule time modular of phi_n, so both norms are
     Luxembourg roots over the spatial nodes alone.  The lower
@@ -223,8 +224,8 @@ def korn_ratio_sequence(cfg, domain, time_grid, n_max, tol=1e-8):
     for n in range(1, n_max + 1):
         phi = build_phi(n, time_grid)
         log_phi = _log_time_modular(phi, q)
-        num = _luxembourg_root(a_gu, q, log_phi, log_w, tol)
-        den = _luxembourg_root(a_eu, q, log_phi, log_w, tol)
+        num = _luxembourg_root(a_gu, q, log_phi, log_w, 1e-8)
+        den = _luxembourg_root(a_eu, q, log_phi, log_w, 1e-8)
         if den <= 1e-12 * max(num, 1.0):
             log.warning("korn ratio denominator below quadrature floor at n=%d", n)
             ratio = float("inf")
@@ -244,8 +245,6 @@ def write_ratio_csv(path, rows, comment=None):
 
 def write_heatmaps(outdir, cfg, domain, comment=None):
     """Graymap rasters of |grad u|, |eps(u)|, and the exponent, with sidecars."""
-    import os
-
     u = build_velocity(cfg, domain)
     p = build_exponent(cfg, domain, velocity=u)
     panels = {

@@ -11,9 +11,12 @@ below the tolerance: a relative accuracy in lambda.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
-from .fields import ScalarField, _on_field_grid, field_abs, integrate
+from .fields import ScalarField, SymTensorField, VectorField, _on_field_grid, _shift_slices
+from .fields import field_abs, integrate, sym_weights
 
 __all__ = [
     "ExponentField",
@@ -84,8 +87,6 @@ class ExponentField:
 
 def log_holder_estimate(p, radius_cells):
     """Brute-force local log-Hoelder constant of a sampled exponent."""
-    from itertools import product
-
     vals = p.values.values if isinstance(p, ExponentField) else p.values
     grid = p.grid
     spacing = np.asarray(grid.spacing)
@@ -104,18 +105,11 @@ def log_holder_estimate(p, radius_cells):
                 continue
         if sum(k * k for k in o) > r2:
             continue
-        sl_a, sl_b = [], []
-        for k in o:
-            if k >= 0:
-                sl_a.append(slice(k, None))
-                sl_b.append(slice(None, -k if k else None))
-            else:
-                sl_a.append(slice(None, k))
-                sl_b.append(slice(-k, None))
-        a = vals[tuple(sl_a)]
+        src, dst = _shift_slices(o)
+        a = vals[src]
         if a.size == 0:
             continue
-        diff = float(np.max(np.abs(a - vals[tuple(sl_b)])))
+        diff = float(np.max(np.abs(a - vals[dst])))
         dist = float(np.sqrt(np.sum((np.asarray(o) * spacing) ** 2)))
         best = max(best, diff * np.log(np.e + 1.0 / dist))
     return best
@@ -199,8 +193,6 @@ def _contract(f, g):
         raise TypeError("holder_pairing needs fields of the same kind")
     if isinstance(f, ScalarField):
         return ScalarField(f.grid, f.values * g.values)
-    from .fields import SymTensorField, VectorField, sym_weights
-
     if isinstance(f, VectorField):
         return ScalarField(f.grid, np.sum(f.values * g.values, axis=-1))
     if isinstance(f, SymTensorField):

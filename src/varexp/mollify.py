@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy import ndimage as _ndi
 
-from .fields import Grid, ScalarField, SymTensorField, VectorField, _Field
+from .fields import Grid, ScalarField, SymTensorField, VectorField, _Field, _sym_part, field_abs
 from .calculus import axis_derivative, sym_gradient
 from .modular import ExponentField
 
@@ -117,20 +117,19 @@ class MollifierFamily:
         return w / total
 
 
-def convolve(f, eps, family=None):
+def convolve(f, eps):
     """Discrete convolution with the sampled scaled mollifier, componentwise.
 
-    The field is treated as zero outside its grid (zero-extension).  Direct
-    summation, so the result is exactly 0 wherever the kernel meets only
-    zeros; an FFT leaves roundoff there, and the support statements of the
-    cutoff and smoothing operators rely on the exact zeros.
+    The mollifier has the dimension of the field's grid (time counts on a
+    space-time grid), and the field is treated as zero outside its grid
+    (zero-extension).  Direct summation, so the result is exactly 0
+    wherever the kernel meets only zeros; an FFT leaves roundoff there, and
+    the support statements of the cutoff and smoothing operators rely on
+    the exact zeros.
     """
     if not isinstance(f, _Field):
         raise TypeError(f"not a field: {type(f)!r}")
-    family = family or MollifierFamily(f.grid.ndim)
-    if family.dim != f.grid.ndim:
-        raise ValueError("mollifier dimension does not match the field grid")
-    w = family.sampled_weights(f.grid.spacing, eps)
+    w = MollifierFamily(f.grid.ndim).sampled_weights(f.grid.spacing, eps)
     # trailing singleton axes leave the component axes unmixed
     w = w.reshape(w.shape + (1,) * (f.values.ndim - w.ndim))
     return type(f)(f.grid, _ndi.convolve(f.values, w, mode="constant", cval=0.0))
@@ -179,8 +178,6 @@ def maximal(f):
     discrete r -> 0 limit -- so M(f) >= |f| holds exactly, as in the
     continuum.
     """
-    from .fields import field_abs
-
     g = f.grid
     a = field_abs(f).values
     spacing = np.asarray(g.spacing)
@@ -327,15 +324,10 @@ class CutoffFamily:
         # kernel scale floors at 1.5 cells so the sampled kernel keeps
         # off-center weights even when h/2 dips below one spacing
         eps = max(0.5 * h, 1.5 * hx)
-        eta = convolve(chi, eps)
-        grad_sup = 0.0
-        for ax in range(domain.grid.ndim):
-            dv = axis_derivative(eta.values, ax, domain.grid.spacing[ax], None)
-            grad_sup = max(grad_sup, float(np.max(np.abs(dv))))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "c_eta", grad_sup * h)
+        object.__setattr__(self, "eta", convolve(chi, eps))
+        object.__setattr__(self, "c_eta", float(np.max(np.abs(self.grad_eta().values))) * h)
 
     def __setattr__(self, name, value):
         raise AttributeError("CutoffFamily is immutable")
@@ -349,16 +341,13 @@ class CutoffFamily:
 
 def _spacetime_setup(u, domain, h):
     """Common plumbing: snap h, build cutoff, zero-extend in time by the kernel radius."""
-    d = domain.grid.ndim
     if not u.grid.matches_spatial(domain.grid):
         raise ValueError("u must live on a space-time grid over the domain's grid")
     h_eff = _snap_scale(h, domain)
     cutoff = CutoffFamily(domain, h_eff)
     kt = int(np.ceil(h_eff / u.grid.spacing[0] - 1e-12))
     target = u.grid.extended(0, kt, kt)
-    fu = zero_extend(u, target)
-    family = MollifierFamily(d + 1)
-    return h_eff, cutoff, fu, family
+    return h_eff, cutoff, zero_extend(u, target)
 
 
 def _mul_spatial(field, spatial_values):
@@ -375,9 +364,8 @@ def smooth_R(u, domain, h):
     is dominated pointwise by twice the maximal function of the
     zero-extension, and it converges to u as h -> 0.
     """
-    h_eff, cutoff, fu, family = _spacetime_setup(u, domain, h)
-    v = _mul_spatial(fu, cutoff.eta.values)
-    return convolve(v, h_eff, family)
+    h_eff, cutoff, fu = _spacetime_setup(u, domain, h)
+    return convolve(_mul_spatial(fu, cutoff.eta.values), h_eff)
 
 
 def smooth_Rstar(u, domain, h):
@@ -386,9 +374,8 @@ def smooth_Rstar(u, domain, h):
     (Rstar u, v) = (u, R v) holds exactly on the discrete pairing; support
     is contained in (-h, T+h) x Omega_2h up to one cell.
     """
-    h_eff, cutoff, fu, family = _spacetime_setup(u, domain, h)
-    w = convolve(fu, h_eff, family)
-    return _mul_spatial(w, cutoff.eta.values)
+    h_eff, cutoff, fu = _spacetime_setup(u, domain, h)
+    return _mul_spatial(convolve(fu, h_eff), cutoff.eta.values)
 
 
 def sym_grad_smooth_decomposition(u, domain, h):
@@ -401,24 +388,13 @@ def sym_grad_smooth_decomposition(u, domain, h):
     """
     if not isinstance(u, VectorField):
         raise TypeError("decomposition expects a VectorField")
-    h_eff, cutoff, fu, family = _spacetime_setup(u, domain, h)
+    h_eff, cutoff, fu = _spacetime_setup(u, domain, h)
 
     eps_u = sym_gradient(u, domain)
     f_eps = zero_extend(eps_u, fu.grid)
-    termA = convolve(_mul_spatial(f_eps, cutoff.eta.values), h_eff, family)
+    termA = convolve(_mul_spatial(f_eps, cutoff.eta.values), h_eff)
 
-    ge = cutoff.grad_eta().values  # (spatial dims, d)
-    d = domain.grid.ndim
-    uv = fu.values  # (time+spatial dims, d)
-    ge_b = ge[np.newaxis, ...]
-    comps = []
-    from .fields import sym_pairs
-
-    for i, j in sym_pairs(d):
-        if i == j:
-            comps.append(uv[..., i] * ge_b[..., i])
-        else:
-            comps.append(0.5 * (uv[..., i] * ge_b[..., j] + uv[..., j] * ge_b[..., i]))
-    termB_raw = SymTensorField(fu.grid, np.stack(comps, axis=-1))
-    termB = convolve(termB_raw, h_eff, family)
+    # u (x) grad eta_h, broadcast along time, then symmetrized
+    outer = fu.values[..., :, None] * cutoff.grad_eta().values[np.newaxis, ..., None, :]
+    termB = convolve(SymTensorField(fu.grid, _sym_part(outer)), h_eff)
     return termA, termB

@@ -64,14 +64,13 @@ class ConeParams:
         return self.h0 / 4.0
 
 
-def _boundary_nodes(domain, count=64):
-    """A deterministic sample of masked nodes adjacent to the boundary."""
+def _boundary_nodes(domain):
+    """A deterministic sample of about 48 masked nodes adjacent to the boundary."""
     near = domain.mask & (domain.r <= 1.5 * max(domain.grid.spacing))
     pts = np.argwhere(near)
     if len(pts) == 0:
         raise ValueError("domain has no boundary-adjacent nodes")
-    stride = max(1, len(pts) // count)
-    return pts[::stride]
+    return pts[:: max(1, len(pts) // 48)]
 
 
 def _outward_axis(domain, node):
@@ -93,13 +92,13 @@ def _outward_axis(domain, node):
     return vec / n
 
 
-def cone_params_for(domain, theta=np.pi / 4, h=None, samples=48, rays=40):
+def cone_params_for(domain, theta=np.pi / 4, h=None):
     """Exterior-cone parameters verified by sampling the cone against the mask.
 
     Discs admit any opening below pi/2 with outward radial axes; rectangles
-    work with pi/4 cones along outward normals.  Every sampled boundary
-    point gets its cone sampled on a deterministic ray fan; a cone point
-    landing strictly inside the mask rejects the parameters.
+    work with pi/4 cones along outward normals.  Each sampled boundary
+    point gets its cone sampled on a deterministic fan of 40 ray draws; a
+    cone point landing strictly inside the mask rejects the parameters.
     """
     if domain.kind not in ("disc", "rectangle", "polygon-mask"):
         raise ValueError(f"unsupported domain kind {domain.kind!r}")
@@ -113,10 +112,10 @@ def cone_params_for(domain, theta=np.pi / 4, h=None, samples=48, rays=40):
     spacing = np.asarray(g.spacing)
     origin = np.asarray(g.origin)
     rng = np.random.default_rng(0)
-    for node in _boundary_nodes(domain, samples):
+    for node in _boundary_nodes(domain):
         x = origin + node * spacing
         axis = _outward_axis(domain, tuple(node))
-        for _ in range(rays):
+        for _ in range(40):
             # random direction within the cone, biased by rejection
             v = rng.normal(size=g.ndim)
             v /= np.linalg.norm(v)
@@ -171,8 +170,9 @@ def phi_map(i, eta):
     return out
 
 
-def phi_jacobian_fd(i, eta, step=1e-6):
-    """Finite-difference Jacobian D(Phi_i) at eta, shape (d, d-1)."""
+def phi_jacobian_fd(i, eta):
+    """Central-difference Jacobian D(Phi_i) at eta (step 1e-6), shape (d, d-1)."""
+    step = 1e-6
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     d = eta.size + 1
     J = np.empty((d, d - 1))
@@ -197,12 +197,14 @@ def upphi_det(eta):
     return float(np.linalg.det(M))
 
 
-def min_upphi_det(alpha, d=2, samples_per_axis=9):
-    """Minimum |det| over a deterministic sweep of Q_alpha = {alpha/(2d) < |eta_i| < alpha}."""
+def min_upphi_det(alpha, d=2):
+    """Minimum |det| over a deterministic sweep of Q_alpha = {alpha/(2d) < |eta_i| < alpha}.
+
+    The sweep takes 9 samples per sign on each axis.
+    """
     lo = alpha / (2.0 * d)
     axis = np.concatenate(
-        [np.linspace(-alpha * 0.999, -lo * 1.001, samples_per_axis),
-         np.linspace(lo * 1.001, alpha * 0.999, samples_per_axis)]
+        [np.linspace(-alpha * 0.999, -lo * 1.001, 9), np.linspace(lo * 1.001, alpha * 0.999, 9)]
     )
     grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
     pts = np.stack([gg.reshape(-1) for gg in grids], axis=-1)
@@ -314,14 +316,16 @@ class PoincareReport:
     budget: float
 
 
-def poincare_verify(u, domain, samples, cone=None, c0_budget=10.0, rhs_floor=1e-14):
+def poincare_verify(u, domain, samples, cone=None, c0_budget=10.0):
     """Check |u(x)| <= c0 * riesz_rhs(x) on near-boundary samples.
 
     Samples must satisfy 0 < r(x) <= h0 from the cone parameters.  u must
     be compactly supported: any nonzero value within one cell of the
     boundary rejects the field.  The report records the empirical constant
-    max(lhs/rhs) and passes when lhs <= c0_budget * rhs at every sample.
+    max(lhs/rhs) over samples with rhs > 1e-14, and passes when
+    lhs <= c0_budget * rhs + 1e-14 at every sample.
     """
+    rhs_floor = 1e-14
     g = domain.grid
     cone = cone or cone_params_for(domain)
     h0 = cone.h0

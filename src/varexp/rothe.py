@@ -26,7 +26,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .calculus import _axis_operator
-from .fields import Grid, ScalarField, VectorField, sym_pairs, sym_weights, write_table
+from .fields import Grid, ScalarField, VectorField, _magnitude, make_rectangle_domain, sym_pairs, sym_weights
+from .fields import write_table
 from .modular import ExponentField
 
 log = logging.getLogger(__name__)
@@ -107,9 +108,7 @@ class ConstitutiveLaw:
 
     def flux(self, eps_comps, p_nodes, d):
         """S applied to compact symmetric components at a set of nodes."""
-        w = sym_weights(d)
-        mag = np.sqrt(np.sum(w * eps_comps**2, axis=-1))
-        fac = flux_factor(mag, p_nodes, self.delta)
+        fac = flux_factor(_magnitude(eps_comps, sym_weights(d), (-1,)), p_nodes, self.delta)
         return fac[..., None] * eps_comps
 
     def potential(self, eps_mag, p_nodes):
@@ -153,8 +152,7 @@ class LowerOrderLaw:
             raise ValueError("need gamma >= 0 and r >= 1")
 
         def f(a):
-            mag = np.sqrt(np.sum(a**2, axis=-1))[..., None]
-            return gamma * mag ** (r - 1.0) * a
+            return gamma * _magnitude(a, 1.0, (-1,))[..., None] ** (r - 1.0) * a
 
         return cls(func=f, r=float(r), gamma=float(gamma), name="power")
 
@@ -214,13 +212,6 @@ class ProblemData:
     @property
     def steps(self):
         return int(round(self.T / self.tau))
-
-    def time_grid(self):
-        return Grid(
-            (self.steps + 1,) + self.domain.grid.dims,
-            (self.tau,) + self.domain.grid.spacing,
-            (0.0,) + self.domain.grid.origin,
-        )
 
     def f_at(self, k):
         if self.f is None:
@@ -337,9 +328,8 @@ def _step_energy(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free):
     """Energy value (per unit cell volume) at free dofs x, and eps(x) at masked nodes."""
     eps = op.eps(x)
     w = op.weights
-    mag = np.sqrt(np.sum(w * eps**2, axis=-1))
     du = x - x_prev
-    J = float(np.sum(0.5 * du * du) / tau + np.sum(law.potential(mag, p_nodes)))
+    J = float(np.sum(0.5 * du * du) / tau + np.sum(law.potential(_magnitude(eps, w, (-1,)), p_nodes)))
     if fk_free is not None:
         J -= float(np.dot(fk_free, x))
     if b_free is not None:
@@ -375,7 +365,7 @@ def _step_hessian(op, x, tau, p_nodes, law):
     eps = op.eps(x)
     w = op.weights
     we = w * eps
-    s = np.sqrt(np.sum(we * eps, axis=-1))
+    s = _magnitude(eps, w, (-1,))
     base = law.delta + s
     # base > 0 wherever p < 2 (see _regularized); 0^0 = 1 keeps p = 2 exact
     phi = base ** (p_nodes - 2.0)
@@ -439,6 +429,10 @@ def _descend(op, x0, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free, tol,
     return x, J, res, it
 
 
+#: Picard sweeps allowed for the explicit lower-order argument of one step
+_PICARD_MAX = 50
+
+
 def _regularized(law, p):
     """The law with delta = 1e-8 where delta = 0 meets p < 2 (S is non-smooth at eps = 0)."""
     if law.delta == 0.0 and float(np.min(p)) < 2.0:
@@ -446,7 +440,8 @@ def _regularized(law, p):
     return law
 
 
-def _tolerance(data, u_prev, k, base_tol=1e-8):
+def _tolerance(data, u_prev, k):
+    """1e-8 * (1 + data magnitude): the step's rms residual target."""
     g = data.domain.grid
     mag = u_prev.max_abs() / data.tau
     fk = data.f_at(k)
@@ -455,10 +450,10 @@ def _tolerance(data, u_prev, k, base_tol=1e-8):
     Fk = data.F_at(k)
     if Fk is not None:
         mag += 2.0 * g.ndim * float(np.abs(Fk).max()) / min(g.spacing)
-    return base_tol * (1.0 + mag)
+    return 1e-8 * (1.0 + mag)
 
 
-def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, picard_max=50, return_info=False):
+def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, return_info=False):
     """One implicit step: minimize the step energy, Picard-iterating the b-term.
 
     Returns the new VectorField (optionally with an info dict carrying the
@@ -466,7 +461,8 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, picard_max=50
     the Picard sweeps).  The minimizer runs damped Newton with Armijo
     backtracking until the rms weak-form residual is below
     1e-8 * (1 + data magnitude); non-convergence within max_iter Newton
-    iterations raises RotheStepError with the final residual.
+    iterations raises RotheStepError with the final residual, and so does
+    a Picard loop that has not settled after 50 sweeps.
     """
     if op is None:
         op = EpsOperator(data.domain)
@@ -491,7 +487,7 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, picard_max=50
     v = x_prev.copy()
     total_iters = 0
     drift = np.inf
-    for _ in range(picard_max):
+    for _ in range(_PICARD_MAX):
         b_free = None if plain else op.free_values(low(op.to_field(v).values))
         x, J, res, it = _descend(
             op, v, x_prev, data.tau, p_nodes, law, fk_free, Fk_masked, b_free, tol, max_iter
@@ -505,7 +501,7 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, picard_max=50
             if return_info:
                 return u, {"energy": J, "residual": res, "iters": total_iters}
             return u
-    raise RotheStepError(f"Picard loop did not settle in {picard_max} iterations", drift)
+    raise RotheStepError(f"Picard loop did not settle in {_PICARD_MAX} iterations", drift)
 
 
 def rothe_solve(data, law, low=None):
@@ -536,8 +532,7 @@ def rothe_solve(data, law, low=None):
         traj.append(u)
         x = op.to_free(u)
         p_nodes = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
-        eps = op.eps(x)
-        mag = np.sqrt(np.sum(op.weights * eps**2, axis=-1))
+        mag = _magnitude(op.eps(x), op.weights, (-1,))
         diags.append(
             StepDiagnostics(
                 k=k,
@@ -596,7 +591,7 @@ def energy_inequality_report(traj, law, low, data):
         x = op.to_free(traj[k])
         x_prev = op.to_free(traj[k - 1])
         eps = op.eps(x)
-        mag = np.sqrt(np.sum(w * eps**2, axis=-1))
+        mag = _magnitude(eps, w, (-1,))
 
         fk = data.f_at(k)
         fk_free = None
@@ -726,20 +721,35 @@ def _mms_psi(grid, lo, hi):
     }
 
 
+def _mms_box(grid):
+    """(lo, hi) corners of a 2-d vertex grid: the support box of the manufactured bump."""
+    lo = [grid.origin[a] for a in range(2)]
+    hi = [grid.origin[a] + (grid.dims[a] - 1) * grid.spacing[a] for a in range(2)]
+    return lo, hi
+
+
+def _mms_profile(T, amp):
+    """Time profile g(t) = 1 + amp sin(2 pi t / T) of the manufactured solution, and g'."""
+
+    def g(t):
+        return 1.0 + amp * np.sin(2.0 * np.pi * t / T)
+
+    def gp(t):
+        return amp * 2.0 * np.pi / T * np.cos(2.0 * np.pi * t / T)
+
+    return g, gp
+
+
 def mms_solution_p2(domain, T, K, box=None, g_amplitude=0.5):
     """Manufactured fields for the p = 2, delta = 0 flux: u*, f (analytic), u0.
 
-    u*(t, x) = g(t) (psi, -psi) with psi a separable smooth bump and
-    g(t) = 1 + g_amplitude sin(2 pi t / T); the forcing comes from the
-    closed-form divergence of the symmetric gradient, so the spatial error
-    of the scheme is genuinely second order.
+    u*(t, x) = g(t) (psi, -psi) with psi a separable smooth bump on `box`
+    (default: the grid's corners) and g(t) = 1 + g_amplitude sin(2 pi t / T);
+    the forcing comes from the closed-form divergence of the symmetric
+    gradient, so the spatial error of the scheme is genuinely second order.
     """
     g2 = domain.grid
-    if box is None:
-        lo = [g2.origin[a] for a in range(2)]
-        hi = [g2.origin[a] + (g2.dims[a] - 1) * g2.spacing[a] for a in range(2)]
-        box = (lo, hi)
-    lo, hi = box
+    lo, hi = _mms_box(g2) if box is None else box
     parts = _mms_psi(g2, lo, hi)
     psi = parts["psi"]
     dive1 = parts["xx"] + 0.5 * parts["yy"] - 0.5 * parts["xy"]
@@ -747,12 +757,7 @@ def mms_solution_p2(domain, T, K, box=None, g_amplitude=0.5):
 
     tau = T / K
     times = np.arange(K + 1) * tau
-
-    def g(t):
-        return 1.0 + g_amplitude * np.sin(2.0 * np.pi * t / T)
-
-    def gp(t):
-        return g_amplitude * 2.0 * np.pi / T * np.cos(2.0 * np.pi * t / T)
+    g, gp = _mms_profile(T, g_amplitude)
 
     w = np.stack([psi, -psi], axis=-1)
     st = Grid((K + 1,) + g2.dims, (tau,) + g2.spacing, (0.0,) + g2.origin)
@@ -769,15 +774,12 @@ def mms_solution_p2(domain, T, K, box=None, g_amplitude=0.5):
 def mms_time_derivative_p2(domain, T, K, g_amplitude=0.5):
     """Exact time derivative of the p=2 manufactured solution at vertex index k."""
     g2 = domain.grid
-    lo = [g2.origin[a] for a in range(2)]
-    hi = [g2.origin[a] + (g2.dims[a] - 1) * g2.spacing[a] for a in range(2)]
-    parts = _mms_psi(g2, lo, hi)
+    parts = _mms_psi(g2, *_mms_box(g2))
     w = np.stack([parts["psi"], -parts["psi"]], axis=-1)
+    _, gp = _mms_profile(T, g_amplitude)
 
     def deriv(k):
-        t = k * T / K
-        gp = g_amplitude * 2.0 * np.pi / T * np.cos(2.0 * np.pi * t / T)
-        return gp * w
+        return gp(k * T / K) * w
 
     return deriv
 
@@ -791,8 +793,7 @@ def mms_varp(domain, T, K, exponent_fn, delta, refine=4, g_amplitude=0.5):
     shared coarse nodes.  Returns (u_star, f, u0, law).
     """
     g2 = domain.grid
-    lo = [g2.origin[a] for a in range(2)]
-    hi = [g2.origin[a] + (g2.dims[a] - 1) * g2.spacing[a] for a in range(2)]
+    lo, hi = _mms_box(g2)
     cells = [g2.dims[a] - 1 for a in range(2)]
     u_star, _, u0 = mms_solution_p2(domain, T, K, box=(lo, hi), g_amplitude=g_amplitude)
 
@@ -808,8 +809,6 @@ def mms_varp(domain, T, K, exponent_fn, delta, refine=4, g_amplitude=0.5):
         g2.origin,
     )
     pad = [s * 0.01 for s in fine_grid.spacing]
-    from .fields import make_rectangle_domain
-
     fine_dom = make_rectangle_domain(
         [lo[a] - pad[a] for a in range(2)], [hi[a] + pad[a] for a in range(2)], fine_grid
     )

@@ -27,7 +27,7 @@ def test_config_file_and_section_merge(tmp_path):
     assert cfg.seed == 3
 
 
-def test_config_errors_are_diagnosed(tmp_path):
+def test_config_errors_are_diagnosed(tmp_path, capsys):
     with pytest.raises(ConfigError, match="does not exist"):
         load_config("norms", str(tmp_path / "missing.ini"), {})
     bad = tmp_path / "bad.ini"
@@ -44,6 +44,27 @@ def test_config_errors_are_diagnosed(tmp_path):
         path = tmp_path / "cfg2.ini"
         path.write_text("[modular]\nexponent = gaussian\n")
         load_config("norms", str(path), {})
+    # values that do not parse name their key and exit 2, with no traceback
+    path = tmp_path / "cfg3.ini"
+    path.write_text("[run]\nresolution = abc\n")
+    with pytest.raises(ConfigError, match=r"\[run\] resolution"):
+        load_config("norms", str(path), {})
+    path = tmp_path / "cfg4.ini"
+    path.write_text("[domain]\nextent = -3 x\n")
+    with pytest.raises(ConfigError, match=r"\[domain\] extent"):
+        load_config("norms", str(path), {}).get_floats("domain", "extent")
+    for path in (tmp_path / "cfg3.ini", tmp_path / "cfg4.ini"):
+        capsys.readouterr()
+        assert main(["norms", "--config", str(path), "--out", str(tmp_path / "bad_out")]) == 2
+        assert "config error: bad config value" in capsys.readouterr().err
+
+
+def test_rothe_ladder_needs_two_rungs(tmp_path):
+    path = tmp_path / "one_rung.ini"
+    path.write_text("[rothe]\nsteps_ladder = 8\n")
+    out = tmp_path / "rothe"
+    assert main(["rothe-solve", "--config", str(path), "--out", str(out), "--resolution", "16"]) == 2
+    assert not any(name.endswith(".field") for name in os.listdir(out))
 
 
 def test_cli_exit_codes(tmp_path):

@@ -151,6 +151,10 @@ def test_sym_tensor_round_trip_exact():
     assert np.array_equal(full.values, np.swapaxes(full.values, -1, -2))
     back = vx.SymTensorField.from_full(full)
     assert np.array_equal(back.values, T.values)
+    skewed = full.values.copy()
+    skewed[3, 5, 0, 1] = np.nextafter(skewed[3, 5, 0, 1], np.inf)
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        vx.SymTensorField.from_full(vx.TensorField(grid, skewed))
 
 
 def test_field_component_counts():

@@ -107,6 +107,23 @@ def test_lower_order_conditions():
     assert critical_growth_bound(1.7, 2) == pytest.approx((1.7 * 2) / (1.7 / 0.7))
 
 
+def test_constitutive_laws_at_extreme_magnitudes():
+    # |A|^2 and |a|^2 leave the float range here; the magnitudes must not
+    g = vx.vertex_grid_on_box([0, 0], [1, 1], [4, 4])
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(g, 1.5))
+    A = 1e200 * np.array([[1.0, 0.0, 0.0], [0.6, 0.0, 0.8 / np.sqrt(2.0)]])
+    S = law.flux(A, np.full(2, 1.5), 2)
+    magS = np.sqrt(np.sum(np.array([1.0, 1.0, 2.0]) * S**2, axis=-1))
+    np.testing.assert_allclose(magS, 1e100, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(S, 1e-100 * A, rtol=1e-12, atol=0.0)
+
+    low = LowerOrderLaw.power(1.0, 1.5)
+    big = low(np.array([[1e200, 0.0], [6e199, 8e199]]))
+    np.testing.assert_allclose(big, [[1e300, 0.0], [6e299, 8e299]], rtol=1e-12, atol=0.0)
+    tiny = low(np.array([[1e-170, 0.0]]))
+    np.testing.assert_allclose(tiny, [[1e-255, 0.0]], rtol=1e-12, atol=0.0)
+
+
 def test_supercritical_lower_order_rejected():
     dom = box_domain(8)
     g = dom.grid

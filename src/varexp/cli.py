@@ -28,15 +28,6 @@ from varexp import rothe as rt
 from varexp.calculus import gradient, sym_gradient
 from varexp.mollify import MollifierFamily, convolve, extend_exponent, maximal, reflect_extend, zero_extend
 
-EXPERIMENTS = (
-    "norms",
-    "mollify",
-    "korn-figure",
-    "poincare-verify",
-    "rothe-solve",
-    "property-suite",
-)
-
 _DEFAULTS = {
     "run": {"seed": "0", "out": "out", "resolution": "64"},
     "domain": {"kind": "disc", "center": "0 0", "radius": "2.5", "extent": "-3 3"},
@@ -85,8 +76,12 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad config value [{section}] {key} = {raw!r}: {exc}")
 
-    def get_floats(self, section, key):
-        return self.get(section, key, lambda raw: [float(tok) for tok in raw.split()])
+    def get_pair(self, section, key):
+        def pair(raw):
+            lo, hi = map(float, raw.split())  # any other count is a ValueError
+            return lo, hi
+
+        return self.get(section, key, pair)
 
     def get_ints(self, section, key):
         return self.get(section, key, lambda raw: [int(tok) for tok in raw.split()])
@@ -160,10 +155,10 @@ class CheckLog:
 
 def _build_domain(cfg):
     kind = cfg.get("domain", "kind")
-    lo, hi = cfg.get_floats("domain", "extent")
+    lo, hi = cfg.get_pair("domain", "extent")
     grid = vx.grid_on_box([lo, lo], [hi, hi], [cfg.resolution] * 2)
     if kind == "disc":
-        center = cfg.get_floats("domain", "center")
+        center = cfg.get_pair("domain", "center")
         radius = cfg.get("domain", "radius", float)
         return vx.make_disc_domain(center, radius, grid)
     if kind == "rectangle":
@@ -277,7 +272,7 @@ def _exp_mollify(cfg, outdir, log):
 
 def _exp_korn_figure(cfg, outdir, log):
     dom = _build_domain(cfg)
-    t_lo, t_hi = cfg.get_floats("korn", "time_interval")
+    t_lo, t_hi = cfg.get_pair("korn", "time_interval")
     t_res = cfg.get("korn", "time_resolution", int)
     tg = vx.grid_on_box([t_lo], [t_hi], [t_res])
     cfg_k = kn.WetBlanketConfig(
@@ -452,20 +447,22 @@ def _exp_property_suite(cfg, outdir, log):
     log.write_csv(os.path.join(outdir, "property_suite.csv"), cfg.stamp())
 
 
+EXPERIMENTS = {
+    "norms": _exp_norms,
+    "mollify": _exp_mollify,
+    "korn-figure": _exp_korn_figure,
+    "poincare-verify": _exp_poincare,
+    "rothe-solve": _exp_rothe,
+    "property-suite": _exp_property_suite,
+}
+
+
 def run(cfg):
     """Execute one experiment; returns the process exit status."""
     os.makedirs(cfg.out, exist_ok=True)
     print(f"experiment {cfg.experiment} (seed {cfg.seed}, out {cfg.out})")
     log = CheckLog()
-    dispatch = {
-        "norms": _exp_norms,
-        "mollify": _exp_mollify,
-        "korn-figure": _exp_korn_figure,
-        "poincare-verify": _exp_poincare,
-        "rothe-solve": _exp_rothe,
-        "property-suite": _exp_property_suite,
-    }
-    dispatch[cfg.experiment](cfg, cfg.out, log)
+    EXPERIMENTS[cfg.experiment](cfg, cfg.out, log)
     if log.failed:
         print("FAILED invariants: " + ", ".join(log.failed), file=sys.stderr)
         return 1

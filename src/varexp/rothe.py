@@ -164,8 +164,11 @@ class LowerOrderLaw:
         base = cls.power(gamma, r)
 
         def f(a):
-            mag2 = np.sum(a**2, axis=-1)[..., None]
-            return base.func(a) - kappa * a / (1.0 + mag2)
+            # kappa (a/m) / (m |a/m|^2 + 1/m) where |a|^2 would overflow; m = 1 elsewhere
+            m = np.max(np.abs(a), axis=-1)[..., None]
+            m = np.where((m > 1e150) & (m < np.inf), m, 1.0)
+            s = a / m
+            return base.func(a) - kappa * s / (m * np.sum(s**2, axis=-1)[..., None] + 1.0 / m)
 
         return cls(func=f, r=float(r), gamma=float(gamma) + kappa, c2=float(kappa), name="damped")
 

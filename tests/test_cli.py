@@ -52,11 +52,21 @@ def test_config_errors_are_diagnosed(tmp_path, capsys):
     path = tmp_path / "cfg4.ini"
     path.write_text("[domain]\nextent = -3 x\n")
     with pytest.raises(ConfigError, match=r"\[domain\] extent"):
-        load_config("norms", str(path), {}).get_floats("domain", "extent")
+        load_config("norms", str(path), {}).get_pair("domain", "extent")
     for path in (tmp_path / "cfg3.ini", tmp_path / "cfg4.ini"):
         capsys.readouterr()
         assert main(["norms", "--config", str(path), "--out", str(tmp_path / "bad_out")]) == 2
         assert "config error: bad config value" in capsys.readouterr().err
+    # pairs with too many or too few numbers
+    for experiment, text, key in (
+        ("norms", "[domain]\nextent = -3 0 3\n", "[domain] extent"),
+        ("korn-figure", "[korn]\ntime_interval = -1.5\n", "[korn] time_interval"),
+    ):
+        path = tmp_path / "cfg5.ini"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path / "bad_out")]) == 2
+        assert f"config error: bad config value {key}" in capsys.readouterr().err
 
 
 def test_rothe_ladder_needs_two_rungs(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 import varexp as vx
 from varexp.poincare import (
     ConeParams,
+    _riesz_batch,
+    _singular_cell_average,
     cap_area,
     cone_params_for,
     min_upphi_det,
@@ -161,6 +163,68 @@ def test_riesz_monotone_in_eps_magnitude():
         lo = riesz_rhs(u, dom, tuple(nd), eps_u_abs=small)
         hi = riesz_rhs(u, dom, tuple(nd), eps_u_abs=big)
         assert lo <= hi + 1e-14
+
+
+def riesz_rhs_oracle(a, dom, node):
+    """Per-node Riesz sum over the clipped window around `node`: the direct reference."""
+    g = dom.grid
+    spacing = np.asarray(g.spacing)
+    d = g.ndim
+    rad = 2.0 * float(dom.r[node])
+    lo = [max(0, int(np.floor(node[ax] - rad / spacing[ax]))) for ax in range(d)]
+    hi = [min(g.dims[ax], int(np.ceil(node[ax] + rad / spacing[ax])) + 1) for ax in range(d)]
+    window = tuple(slice(l, h) for l, h in zip(lo, hi))
+    mesh = np.meshgrid(
+        *[(np.arange(l, h) - node[ax]) * spacing[ax] for ax, (l, h) in enumerate(zip(lo, hi))],
+        indexing="ij",
+    )
+    dist = np.sqrt(sum(m**2 for m in mesh))
+    inside = (dist <= rad) & dom.mask[window]
+    kern = np.zeros_like(dist)
+    nonzero = inside & (dist > 0)
+    kern[nonzero] = dist[nonzero] ** (1 - d)
+    center = tuple(node[ax] - lo[ax] for ax in range(d))
+    if inside[center]:
+        kern[center] = _singular_cell_average(spacing, d)
+    return float(np.sum(a[window] * kern) * g.cell_volume)
+
+
+def bench_disc_case(rng):
+    # the 128^2 disc of the bench with every cone sample
+    dom = disc_domain(128)
+    h0 = ConeParams(theta=np.pi / 4, h=1.0).h0
+    return dom, np.argwhere(dom.mask & (dom.r > 0) & (dom.r <= h0))
+
+
+def clipped_rectangle_case(rng):
+    # the box fills the grid, so every ball is clipped at the grid edge; the
+    # binary spacing puts 2 r(x) exactly on lattice distances
+    grid = vx.grid_on_box([0, 0], [1, 0.75], [16, 12])
+    dom = vx.make_rectangle_domain([0.0, 0.0], [1.0, 0.75], grid)
+    return dom, np.argwhere(dom.mask)
+
+
+def box_3d_case(rng):
+    # kernel |y|^-2 and a 3-d singular cell; r a multiple of the spacing
+    grid = vx.grid_on_box([0, 0, 0], [1.5, 1.5, 2.25], [12, 12, 9])
+    mask = np.ones(grid.dims, dtype=bool)
+    mask[:3, :4, :] = False
+    r = 0.125 * rng.integers(1, 4, size=grid.dims)
+    dom = vx.Domain(grid, mask, np.where(mask, r, 0.0), "rectangle")
+    return dom, np.argwhere(mask)[::5]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", [bench_disc_case, clipped_rectangle_case, box_3d_case])
+def test_riesz_batch_matches_per_node_oracle(case):
+    rng = np.random.default_rng(5)
+    dom, nodes = case(rng)
+    a = np.abs(rng.normal(size=dom.grid.dims))
+    batch = _riesz_batch(a, dom, nodes)
+    oracle = np.array([riesz_rhs_oracle(a, dom, tuple(nd)) for nd in nodes])
+    assert len(nodes) > 100 and np.all(oracle > 0)
+    np.testing.assert_array_equal(batch, oracle)
+    assert np.all(_riesz_batch(np.zeros(dom.grid.dims), dom, nodes) == 0.0)
 
 
 # -- the verification --------------------------------------------------------

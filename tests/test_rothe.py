@@ -124,6 +124,20 @@ def test_constitutive_laws_at_extreme_magnitudes():
     np.testing.assert_allclose(tiny, [[1e-255, 0.0]], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_damped_law_at_extreme_magnitudes():
+    # kappa a / (1 + |a|^2) with |a|^2 out of the float range: no overflow
+    low = LowerOrderLaw.damped(0.0, 1.2, 0.6)
+    big = low(np.array([[1e200, 0.0], [0.0, -3e180]]))
+    np.testing.assert_allclose(big, [[-0.6e-200, 0.0], [0.0, 0.2e-180]], rtol=1e-12, atol=0.0)
+    tiny = low(np.array([[1e-310, 0.0]]))
+    np.testing.assert_allclose(tiny, [[-0.6e-310, 0.0]], rtol=1e-12, atol=0.0)
+    # at ordinary magnitudes the law is the plain formula, bit for bit
+    a = np.random.default_rng(2).normal(size=(50, 3)) * np.logspace(-8, 8, 50)[:, None]
+    plain = -0.6 * a / (1.0 + np.sum(a**2, axis=-1)[..., None])
+    assert np.array_equal(low(a), plain)
+
+
 def test_supercritical_lower_order_rejected():
     dom = box_domain(8)
     g = dom.grid

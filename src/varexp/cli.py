@@ -302,6 +302,11 @@ def _exp_korn_figure(cfg, outdir, log):
 
 def _exp_poincare(cfg, outdir, log):
     dom = _build_domain(cfg)
+    if dom.mask.all():
+        raise ConfigError(
+            f"[domain] kind = {cfg.get('domain', 'kind')} fills the grid, and poincare-verify "
+            "needs nodes outside the domain for its exterior cones"
+        )
     cone = pc.cone_params_for(dom, theta=np.pi / 4, h=1.0)
     budget = cfg.get("poincare", "budget", float)
     n_samples = cfg.get("poincare", "samples", int)

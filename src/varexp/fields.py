@@ -599,14 +599,9 @@ def read_field(path):
                 f"{path}: {values.size} values for dims {dims} x ncomp {ncomp} (needs {expected})"
             )
         values = values.reshape(dims + ([ncomp] if ncomp > 1 else []))
-    grid = Grid(dims, spacing, origin)
-    if layout == "scalar":
-        return ScalarField(grid, values)
-    if layout == "vector":
-        return VectorField(grid, values)
-    if layout == "sym":
-        return SymTensorField(grid, values)
-    raise ValueError(f"{path}: unknown layout {layout!r}")
+    if layout not in _FIELD_KINDS:
+        raise ValueError(f"{path}: unknown layout {layout!r}")
+    return _FIELD_KINDS[layout](Grid(dims, spacing, origin), values)
 
 
 def export_csv(path, f, comment=None):

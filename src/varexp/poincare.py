@@ -127,7 +127,7 @@ def cone_params_for(domain, theta=np.pi / 4, h=None):
             # one-cell tolerance: a boundary-layer hit is not a violation
             if domain.mask[tuple(idx)] and domain.r[tuple(idx)] > 1.5 * spacing.max():
                 raise ValueError(
-                    f"exterior cone verification failed at node {tuple(node)}: "
+                    f"exterior cone verification failed at node {tuple(node.tolist())}: "
                     f"cone point {y} lies inside the domain"
                 )
     return params

@@ -7,13 +7,16 @@ weak form of
 
 with a flux of (p(t,x), delta)-structure, S(A) = (delta+|A|)^(p-2) A, and a
 lower-order term b treated explicitly inside a damped fixed-point loop.
-The step energy is minimized by damped Newton: the sparse step Hessian
+A step's data (u_prev, tau, p at the masked nodes, the regularized law, f,
+F and b) is assembled once into a `_Step`, whose energy, gradient and
+Hessian are what damped Newton reads: the sparse step Hessian
 I/tau + B^T D B is assembled from the exact-adjoint symmetric-gradient
 operator B and factorized each iteration, and Armijo backtracking on the
-energy globalises the step.  Dirichlet boundary values are enforced by
-constraining the boundary layer of masked nodes to zero.  The module also
-provides the discrete energy (a priori) inequality report, the
-integration-by-parts residual in time, and manufactured-solution helpers.
+energy globalises the step.  `energy_step` returns the new field and an
+info dict.  Dirichlet boundary values are enforced by constraining the
+boundary layer of masked nodes to zero.  The module also provides the
+discrete energy (a priori) inequality report, the integration-by-parts
+residual in time, and manufactured-solution helpers.
 """
 
 from __future__ import annotations
@@ -244,7 +247,6 @@ class EpsOperator:
     def __init__(self, domain):
         g = domain.grid
         d = g.ndim
-        N = g.node_count()
         mask_flat = domain.mask.reshape(-1)
         free_flat = domain.interior_mask().reshape(-1)
         self.domain = domain
@@ -255,24 +257,18 @@ class EpsOperator:
         self.n_free = len(self.free_idx)
         self.weights = sym_weights(d)
 
-        R = sparse.coo_matrix(
-            (np.ones(self.n_masked), (np.arange(self.n_masked), self.masked_idx)),
-            shape=(self.n_masked, N),
-        ).tocsr()
-        P = sparse.coo_matrix(
-            (np.ones(self.n_free), (self.free_idx, np.arange(self.n_free))),
-            shape=(N, self.n_free),
-        ).tocsr()
+        # d/dx_ax with rows at the masked nodes and columns at the free ones
         D = [_axis_operator(domain.mask, ax, g.spacing[ax]) for ax in range(d)]
+        D = [Da[self.masked_idx][:, self.free_idx] for Da in D]
 
         blocks = []
         for i, j in sym_pairs(d):
             row = [None] * d
             if i == j:
-                row[i] = R @ D[i] @ P
+                row[i] = D[i]
             else:
-                row[i] = 0.5 * (R @ D[j] @ P)
-                row[j] = 0.5 * (R @ D[i] @ P)
+                row[i] = 0.5 * D[j]
+                row[j] = 0.5 * D[i]
             zero = sparse.csr_matrix((self.n_masked, self.n_free))
             blocks.append([blk if blk is not None else zero for blk in row])
         self.B = sparse.bmat(blocks, format="csr")
@@ -327,67 +323,102 @@ class StepDiagnostics:
     iters: int
 
 
-def _step_energy(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free):
-    """Energy value (per unit cell volume) at free dofs x, and eps(x) at masked nodes."""
-    eps = op.eps(x)
-    w = op.weights
-    du = x - x_prev
-    J = float(np.sum(0.5 * du * du) / tau + np.sum(law.potential(_magnitude(eps, w, (-1,)), p_nodes)))
-    if fk_free is not None:
-        J -= float(np.dot(fk_free, x))
-    if b_free is not None:
-        J += float(np.dot(b_free, x))
-    if Fk_masked is not None:
-        J -= float(np.sum(w * Fk_masked * eps))
-    return J, eps
+def _step_law(law, data, k, op):
+    """(p at the masked nodes, law) of step k; delta = 0 with p < 2 becomes delta = 1e-8."""
+    p = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
+    if law.delta == 0.0 and float(np.min(p)) < 2.0:
+        law = dataclasses.replace(law, delta=1e-8)
+    return p, law
 
 
-def _step_energy_grad(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free):
-    """Energy value and gradient (per unit cell volume) at free dofs x."""
-    J, eps = _step_energy(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free)
-    S = law.flux(eps, p_nodes, op.d)
-    if Fk_masked is not None:
-        S = S - Fk_masked
-    g = (x - x_prev) / tau + op.eps_adjoint(S)
-    if fk_free is not None:
-        g -= fk_free
-    if b_free is not None:
-        g += b_free
-    return J, g
+@dataclasses.dataclass(frozen=True)
+class _Step:
+    """The convex energy of one implicit step over the free dofs of `op`.
 
-
-def _step_hessian(op, x, tau, p_nodes, law):
-    """Hessian I/tau + B^T D B of the step energy at free dofs x, as a CSC matrix.
-
-    D is block-diagonal over masked nodes; with s = |eps|_W and W =
-    diag(sym_weights) the block of a node is
-    (delta+s)^(p-2) [W + (p-2)/(s(delta+s)) (W eps)(W eps)^T], the second
-    term taken as 0 at s = 0.  Every block is positive semidefinite for
-    p > 1, so H is symmetric positive definite.
+    x_prev, f and b are free-dof vectors, F holds compact components at
+    the masked nodes, and p is the exponent there; f, F and b may be None
+    for zero data.  Values are per unit cell volume.
     """
-    eps = op.eps(x)
-    w = op.weights
-    we = w * eps
-    s = _magnitude(eps, w, (-1,))
-    base = law.delta + s
-    # base > 0 wherever p < 2 (see _regularized); 0^0 = 1 keeps p = 2 exact
-    phi = base ** (p_nodes - 2.0)
-    coef = np.zeros_like(s)
-    pos = s > 0.0
-    coef[pos] = phi[pos] * (p_nodes[pos] - 2.0) / (s[pos] * base[pos])
-    blocks = coef[:, None, None] * we[:, :, None] * we[:, None, :]
-    blocks += phi[:, None, None] * np.diag(w)
-    nm, m = eps.shape
-    node = np.arange(nm)[:, None, None]
-    comp = np.arange(m) * nm
-    rows = np.broadcast_to(node + comp[None, :, None], blocks.shape)
-    cols = np.broadcast_to(node + comp[None, None, :], blocks.shape)
-    D = sparse.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(m * nm, m * nm))
-    n = op.B.shape[1]
-    return (sparse.identity(n, format="csr") / tau + op.B.T @ (D @ op.B)).tocsc()
+
+    op: EpsOperator
+    x_prev: np.ndarray
+    tau: float
+    p: np.ndarray
+    law: ConstitutiveLaw
+    f: np.ndarray = None
+    F: np.ndarray = None
+    b: np.ndarray = None
+
+    @classmethod
+    def at(cls, law, data, k, op, u_prev):
+        """Step k of `data` from u_prev, without a lower-order term."""
+        p, law = _step_law(law, data, k, op)
+        fk, Fk = data.f_at(k), data.F_at(k)
+        f = op.free_values(fk) if fk is not None else None
+        F = op.masked_values(Fk, op.d * (op.d + 1) // 2) if Fk is not None else None
+        return cls(op, op.to_free(u_prev), data.tau, p, law, f, F)
+
+    def energy(self, x):
+        """Energy value at free dofs x, and eps(x) at masked nodes."""
+        eps = self.op.eps(x)
+        w = self.op.weights
+        du = x - self.x_prev
+        mag = _magnitude(eps, w, (-1,))
+        J = float(np.sum(0.5 * du * du) / self.tau + np.sum(self.law.potential(mag, self.p)))
+        if self.f is not None:
+            J -= float(np.dot(self.f, x))
+        if self.b is not None:
+            J += float(np.dot(self.b, x))
+        if self.F is not None:
+            J -= float(np.sum(w * self.F * eps))
+        return J, eps
+
+    def energy_grad(self, x):
+        """Energy value and gradient at free dofs x."""
+        J, eps = self.energy(x)
+        S = self.law.flux(eps, self.p, self.op.d)
+        if self.F is not None:
+            S = S - self.F
+        g = (x - self.x_prev) / self.tau + self.op.eps_adjoint(S)
+        if self.f is not None:
+            g -= self.f
+        if self.b is not None:
+            g += self.b
+        return J, g
+
+    def hessian(self, x):
+        """Hessian I/tau + B^T D B of the energy at free dofs x, as a CSC matrix.
+
+        D is block-diagonal over masked nodes; with s = |eps|_W and W =
+        diag(sym_weights) the block of a node is
+        (delta+s)^(p-2) [W + (p-2)/(s(delta+s)) (W eps)(W eps)^T], the second
+        term taken as 0 at s = 0.  Every block is positive semidefinite for
+        p > 1, so H is symmetric positive definite.
+        """
+        op, p_nodes = self.op, self.p
+        eps = op.eps(x)
+        w = op.weights
+        we = w * eps
+        s = _magnitude(eps, w, (-1,))
+        base = self.law.delta + s
+        # base > 0 wherever p < 2 (see _step_law); 0^0 = 1 keeps p = 2 exact
+        phi = base ** (p_nodes - 2.0)
+        coef = np.zeros_like(s)
+        pos = s > 0.0
+        coef[pos] = phi[pos] * (p_nodes[pos] - 2.0) / (s[pos] * base[pos])
+        blocks = coef[:, None, None] * we[:, :, None] * we[:, None, :]
+        blocks += phi[:, None, None] * np.diag(w)
+        nm, m = eps.shape
+        node = np.arange(nm)[:, None, None]
+        comp = np.arange(m) * nm
+        rows = np.broadcast_to(node + comp[None, :, None], blocks.shape)
+        cols = np.broadcast_to(node + comp[None, None, :], blocks.shape)
+        D = sparse.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(m * nm, m * nm))
+        n = op.B.shape[1]
+        return (sparse.identity(n, format="csr") / self.tau + op.B.T @ (D @ op.B)).tocsc()
 
 
-def _descend(op, x0, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free, tol, max_iter, trace=None):
+def _descend(step, x0, tol, max_iter, trace=None):
     """Damped Newton on the convex step energy, globalised by Armijo backtracking.
 
     Each iteration solves H dx = -g with a sparse LU factorization of the
@@ -398,12 +429,12 @@ def _descend(op, x0, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free, tol,
     tol.  `trace`, if given, collects the energy after every accepted step.
     """
     x = x0.copy()
-    J, g = _step_energy_grad(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free)
+    J, g = step.energy_grad(x)
     n = max(x.size, 1)
     res = float(np.sqrt(np.dot(g, g) / n))
     it = 0
     while res > tol and it < max_iter:
-        H = _step_hessian(op, x, tau, p_nodes, law)
+        H = step.hessian(x)
         lu = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         dx = lu.solve(-g)
         slope = float(np.dot(g, dx))
@@ -413,14 +444,14 @@ def _descend(op, x0, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free, tol,
         noise = 1e-14 * (abs(J) + 1.0)
         for _ in range(60):
             xn = x + t * dx
-            Jn, _ = _step_energy(op, xn, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free)
+            Jn, _ = step.energy(xn)
             if Jn <= J + 1e-4 * t * slope + noise:
                 break
             t *= 0.5
         else:
             raise RotheStepError("backtracking stalled", res)
         x = xn
-        J, g = _step_energy_grad(op, x, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free)
+        J, g = step.energy_grad(x)
         if trace is not None:
             trace.append(J)
         res = float(np.sqrt(np.dot(g, g) / n))
@@ -436,13 +467,6 @@ def _descend(op, x0, x_prev, tau, p_nodes, law, fk_free, Fk_masked, b_free, tol,
 _PICARD_MAX = 50
 
 
-def _regularized(law, p):
-    """The law with delta = 1e-8 where delta = 0 meets p < 2 (S is non-smooth at eps = 0)."""
-    if law.delta == 0.0 and float(np.min(p)) < 2.0:
-        return dataclasses.replace(law, delta=1e-8)
-    return law
-
-
 def _tolerance(data, u_prev, k):
     """1e-8 * (1 + data magnitude): the step's rms residual target."""
     g = data.domain.grid
@@ -456,12 +480,12 @@ def _tolerance(data, u_prev, k):
     return 1e-8 * (1.0 + mag)
 
 
-def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, return_info=False):
+def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000):
     """One implicit step: minimize the step energy, Picard-iterating the b-term.
 
-    Returns the new VectorField (optionally with an info dict carrying the
+    Returns (u, info): the new VectorField and a dict carrying the
     converged energy, residual, and Newton iteration count, summed over
-    the Picard sweeps).  The minimizer runs damped Newton with Armijo
+    the Picard sweeps.  The minimizer runs damped Newton with Armijo
     backtracking until the rms weak-form residual is below
     1e-8 * (1 + data magnitude); non-convergence within max_iter Newton
     iterations raises RotheStepError with the final residual, and so does
@@ -469,41 +493,30 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000, return_info=F
     """
     if op is None:
         op = EpsOperator(data.domain)
-    p_nodes = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
-    regularized = _regularized(law, p_nodes)
-    if regularized is not law:
+    step = _Step.at(law, data, k, op, u_prev)
+    if step.law is not law:
         log.warning(
             "delta=0 with p_min < 2 is non-smooth at eps=0; regularized with delta=%r",
-            regularized.delta,
+            step.law.delta,
         )
-    law = regularized
-    x_prev = op.to_free(u_prev)
-    fk = data.f_at(k)
-    fk_free = op.free_values(fk) if fk is not None else None
-    Fk = data.F_at(k)
-    Fk_masked = op.masked_values(Fk, op.d * (op.d + 1) // 2) if Fk is not None else None
     tol = _tolerance(data, u_prev, k)
 
     # damped fixed point in the explicit b argument; without a lower-order
     # term the first sweep is the whole step
     plain = low is None or low.is_zero
-    v = x_prev.copy()
+    v = step.x_prev.copy()
     total_iters = 0
     drift = np.inf
     for _ in range(_PICARD_MAX):
-        b_free = None if plain else op.free_values(low(op.to_field(v).values))
-        x, J, res, it = _descend(
-            op, v, x_prev, data.tau, p_nodes, law, fk_free, Fk_masked, b_free, tol, max_iter
-        )
+        if not plain:
+            step = dataclasses.replace(step, b=op.free_values(low(op.to_field(v).values)))
+        x, J, res, it = _descend(step, v, tol, max_iter)
         total_iters += it
         v_new = 0.5 * v + 0.5 * x
         drift = float(np.sqrt(np.sum((v_new - v) ** 2) / max(v.size, 1)))
         v = v_new
         if plain or drift <= tol:
-            u = op.to_field(x)
-            if return_info:
-                return u, {"energy": J, "residual": res, "iters": total_iters}
-            return u
+            return op.to_field(x), {"energy": J, "residual": res, "iters": total_iters}
     raise RotheStepError(f"Picard loop did not settle in {_PICARD_MAX} iterations", drift)
 
 
@@ -531,11 +544,10 @@ def rothe_solve(data, law, low=None):
     traj = [u]
     diags = []
     for k in range(1, data.steps + 1):
-        u, info = energy_step(traj[-1], k, law, low, data, op=op, return_info=True)
+        u, info = energy_step(traj[-1], k, law, low, data, op=op)
         traj.append(u)
-        x = op.to_free(u)
-        p_nodes = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
-        mag = _magnitude(op.eps(x), op.weights, (-1,))
+        p_nodes, _ = _step_law(law, data, k, op)
+        mag = _magnitude(op.eps(op.to_free(u)), op.weights, (-1,))
         diags.append(
             StepDiagnostics(
                 k=k,
@@ -551,12 +563,11 @@ def rothe_solve(data, law, low=None):
 
 
 def write_diagnostics_csv(path, diags, comment=None, extra_columns=None):
-    """Per-step diagnostics CSV: k,t,energy,l2norm,modular_eps,residual,iters."""
+    """Per-step diagnostics CSV: the StepDiagnostics fields, then any extra columns."""
     extra = extra_columns or {}
-    header = ["k", "t", "energy", "l2norm", "modular_eps", "residual", "iters"] + list(extra)
+    header = [f.name for f in dataclasses.fields(StepDiagnostics)] + list(extra)
     rows = [
-        [dg.k, dg.t, dg.energy, dg.l2norm, dg.modular_eps, dg.residual, dg.iters]
-        + [float(extra[name][i]) for name in extra]
+        list(dataclasses.astuple(dg)) + [float(extra[name][i]) for name in extra]
         for i, dg in enumerate(diags)
     ]
     write_table(path, header, rows, comment)
@@ -580,7 +591,6 @@ def energy_inequality_report(traj, law, low, data):
     """
     op = EpsOperator(data.domain)
     vol = data.domain.grid.cell_volume
-    d = op.d
     w = op.weights
     half_u0 = 0.5 * float(np.sum(traj[0].values**2)) * vol
 
@@ -589,37 +599,22 @@ def energy_inequality_report(traj, law, low, data):
     acc_data = 0.0
     acc_floor = 0.0
     for k in range(1, data.steps + 1):
-        p_nodes = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
-        law_eff = _regularized(law, p_nodes)
+        step = _Step.at(law, data, k, op, traj[k - 1])
         x = op.to_free(traj[k])
-        x_prev = op.to_free(traj[k - 1])
         eps = op.eps(x)
         mag = _magnitude(eps, w, (-1,))
+        f_pair = float(np.dot(step.f, x)) * vol if step.f is not None else 0.0
+        F_pair = float(np.sum(w * step.F * eps)) * vol if step.F is not None else 0.0
 
-        fk = data.f_at(k)
-        fk_free = None
-        f_pair = 0.0
-        if fk is not None:
-            fk_free = op.free_values(fk)
-            f_pair = float(np.dot(fk_free, x)) * vol
-        Fk = data.F_at(k)
-        Fk_m = None
-        F_pair = 0.0
-        if Fk is not None:
-            Fk_m = op.masked_values(Fk, d * (d + 1) // 2)
-            F_pair = float(np.sum(w * Fk_m * eps)) * vol
-
-        b_free = None
         if low is not None and not low.is_zero:
-            b_free = op.free_values(low(traj[k].values))
-        _, g = _step_energy_grad(
-            op, x, x_prev, data.tau, p_nodes, law_eff, fk_free, Fk_m, b_free
-        )
+            step = dataclasses.replace(step, b=op.free_values(low(traj[k].values)))
+        _, g = step.energy_grad(x)
         g_k = float(np.dot(g, x)) * vol
 
-        acc_eps += data.tau * float(np.sum(mag**p_nodes)) * vol
+        acc_eps += data.tau * float(np.sum(mag**step.p)) * vol
         acc_data += data.tau * (f_pair + F_pair + g_k)
-        rho_delta = float(np.sum(law_eff.delta ** p_nodes)) * vol if law_eff.delta > 0 else 0.0
+        delta = step.law.delta
+        rho_delta = float(np.sum(delta**step.p)) * vol if delta > 0 else 0.0
         c2_mass = (low.c2 if low is not None else 0.0) * data.domain.measure()
         c1_mass = law.c1_offset * data.domain.measure()
         acc_floor += data.tau * (law.c0 * rho_delta + c1_mass + c2_mass)
@@ -838,8 +833,8 @@ def mms_forcing_discrete(u_star, law, data, time_derivative):
     g = data.domain.grid
     out = np.zeros((K + 1,) + g.dims + (d,))
     for k in range(K + 1):
-        p_nodes = law.exponent_at(data, k).reshape(-1)[op.masked_idx]
-        S = _regularized(law, p_nodes).flux(op.eps(op.free_values(u_star.values[k])), p_nodes, d)
+        p_nodes, law_k = _step_law(law, data, k, op)
+        S = law_k.flux(op.eps(op.free_values(u_star.values[k])), p_nodes, d)
         # time_derivative(k) is the exact time derivative on the spatial grid
         out[k] = op.to_field(op.free_values(time_derivative(k)) + op.eps_adjoint(S)).values
     return VectorField(u_star.grid, out)

@@ -349,7 +349,7 @@ def test_criterion_11_solver_linear_oracle():
     F = vx.SymTensorField(st, rng.normal(size=st.dims + (3,)))
     data = ProblemData(domain=dom, u0=vx.VectorField(g, np.zeros(g.dims + (2,))),
                        T=2 * tau, tau=tau, f=f, F=F)
-    u1 = energy_step(data.u0, 1, law, None, data, op=op)
+    u1, _ = energy_step(data.u0, 1, law, None, data, op=op)
 
     W = sparse.diags(np.repeat(op.weights, op.n_masked))
     A = sparse.eye(op.n_free * 2) / tau + op.B.T @ W @ op.B

@@ -135,6 +135,16 @@ def test_cli_poincare_small(tmp_path):
     )
 
 
+def test_poincare_on_rectangle_is_a_config_error(tmp_path, capsys):
+    # the rectangle fills the grid, so no node lies outside it for the exterior cones
+    path = tmp_path / "rect.ini"
+    path.write_text("[domain]\nkind = rectangle\n[poincare]\nsamples = 120\n")
+    capsys.readouterr()
+    assert main(["poincare-verify", "--config", str(path), "--out", str(tmp_path / "pv")]) == 2
+    err = capsys.readouterr().err
+    assert "[domain] kind" in err and "nodes outside the domain" in err
+
+
 def test_import_leaves_quadrature_and_optimize_unloaded():
     # a fresh interpreter, so earlier tests' imports do not count
     src = os.path.dirname(os.path.dirname(varexp.__file__))

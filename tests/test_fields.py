@@ -204,6 +204,15 @@ def test_read_field_truncated_header_raises(tmp_path):
         vx.read_field(path)
 
 
+def test_read_field_unknown_layout_raises(tmp_path):
+    grid = vx.grid_on_box([0, 0], [1, 1], [4, 3])
+    path = tmp_path / "field.txt"
+    vx.write_field(path, vx.ScalarField(grid, np.ones(grid.dims)))
+    path.write_text(path.read_text().replace("layout scalar", "layout matrix"))
+    with pytest.raises(ValueError, match="unknown layout 'matrix'"):
+        vx.read_field(path)
+
+
 def test_read_field_short_body_raises(tmp_path):
     grid = vx.grid_on_box([0, 0], [1, 1], [4, 3])
     path = tmp_path / "field.txt"

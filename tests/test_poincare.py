@@ -60,6 +60,13 @@ def test_cone_verification_catches_inward_axes():
         cone_params_for(bad, theta=np.pi / 4, h=1.0)
 
 
+def test_cone_failure_names_the_node_in_plain_ints():
+    grid = vx.grid_on_box([-1, -1], [1, 1], [32, 32])
+    full = vx.make_rectangle_domain([-1 + 1e-9] * 2, [1 - 1e-9] * 2, grid)
+    with pytest.raises(ValueError, match=r"failed at node \(0, 0\): cone point"):
+        cone_params_for(full, theta=np.pi / 4, h=1.0)
+
+
 # -- caps and direction maps -------------------------------------------------
 
 

@@ -25,9 +25,8 @@ from varexp.rothe import (
     mms_varp,
     rothe_solve,
     write_diagnostics_csv,
+    _Step,
     _descend,
-    _step_energy_grad,
-    _step_hessian,
     _tolerance,
 )
 
@@ -172,6 +171,20 @@ def test_eps_operator_matches_stencil():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_eps_operator_never_mixes_parities():
+    # every stencil reaches from a node to its axis neighbours, so no row of B
+    # couples free dofs of different parity of i + j
+    grid = vx.grid_on_box([-1, -1], [1, 1], [40, 37])
+    for dom in (box_domain(24), vx.make_disc_domain((0, 0), 0.8, grid)):
+        op = EpsOperator(dom)
+        i, j = np.unravel_index(op.free_idx, dom.grid.dims)
+        odd = np.tile((i + j) % 2, op.d).astype(float)  # free dofs are component-major blocks
+        S = (op.B != 0).astype(float)
+        n_odd, n_all = S @ odd, S @ np.ones(S.shape[1])
+        assert n_all.sum() > 0
+        assert np.count_nonzero((n_odd > 0) & (n_odd < n_all)) == 0
+
+
 def test_energy_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     dom = box_domain(10)
@@ -187,16 +200,15 @@ def test_energy_gradient_matches_finite_differences():
     fk = rng.normal(size=op.n_free * 2)
     Fk = rng.normal(size=(op.n_masked, 3))
     b = rng.normal(size=op.n_free * 2) * 0.2
-    J0, grad = _step_energy_grad(op, x0, x_prev, tau, p_nodes, law, fk, Fk, b)
-
-    from varexp.rothe import _step_energy
+    step = _Step(op, x_prev, tau, p_nodes, law, fk, Fk, b)
+    J0, grad = step.energy_grad(x0)
 
     for _ in range(20):
         v = rng.normal(size=x0.size)
         v /= np.linalg.norm(v)
         e = 1e-6
-        Jp, _ = _step_energy(op, x0 + e * v, x_prev, tau, p_nodes, law, fk, Fk, b)
-        Jm, _ = _step_energy(op, x0 - e * v, x_prev, tau, p_nodes, law, fk, Fk, b)
+        Jp, _ = step.energy(x0 + e * v)
+        Jm, _ = step.energy(x0 - e * v)
         fd = (Jp - Jm) / (2 * e)
         assert fd == pytest.approx(np.dot(grad, v), rel=1e-5, abs=1e-9)
 
@@ -211,7 +223,7 @@ def test_descent_energy_monotone():
     x_prev = np.zeros(op.n_free * 2)
     fk = rng.normal(size=op.n_free * 2)
     trail = []
-    x, J, res, it = _descend(op, x_prev, x_prev, 0.05, p_nodes, law, fk, None, None, 1e-10, 5000, trace=trail)
+    x, J, res, it = _descend(_Step(op, x_prev, 0.05, p_nodes, law, fk), x_prev, 1e-10, 5000, trace=trail)
     assert res <= 1e-10
     trail = np.asarray(trail)
     scale = np.abs(trail[0]) + 1.0
@@ -233,14 +245,15 @@ def test_step_hessian_matches_finite_differences(p, delta):
     fk = rng.normal(size=op.n_free * 2)
     Fk = rng.normal(size=(op.n_masked, 3))
     b = rng.normal(size=op.n_free * 2) * 0.2
-    H = _step_hessian(op, x0, tau, p_nodes, law)
+    step = _Step(op, x_prev, tau, p_nodes, law, fk, Fk, b)
+    H = step.hessian(x0)
 
     for _ in range(10):
         v = rng.normal(size=x0.size)
         v /= np.linalg.norm(v)
         e = 1e-6
-        _, gp = _step_energy_grad(op, x0 + e * v, x_prev, tau, p_nodes, law, fk, Fk, b)
-        _, gm = _step_energy_grad(op, x0 - e * v, x_prev, tau, p_nodes, law, fk, Fk, b)
+        _, gp = step.energy_grad(x0 + e * v)
+        _, gm = step.energy_grad(x0 - e * v)
         fd = (gp - gm) / (2 * e)
         Hv = H @ v
         assert np.linalg.norm(fd - Hv) <= 1e-5 * np.linalg.norm(Hv)
@@ -251,7 +264,7 @@ def test_energy_step_zero_data_is_zero():
     g = dom.grid
     law = ConstitutiveLaw(exponent=vx.constant_exponent(g, 2.0), delta=0.0)
     data = ProblemData(domain=dom, u0=vx.VectorField(g, np.zeros(g.dims + (2,))), T=0.1, tau=0.05)
-    u1 = energy_step(data.u0, 1, law, None, data)
+    u1, _ = energy_step(data.u0, 1, law, None, data)
     assert np.abs(u1.values).max() == 0.0
 
 
@@ -269,7 +282,7 @@ def test_energy_step_matches_linear_oracle():
     data = ProblemData(
         domain=dom, u0=vx.VectorField(g, np.zeros(g.dims + (2,))), T=tau * K, tau=tau, f=f, F=F
     )
-    u1 = energy_step(data.u0, 1, law, None, data, op=op)
+    u1, _ = energy_step(data.u0, 1, law, None, data, op=op)
 
     W = sparse.diags(np.repeat(op.weights, op.n_masked))
     Amat = sparse.eye(op.n_free * 2) / tau + op.B.T @ W @ op.B
@@ -402,7 +415,7 @@ def test_newton_ladder_converges_mesh_independently():
         for p in (1.1, 1.5, 2.0, 3.0):
             for delta in (0.0, 1e-3, 0.05):
                 law = ConstitutiveLaw(exponent=vx.constant_exponent(g, p), delta=delta)
-                _, info = energy_step(data.u0, 1, law, None, data, op=op, return_info=True)
+                _, info = energy_step(data.u0, 1, law, None, data, op=op)
                 assert info["residual"] <= _tolerance(data, data.u0, 1)
                 iters.append(info["iters"])
         max_iters[n] = max(iters)
@@ -415,7 +428,7 @@ def test_newton_ladder_converges_mesh_independently():
     _, _, u0 = mms_solution_p2(dom, T, K, box=([0.25, 0.25], [0.75, 0.75]))
     data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K)
     law = ConstitutiveLaw(exponent=vx.constant_exponent(g, 2.0), delta=0.0)
-    _, info = energy_step(data.u0, 1, law, None, data, return_info=True)
+    _, info = energy_step(data.u0, 1, law, None, data)
     assert info["iters"] == 1
 
 

@@ -160,7 +160,10 @@ def _build_domain(cfg):
     if kind == "disc":
         center = cfg.get_pair("domain", "center")
         radius = cfg.get("domain", "radius", float)
-        return vx.make_disc_domain(center, radius, grid)
+        try:
+            return vx.make_disc_domain(center, radius, grid)
+        except ValueError as exc:
+            raise ConfigError(f"[domain] radius = {radius}: {exc}") from exc
     if kind == "rectangle":
         return vx.make_rectangle_domain([lo + 1e-9] * 2, [hi - 1e-9] * 2, grid)
     raise ConfigError(f"[domain] kind must be disc or rectangle, got {kind!r}")

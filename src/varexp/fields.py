@@ -414,7 +414,7 @@ def make_disc_domain(center, radius, grid):
         lo, hi = grid.axis_coords(ax)[0], grid.axis_coords(ax)[-1]
         if center[ax] - radius <= lo or center[ax] + radius >= hi:
             raise ValueError(
-                f"disc (center={tuple(center)}, radius={radius}) not strictly inside "
+                f"disc (center={tuple(center.tolist())}, radius={radius}) not strictly inside "
                 f"grid extent [{lo}, {hi}] on axis {ax}"
             )
     xx = grid.coords()

@@ -2,11 +2,14 @@
 
 The scaled standard mollifier is sampled on the grid and its weights are
 renormalized to sum exactly to 1, so convolution is exact on constants.
-Convolution is a direct sum; the maximal operator is one zero-padded FFT
-correlation per ladder radius.  The smoothing operator cuts off,
-zero-extends, then mollifies; its quasi adjoint mollifies first and cuts
-off afterwards.  Smoothing scales are snapped to whole grid cells so
-support statements stay cell-exact.
+Convolution and the maximal operator share one zero-padded FFT core,
+`_PaddedFFT`.  Convolution is one product per component, and an integer
+window sum restores the exact zeros and exact constants that the support
+statements need; the maximal operator is one correlation per ladder
+radius.  The smoothing operator cuts off, zero-extends, then mollifies;
+its quasi adjoint mollifies first and cuts off afterwards.  Smoothing
+scales are snapped to whole grid cells so support statements stay
+cell-exact.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import ndimage as _ndi
 
 from .fields import Grid, ScalarField, SymTensorField, VectorField, _Field, _sym_part, field_abs
 from .calculus import axis_derivative, sym_gradient
@@ -117,22 +119,82 @@ class MollifierFamily:
         return w / total
 
 
+def _fast_length(n):
+    """Smallest 2*3*5-smooth length >= n, where the FFT runs fastest."""
+    m = n
+    while True:
+        k = m
+        for q in (2, 3, 5):
+            while k % q == 0:
+                k //= q
+        if k == 1:
+            return m
+        m += 1
+
+
+class _PaddedFFT:
+    """Zero-padded real FFTs over the grid axes, for linear convolution with a centred kernel.
+
+    A kernel of 2k+1 nodes on an axis of n nodes needs n + k padded nodes
+    to keep the circular product acyclic on the n output nodes, which sit
+    k nodes into the transform; each axis is then padded on to a fast
+    length.  Transforms of data and kernel take the same padded shape, so
+    their spectra multiply.
+    """
+
+    __slots__ = ("axes", "shape", "inside")
+
+    def __init__(self, dims, reach):
+        self.axes = tuple(range(len(dims)))
+        self.shape = tuple(_fast_length(n + k) for n, k in zip(dims, reach))
+        self.inside = tuple(slice(k, k + n) for n, k in zip(dims, reach))
+
+    def rfft(self, a):
+        return np.fft.rfftn(a, self.shape, self.axes)
+
+    def irfft(self, spec):
+        return np.fft.irfftn(spec, self.shape, self.axes)[self.inside]
+
+
 def convolve(f, eps):
     """Discrete convolution with the sampled scaled mollifier, componentwise.
 
     The mollifier has the dimension of the field's grid (time counts on a
     space-time grid), and the field is treated as zero outside its grid
-    (zero-extension).  Direct summation, so the result is exactly 0
-    wherever the kernel meets only zeros; an FFT leaves roundoff there, and
-    the support statements of the cutoff and smoothing operators rely on
-    the exact zeros.
+    (zero-extension).  Each component is one zero-padded FFT product with
+    the kernel's spectrum.  The support statements of the cutoff and
+    smoothing operators need exact values that an FFT leaves roundoff in,
+    so one integer window sum restores them: a node whose kernel footprint
+    sees no nonzero component is exactly 0, and one whose footprint lies
+    in the grid and sees only ones is exactly 1, the sum the weights are
+    renormalized to.
     """
     if not isinstance(f, _Field):
         raise TypeError(f"not a field: {type(f)!r}")
-    w = MollifierFamily(f.grid.ndim).sampled_weights(f.grid.spacing, eps)
-    # trailing singleton axes leave the component axes unmixed
-    w = w.reshape(w.shape + (1,) * (f.values.ndim - w.ndim))
-    return type(f)(f.grid, _ndi.convolve(f.values, w, mode="constant", cval=0.0))
+    g = f.grid
+    w = MollifierFamily(g.ndim).sampled_weights(g.spacing, eps)
+    pad = _PaddedFFT(g.dims, [n // 2 for n in w.shape])
+    spec = pad.rfft(w)
+    comps = f.values.reshape(g.dims + (-1,))
+    out = np.empty(comps.shape)
+    # one contiguous component at a time: strided transforms of the whole
+    # field are slower and hold every component's spectrum at once
+    for c in range(comps.shape[-1]):
+        out[..., c] = pad.irfft(pad.rfft(np.ascontiguousarray(comps[..., c])) * spec)
+
+    # a node's level is 0 where every component is 0, 2 where every one is
+    # 1, else 1, and 0 off the grid.  A window's level sum is 0 exactly when
+    # it sees only zeros, and twice its node count exactly when it lies in
+    # the grid and sees only ones.  The sums are small integers, so
+    # rounding recovers them exactly.
+    zero = ~comps.any(axis=-1)
+    one = (comps == 1.0).all(axis=-1)
+    if zero.any() or one.any():
+        footprint = w != 0.0
+        sums = np.rint(pad.irfft(pad.rfft((~zero).astype(float) + one) * pad.rfft(footprint)))
+        out[sums == 0.0] = 0.0
+        out[sums == 2 * footprint.sum()] = 1.0
+    return type(f)(g, out.reshape(f.values.shape))
 
 
 def _maximal_radii(max_cells, ndim):
@@ -184,21 +246,19 @@ def maximal(f):
     h_min = float(min(spacing))
     radii = _maximal_radii(int(np.ceil(g.diameter() / h_min)), g.ndim)
 
-    # zero padding to 2n nodes per axis keeps the circular correlation
-    # acyclic; its layout holds the offsets -n..n-1, and no offset of size
-    # n or more reaches an in-grid node
-    shape = tuple(2 * n for n in g.dims)
-    axes = tuple(range(g.ndim))
-    inside = tuple(slice(0, n) for n in g.dims)
-    fa = np.fft.rfftn(a, shape, axes)
-    fone = np.fft.rfftn(np.ones(g.dims), shape, axes)
-    offsets = np.ix_(*[np.fft.ifftshift(np.arange(-n, n)) for n in g.dims])
+    # offsets -(n-1)..n-1 are all an in-grid node can reach; the ball fills
+    # the padded shape, so its transform needs no padding copy, and its
+    # entries past offset n-1 never meet an in-grid node
+    pad = _PaddedFFT(g.dims, [n - 1 for n in g.dims])
+    offsets = np.ix_(*[np.arange(N) - (n - 1) for N, n in zip(pad.shape, g.dims)])
+    fa = pad.rfft(a)
+    fone = pad.rfft(np.ones(g.dims))
 
     best = a.copy()
     for r_cells in radii:
-        fk = np.fft.rfftn(_lattice_ball(offsets, spacing, r_cells * h_min), axes=axes)
-        total = np.fft.irfftn(fa * fk, shape, axes)[inside]
-        count = np.rint(np.fft.irfftn(fone * fk, shape, axes)[inside])
+        fk = pad.rfft(_lattice_ball(offsets, spacing, r_cells * h_min))
+        total = pad.irfft(fa * fk)
+        count = np.rint(pad.irfft(fone * fk))
         np.maximum(best, total / count, out=best)
     return ScalarField(g, best)
 

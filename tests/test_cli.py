@@ -67,6 +67,15 @@ def test_config_errors_are_diagnosed(tmp_path, capsys):
         capsys.readouterr()
         assert main([experiment, "--config", str(path), "--out", str(tmp_path / "bad_out")]) == 2
         assert f"config error: bad config value {key}" in capsys.readouterr().err
+    # a disc that does not fit inside the grid is a config error, not a traceback
+    path = tmp_path / "cfg6.ini"
+    path.write_text("[domain]\nkind = disc\nradius = 2.99\n")
+    for experiment in ("norms", "poincare-verify"):
+        capsys.readouterr()
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path / "bad_out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [domain] radius = 2.99" in err
+        assert "center=(0.0, 0.0)" in err
 
 
 def test_rothe_ladder_needs_two_rungs(tmp_path):

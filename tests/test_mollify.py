@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sciint
 from scipy import ndimage
 
@@ -101,6 +103,48 @@ def test_convolve_halfspace_ramp_against_quadrature_oracle():
         assert v[idx] == pytest.approx(oracle(x[idx]), abs=5e-3)
 
 
+@st.composite
+def _convolve_cases(draw):
+    """A grid of 1-3 axes (prime node counts included), a scale from one cell
+    to about half the grid, and a field with a block of zeros and a block of ones."""
+    ndim = draw(st.integers(1, 3))
+    top = (61, 29, 9)[ndim - 1]
+    primes = [p for p in (2, 3, 5, 7, 11, 13, 29, 31, 61) if p <= top]
+    dims = tuple(draw(st.one_of(st.integers(2, top), st.sampled_from(primes))) for _ in range(ndim))
+    spacing = tuple(draw(st.sampled_from([0.5, 0.75, 1.0])) for _ in range(ndim))
+    h = max(spacing)
+    eps = draw(st.floats(h, max(h, 0.5 * max((n - 1) * s for n, s in zip(dims, spacing)))))
+    cls, comp_shape = draw(st.sampled_from(
+        [(vx.ScalarField, ()), (vx.VectorField, (ndim,)), (vx.SymTensorField, (ndim * (ndim + 1) // 2,))]
+    ))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=dims + comp_shape)
+    for fill in (0.0, 1.0):
+        box = tuple(slice(*sorted(draw(st.tuples(st.integers(0, n), st.integers(0, n))))) for n in dims)
+        values[box] = fill
+    return cls(vx.Grid(dims, spacing, (0.0,) * ndim), values), eps
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_convolve_cases())
+def test_convolve_matches_direct_sum_with_exact_zeros_and_ones(case):
+    f, eps = case
+    g = f.grid
+    vals = f.values
+    w = MollifierFamily(g.ndim).sampled_weights(g.spacing, eps)
+    out = convolve(f, eps).values
+    ref = ndimage.convolve(vals, w.reshape(w.shape + (1,) * (vals.ndim - g.ndim)), mode="constant")
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(vals).max() * np.abs(w).sum()
+
+    # windows by direct sums of integer indicators; off-grid nodes are zeros
+    footprint = (w != 0.0).astype(float)
+    per_node = vals.reshape(g.dims + (-1,))
+    sees_nonzero = ndimage.convolve(per_node.any(axis=-1).astype(float), footprint, mode="constant")
+    sees_not_one = ndimage.convolve((per_node != 1.0).any(axis=-1).astype(float), footprint,
+                                    mode="constant", cval=1.0)
+    assert np.all(out[sees_nonzero == 0.0] == 0.0)
+    assert np.all(out[sees_not_one == 0.0] == 1.0)
+
+
 def test_convolve_converges_in_variable_norm():
     grid = vx.grid_on_box([0, 0], [1, 1], [96, 96])
     dom = vx.make_rectangle_domain([-0.1, -0.1], [1.1, 1.1], grid)
@@ -159,7 +203,7 @@ def _maximal_reference(f):
     [
         ([0, 0], [1, 0.37], [13, 29]),
         ([0, 0, 0], [1, 0.5, 0.8], [9, 11, 14]),
-        # padded to 98, where float offsets k*(1 + 2^-52) would drop every rim node
+        # a 49-node axis, where float offsets k*(1 + 2^-52) would drop every rim node
         ([0, 0], [1, 1], [7, 49]),
     ],
 )

@@ -43,7 +43,7 @@ print(f"unit-ball check: modular(f/||f||) = {unit:.10f}")
 
 pc = vx.conjugate(p_var)
 g = vx.ScalarField(grid, np.cos(3 * xx[1]) + 0.5 * f.values)
-pairing = vx.holder_pairing(f, g, p_var, disc)
+pairing = vx.holder_pairing(f, g, domain=disc)
 bound = 2.0 * vx.luxembourg_norm(f, pc, disc) * vx.luxembourg_norm(g, p_var, disc)
 print(f"pairing {pairing:.6f} within Hoelder bound {bound:.6f}")
 

@@ -232,7 +232,7 @@ def _exp_norms(cfg, outdir, log):
     for _ in range(n_pairs):
         f = _random_smooth_field(rng, grid)
         g = _random_smooth_field(rng, grid)
-        pairing = abs(vx.holder_pairing(f, g, p_two, dom))
+        pairing = abs(vx.holder_pairing(f, g, domain=dom))
         bound = 2.0 * vx.luxembourg_norm(f, p_conj, dom) * vx.luxembourg_norm(g, p_two, dom)
         worst_holder = max(worst_holder, pairing - bound)
     log.record("modular.holder_constant_two", worst_holder, 1e-6, worst_holder <= 1e-6)

@@ -109,7 +109,8 @@ def build_exponent(cfg, domain, velocity=None):
     exponent is the mollified indicator mix
         p = alpha * (omega_{eps/2} * chi) + beta * (1 - omega_{eps/2} * chi)
     with chi the indicator of the eps/2-neighborhood of that support.
-    Exactly alpha on the support, exactly beta at distance > eps from it.
+    Exactly alpha on the support, exactly beta at distance > eps from it,
+    and alpha <= p <= beta everywhere.
     """
     u = build_velocity(cfg, domain) if velocity is None else velocity
     eps_u = sym_gradient(u, domain)
@@ -124,7 +125,8 @@ def build_exponent(cfg, domain, velocity=None):
         raise ValueError("the large-exponent region misses the gradient support")
 
     chi = ScalarField(g, _dilate_mask(supp, cfg.eps / 2.0, g).astype(float))
-    mix = convolve(chi, cfg.eps / 2.0).values
+    # the FFT convolution leaves roundoff just outside [0, 1] in the transition ring
+    mix = np.clip(convolve(chi, cfg.eps / 2.0).values, 0.0, 1.0)
     p = cfg.alpha * mix + cfg.beta * (1.0 - mix)
     return ExponentField(ScalarField(g, p))
 

@@ -11,6 +11,7 @@ below the tolerance: a relative accuracy in lambda.
 
 from __future__ import annotations
 
+import warnings
 from itertools import product
 
 import numpy as np
@@ -201,13 +202,19 @@ def _contract(f, g):
     raise TypeError(f"unsupported field type {type(f).__name__}")
 
 
-def holder_pairing(f, g, p, domain):
+def holder_pairing(f, g, p=None, domain=None):
     """The L^p(.) product (f, g) = integral of f . g over the domain.
 
     Componentwise contraction for vector and tensor fields.  Satisfies
-    |(f, g)| <= 2 ||f||_{p'} ||g||_p (Hoelder with constant 2).
+    |(f, g)| <= 2 ||f||_{p'} ||g||_p (Hoelder with constant 2).  The value
+    does not depend on p: call holder_pairing(f, g, domain=...).  Passing p
+    still works but is deprecated.
     """
+    if p is not None:
+        msg = "holder_pairing ignores p; call holder_pairing(f, g, domain=...)"
+        warnings.warn(msg, DeprecationWarning, stacklevel=2)
+    if domain is None:
+        raise TypeError("holder_pairing() missing required argument: 'domain'")
     if f.grid != g.grid:
         raise ValueError("grid mismatch between pairing factors")
-    del p  # part of the signature contract; the value is exponent-free
     return integrate(_contract(f, g), domain)

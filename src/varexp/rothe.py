@@ -11,17 +11,20 @@ A step's data (u_prev, tau, p at the masked nodes, the regularized law, f,
 F and b) is assembled once into a `_Step`, whose energy, gradient and
 Hessian are what damped Newton reads: the sparse step Hessian
 I/tau + B^T D B is assembled from the exact-adjoint symmetric-gradient
-operator B and factorized each iteration, and Armijo backtracking on the
-energy globalises the step.  `energy_step` returns the new field and an
-info dict.  Dirichlet boundary values are enforced by constraining the
-boundary layer of masked nodes to zero.  The module also provides the
-discrete energy (a priori) inequality report, the integration-by-parts
-residual in time, and manufactured-solution helpers.
+operator B and factorized each iteration, except for a quadratic step
+(p = 2 at every masked node), whose Hessian depends on tau alone: its
+factor is kept on the operator and reused by every step at that tau.
+Armijo backtracking on the energy globalises the step.  `energy_step`
+returns the new field and an info dict.  Dirichlet boundary values are
+enforced by constraining the boundary layer of masked nodes to zero.  The
+module also provides the discrete energy (a priori) inequality report, the
+integration-by-parts residual in time, and manufactured-solution helpers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 
 import numpy as np
@@ -272,6 +275,20 @@ class EpsOperator:
             zero = sparse.csr_matrix((self.n_masked, self.n_free))
             blocks.append([blk if blk is not None else zero for blk in row])
         self.B = sparse.bmat(blocks, format="csr")
+        self._lu = None  # (tau, LU) of the last quadratic step, see _Step.newton_direction
+
+    @functools.cached_property
+    def _hessian_parts(self):
+        """(B^T as CSR, indptr and indices of D as CSR), built on the first Hessian.
+
+        Row a*n_masked + node of D holds the node's m block entries, at
+        columns b*n_masked + node for b = 0..m-1.
+        """
+        nm, m = self.n_masked, self.d * (self.d + 1) // 2
+        indptr = np.arange(0, m * nm * m + 1, m, dtype=np.int32)
+        cols = np.arange(m, dtype=np.int32) * nm + np.arange(nm, dtype=np.int32)[:, None]
+        indices = np.broadcast_to(cols, (m, nm, m)).ravel()
+        return self.B.T.tocsr(), indptr, indices
 
     # -- dof packing -------------------------------------------------------
     def free_values(self, nodal):
@@ -386,6 +403,11 @@ class _Step:
             g += self.b
         return J, g
 
+    @property
+    def quadratic(self):
+        """True when p = 2 at every masked node, where H = I/tau + B^T W B for every x."""
+        return bool(np.all(self.p == 2.0))
+
     def hessian(self, x):
         """Hessian I/tau + B^T D B of the energy at free dofs x, as a CSC matrix.
 
@@ -406,27 +428,46 @@ class _Step:
         coef = np.zeros_like(s)
         pos = s > 0.0
         coef[pos] = phi[pos] * (p_nodes[pos] - 2.0) / (s[pos] * base[pos])
-        blocks = coef[:, None, None] * we[:, :, None] * we[:, None, :]
-        blocks += phi[:, None, None] * np.diag(w)
-        nm, m = eps.shape
-        node = np.arange(nm)[:, None, None]
-        comp = np.arange(m) * nm
-        rows = np.broadcast_to(node + comp[None, :, None], blocks.shape)
-        cols = np.broadcast_to(node + comp[None, None, :], blocks.shape)
-        D = sparse.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(m * nm, m * nm))
-        n = op.B.shape[1]
-        return (sparse.identity(n, format="csr") / self.tau + op.B.T @ (D @ op.B)).tocsc()
+        # blocks[a, node, b] is the entry of D at row a*nm + node, column b*nm + node
+        blocks = coef[None, :, None] * we.T[:, :, None] * we[None, :, :]
+        blocks += phi[None, :, None] * np.diag(w)[:, None, :]
+        bt, indptr, indices = op._hessian_parts
+        n = blocks.shape[0] * blocks.shape[1]
+        D = sparse.csr_matrix((blocks.ravel(), indices, indptr), shape=(n, n))
+        H = bt @ (D @ op.B)
+        # setdiag also inserts the diagonal entries the product dropped as exact zeros
+        H.setdiag(H.diagonal() + 1.0 / self.tau)
+        return H.tocsc()
+
+    def newton_direction(self, x, g):
+        """The Newton step dx solving H(x) dx = -g.
+
+        A quadratic step's Hessian depends only on the operator and tau, so
+        its factor stays on the operator and serves every later quadratic
+        step at the same tau.  Any other factor is dropped after its solve,
+        and the kept one before a new factorization, so at most one is alive.
+        """
+        op = self.op
+        if self.quadratic and op._lu is not None and op._lu[0] == self.tau:
+            return op._lu[1].solve(-g)
+        op._lu = None
+        # H is symmetric positive definite: symmetric ordering, no pivoting
+        lu = splu(self.hessian(x), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        if self.quadratic:
+            op._lu = (self.tau, lu)
+        return lu.solve(-g)
 
 
 def _descend(step, x0, tol, max_iter, trace=None):
     """Damped Newton on the convex step energy, globalised by Armijo backtracking.
 
     Each iteration solves H dx = -g with a sparse LU factorization of the
-    step Hessian (symmetric positive definite, so the symmetric ordering
-    and no pivoting apply), then halves t from 1 until the energy meets the
-    Armijo test along dx.  The energy trail is therefore monotone up to
-    float roundoff; the loop stops when the rms nodal residual falls below
-    tol.  `trace`, if given, collects the energy after every accepted step.
+    step Hessian (`_Step.newton_direction`; a quadratic step reuses its
+    factor), then halves t from 1 until the energy meets the Armijo test
+    along dx.  The energy trail is therefore monotone up to float
+    roundoff; the loop stops when the rms nodal residual falls below tol.
+    `trace`, if given, collects the energy after every accepted step.
     """
     x = x0.copy()
     J, g = step.energy_grad(x)
@@ -434,9 +475,7 @@ def _descend(step, x0, tol, max_iter, trace=None):
     res = float(np.sqrt(np.dot(g, g) / n))
     it = 0
     while res > tol and it < max_iter:
-        H = step.hessian(x)
-        lu = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        dx = lu.solve(-g)
+        dx = step.newton_direction(x, g)
         slope = float(np.dot(g, dx))
         t = 1.0
         # the roundoff allowance keeps Armijo decidable once the decrease

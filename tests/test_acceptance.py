@@ -103,7 +103,7 @@ def test_criterion_03_holder_constant_two():
     for i in range(1000):
         f = smooth_field(grid, 2 * i, modes=3)
         g = smooth_field(grid, 2 * i + 1, modes=3)
-        pairing = abs(vx.holder_pairing(f, g, p, dom))
+        pairing = abs(vx.holder_pairing(f, g, domain=dom))
         bound = 2.0 * vx.luxembourg_norm(f, pc, dom) * vx.luxembourg_norm(g, p, dom)
         worst = max(worst, pairing - bound)
     ok = worst <= 1e-6

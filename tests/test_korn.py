@@ -90,6 +90,15 @@ def test_exponent_pure_regions_and_sandwich():
     assert np.allclose(pc.values.values[deep], 2.0, atol=1e-12)
 
 
+def test_exponent_stays_in_alpha_beta_exactly():
+    # demo 03's grid and config: the mollified indicator's roundoff must not
+    # push the exponent outside [alpha, beta], not even by one ulp
+    cfg = WetBlanketConfig(alpha=1.1, beta=2.0, eps=0.4)
+    p = build_exponent(cfg, figure_domain(96))
+    assert p.p_minus == 1.1
+    assert p.p_plus == 2.0
+
+
 def test_phi_raw_integrability_split():
     from scipy.special import beta as beta_fn
 

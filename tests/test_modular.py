@@ -243,11 +243,11 @@ def test_pairing_trivial_and_norm_link():
     p = vx.constant_exponent(grid, 2.0)
     f = smooth_field(grid, 11)
     zero = vx.ScalarField(grid, np.zeros(grid.dims))
-    assert vx.holder_pairing(f, zero, p, dom) == 0.0
+    assert vx.holder_pairing(f, zero, domain=dom) == 0.0
     # (f, f) with p = 2 equals modular(f) by definition of the quadrature
-    assert vx.holder_pairing(f, f, p, dom) == pytest.approx(vx.modular(f, p, dom), rel=1e-12)
+    assert vx.holder_pairing(f, f, domain=dom) == pytest.approx(vx.modular(f, p, dom), rel=1e-12)
     # and matches the squared Luxembourg norm up to quadrature
-    assert vx.holder_pairing(f, f, p, dom) == pytest.approx(
+    assert vx.holder_pairing(f, f, domain=dom) == pytest.approx(
         vx.luxembourg_norm(f, p, dom) ** 2, rel=1e-6
     )
 
@@ -255,16 +255,26 @@ def test_pairing_trivial_and_norm_link():
 def test_pairing_vector_and_tensor_contraction():
     rng = np.random.default_rng(4)
     grid, dom = unit_square(24)
-    p = vx.constant_exponent(grid, 2.0)
     u = vx.VectorField(grid, rng.normal(size=grid.dims + (2,)))
     v = vx.VectorField(grid, rng.normal(size=grid.dims + (2,)))
     direct = vx.integrate(vx.ScalarField(grid, np.sum(u.values * v.values, axis=-1)), dom)
-    assert vx.holder_pairing(u, v, p, dom) == pytest.approx(direct, rel=1e-12)
+    assert vx.holder_pairing(u, v, domain=dom) == pytest.approx(direct, rel=1e-12)
     S = vx.SymTensorField(grid, rng.normal(size=grid.dims + (3,)))
     T = vx.SymTensorField(grid, rng.normal(size=grid.dims + (3,)))
     full = np.sum(S.to_full().values * T.to_full().values, axis=(-1, -2))
     direct = vx.integrate(vx.ScalarField(grid, full), dom)
-    assert vx.holder_pairing(S, T, p, dom) == pytest.approx(direct, rel=1e-12)
+    assert vx.holder_pairing(S, T, domain=dom) == pytest.approx(direct, rel=1e-12)
+
+
+def test_pairing_with_p_is_deprecated_and_unchanged():
+    grid, dom = unit_square(24)
+    p = two_region_exponent(grid)
+    f, g = smooth_field(grid, 5), smooth_field(grid, 6)
+    with pytest.warns(DeprecationWarning, match="ignores p"):
+        old = vx.holder_pairing(f, g, p, dom)
+    assert old == vx.holder_pairing(f, g, domain=dom)
+    with pytest.raises(TypeError, match="domain"):
+        vx.holder_pairing(f, g)
 
 
 def test_holder_inequality_constant_two():
@@ -274,6 +284,6 @@ def test_holder_inequality_constant_two():
     for seed in range(100):
         f = smooth_field(grid, 2 * seed)
         g = smooth_field(grid, 2 * seed + 1)
-        pairing = abs(vx.holder_pairing(f, g, p, dom))
+        pairing = abs(vx.holder_pairing(f, g, domain=dom))
         bound = 2.0 * vx.luxembourg_norm(f, pc, dom) * vx.luxembourg_norm(g, p, dom)
         assert pairing <= bound + 1e-6

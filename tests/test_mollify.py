@@ -413,9 +413,8 @@ def test_smooth_Rstar_support_and_exact_adjointness():
     assert dom.r[nz.any(axis=0)].min() >= 2 * h - 2 * hx
 
     v = vx.VectorField(st, rng.normal(size=st.dims + (2,)))
-    p = vx.constant_exponent(dom.grid, 2.0)
-    lhs = vx.holder_pairing(restrict(smooth_Rstar(u, dom, h), st), v, p, dom)
-    rhs = vx.holder_pairing(u, restrict(smooth_R(v, dom, h), st), p, dom)
+    lhs = vx.holder_pairing(restrict(smooth_Rstar(u, dom, h), st), v, domain=dom)
+    rhs = vx.holder_pairing(u, restrict(smooth_R(v, dom, h), st), domain=dom)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

@@ -259,6 +259,127 @@ def test_step_hessian_matches_finite_differences(p, delta):
         assert np.linalg.norm(fd - Hv) <= 1e-5 * np.linalg.norm(Hv)
 
 
+def coo_hessian(step, x):
+    """The step Hessian assembled through COO -> CSR -> matmul -> identity sum -> CSC."""
+    op, p_nodes = step.op, step.p
+    eps = op.eps(x)
+    w = op.weights
+    we = w * eps
+    s = np.sqrt(np.sum(w * eps**2, axis=-1))
+    base = step.law.delta + s
+    phi = base ** (p_nodes - 2.0)
+    coef = np.zeros_like(s)
+    pos = s > 0.0
+    coef[pos] = phi[pos] * (p_nodes[pos] - 2.0) / (s[pos] * base[pos])
+    blocks = coef[:, None, None] * we[:, :, None] * we[:, None, :]
+    blocks += phi[:, None, None] * np.diag(w)
+    nm, m = eps.shape
+    node = np.arange(nm)[:, None, None]
+    comp = np.arange(m) * nm
+    rows = np.broadcast_to(node + comp[None, :, None], blocks.shape)
+    cols = np.broadcast_to(node + comp[None, None, :], blocks.shape)
+    D = sparse.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(m * nm, m * nm))
+    n = op.B.shape[1]
+    return (sparse.identity(n, format="csr") / step.tau + op.B.T @ (D @ op.B)).tocsc()
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+@pytest.mark.parametrize("p", [1.1, 2.0, 3.0])
+@pytest.mark.parametrize("shape", ["box", "disc"])
+def test_step_hessian_matches_coo_assembly_bitwise(shape, p, delta):
+    rng = np.random.default_rng(13)
+    if shape == "box":
+        dom = box_domain(12)
+    else:
+        dom = vx.make_disc_domain((0, 0), 0.8, vx.grid_on_box([-1, -1], [1, 1], [17, 19]))
+    op = EpsOperator(dom)
+    if delta == 0.0 and p < 2.0:
+        delta = 1e-8  # the solver's regularization, as in _Step.at
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, p), delta=delta)
+    step = _Step(op, np.zeros(2 * op.n_free), 0.05, np.full(op.n_masked, p), law)
+    xs = [rng.normal(size=2 * op.n_free)]
+    if p >= 2.0:
+        # eps = 0 on part of the grid; at p = 3, delta = 0 the product then
+        # drops diagonal entries that the 1/tau term has to put back
+        patch = xs[0].copy()
+        patch[: op.n_free // 2] = 0.0
+        patch[op.n_free : op.n_free + op.n_free // 2] = 0.0
+        xs += [patch, np.zeros(2 * op.n_free)]
+    for x in xs:
+        H, ref = step.hessian(x), coo_hessian(step, x)
+        assert H.format == ref.format == "csc"
+        assert np.array_equal(H.indptr, ref.indptr)
+        assert np.array_equal(H.indices, ref.indices)
+        assert np.array_equal(H.data, ref.data)
+
+
+def mms_p2_data(n=12, T=0.2, K=4):
+    dom = box_domain(n)
+    u_star, f, u0 = mms_solution_p2(dom, T, K)
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 2.0), delta=0.0)
+    return ProblemData(domain=dom, u0=u0, T=T, tau=T / K, f=f), law
+
+
+def count_splu(monkeypatch):
+    from varexp import rothe
+
+    calls = []
+    real = rothe.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rothe, "splu", counted)
+    return calls
+
+
+def test_quadratic_solve_factors_once_per_tau(monkeypatch):
+    from varexp import rothe
+
+    data, law = mms_p2_data()
+    calls = count_splu(monkeypatch)
+    traj, diags = rothe_solve(data, law)
+    assert len(calls) == 1
+    assert sum(dg.iters for dg in diags) >= data.steps
+
+    # the same solve refactoring at every Newton iteration, as a non-quadratic step does
+    monkeypatch.setattr(rothe._Step, "quadratic", property(lambda self: False))
+    calls.clear()
+    ref_traj, ref_diags = rothe_solve(data, law)
+    assert len(calls) == sum(dg.iters for dg in ref_diags)
+    assert diags == ref_diags
+    for u, ref in zip(traj, ref_traj):
+        assert np.array_equal(u.values, ref.values)
+
+
+def test_new_tau_or_non_quadratic_step_refactors(monkeypatch):
+    data, law = mms_p2_data()
+    op = EpsOperator(data.domain)
+    calls = count_splu(monkeypatch)
+    u1, _ = energy_step(data.u0, 1, law, None, data, op=op)
+    energy_step(u1, 2, law, None, data, op=op)
+    assert len(calls) == 1
+
+    # half the step: a new tau, a new factor, which the next step at that tau reuses
+    half = ProblemData(domain=data.domain, u0=data.u0, T=data.T, tau=data.tau / 2, f=None)
+    energy_step(half.u0, 1, law, None, half, op=op)
+    energy_step(half.u0, 2, law, None, half, op=op)
+    assert len(calls) == 2
+
+    # p = 2.5 at one node: not quadratic, so every Newton iteration factors
+    # and no factor is kept; the quadratic step after it refactors
+    p = np.full(data.domain.grid.dims, 2.0)
+    p.flat[op.free_idx[0]] = 2.5
+    bumpy = ConstitutiveLaw(exponent=vx.ExponentField(vx.ScalarField(data.domain.grid, p)), delta=0.0)
+    _, info = energy_step(u1, 2, bumpy, None, data, op=op)
+    assert info["iters"] >= 1
+    assert len(calls) == 2 + info["iters"]
+    assert op._lu is None
+    energy_step(u1, 2, law, None, data, op=op)
+    assert len(calls) == 3 + info["iters"]
+
+
 def test_energy_step_zero_data_is_zero():
     dom = box_domain(10)
     g = dom.grid

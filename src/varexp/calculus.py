@@ -1,14 +1,17 @@
 """Discrete differential operators: gradient, symmetric gradient, divergence.
 
 One stencil serves every operator here and the solver's symmetric-gradient
-map: a sparse d/dx_axis built from a boolean mask, central at interior
-nodes and first-order one-sided where a neighbor leaves the mask,
-consistent with the zero-extension convention (fields vanish outside the
-mask, so errors concentrate in a boundary layer).  Only masked values are
-read, and rows of nodes outside the mask are empty.  On space-time grids
-the operators act along the spatial axes only: all time slices and
-components go through one sparse product, column by column, so the result
-equals the slice-by-slice one exactly.
+map: d/dx_axis on a boolean mask, central at interior nodes and
+first-order one-sided where a neighbor leaves the mask, consistent with the
+zero-extension convention (fields vanish outside the mask, so errors
+concentrate in a boundary layer).  `_stencil` holds its one definition,
+the node groups and their coefficients.  The operators here apply it by
+numpy indexing, reading only masked values and computing only the nodes
+of a group; every other node reports 0.  `rothe` assembles the same
+definition into sparse matrices, and both sum a node's two terms in the
+same order, so they agree bit for bit.  On space-time grids the operators
+act along the spatial axes only, on all time slices and components at
+once, so the result equals the slice-by-slice one exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import sparse
 
 from .fields import SymTensorField, TensorField, VectorField, _shift, _sym_part, field_abs
 from .modular import luxembourg_norm
@@ -32,52 +34,38 @@ __all__ = [
 ]
 
 
-def _axis_operator(mask, axis, h):
-    """Sparse d/dx_axis on the nodes of `mask` (C order), spacing h.
+def _stencil(mask, axis, h):
+    """d/dx_axis on the nodes of `mask`, spacing h, as three row groups.
 
-    Central where both neighbors are masked in, one-sided toward the masked
-    side otherwise; nodes outside the mask, or with no masked neighbor,
-    have empty rows.
+    Each group is (flat C-order indices of its nodes, (neighbor offset,
+    coefficient) of the lower and the upper term), with offsets in flat
+    indices: central where both neighbors are masked in, one-sided toward
+    the masked side otherwise.  Nodes outside the mask, or with no masked
+    neighbor, are in no group.
     """
-    dims = mask.shape
-    N = mask.size
-    idx = np.arange(N).reshape(dims)
     e = (0,) * axis
     up_ok = _shift(mask, e + (1,))
     dn_ok = _shift(mask, e + (-1,))
-    central = mask & up_ok & dn_ok
-    fwd = mask & up_ok & ~dn_ok
-    bwd = mask & ~up_ok & dn_ok
-    up_idx = np.roll(idx, -1, axis=axis)
-    dn_idx = np.roll(idx, +1, axis=axis)
-
-    rows, cols, vals = [], [], []
-
-    def add(sel, col_idx, coeff):
-        rows.append(idx[sel])
-        cols.append(col_idx[sel])
-        vals.append(np.full(np.count_nonzero(sel), coeff))
-
-    add(central, up_idx, +0.5 / h)
-    add(central, dn_idx, -0.5 / h)
-    add(fwd, up_idx, +1.0 / h)
-    add(fwd, idx, -1.0 / h)
-    add(bwd, idx, +1.0 / h)
-    add(bwd, dn_idx, -1.0 / h)
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+    s = math.prod(mask.shape[axis + 1 :])
+    return (
+        (np.flatnonzero(mask & up_ok & dn_ok), (-s, -0.5 / h), (s, +0.5 / h)),
+        (np.flatnonzero(mask & up_ok & ~dn_ok), (0, -1.0 / h), (s, +1.0 / h)),
+        (np.flatnonzero(mask & ~up_ok & dn_ok), (-s, -1.0 / h), (0, +1.0 / h)),
+    )
 
 
 def _derivative(values, off, mask, axis, h):
     """d/dx_axis over the spatial axes values.shape[off : off + mask.ndim].
 
-    The leading (time) and trailing (component) axes become the columns
-    of a single sparse product.
+    Only the rows of the stencil's groups are computed, each as
+    0.0 + lower term + upper term: the order in which a sparse row product
+    sums, so the solver's operator gives the same bits, signed zeros too.
     """
-    n = mask.size
-    V = values.reshape(math.prod(values.shape[:off]), n, -1)
-    out = _axis_operator(mask, axis, h) @ V.transpose(1, 0, 2).reshape(n, -1)
-    return out.reshape(n, V.shape[0], V.shape[2]).transpose(1, 0, 2).reshape(values.shape)
+    V = values.reshape(math.prod(values.shape[:off]), mask.size, -1)
+    out = np.zeros(V.shape)
+    for rows, (lo, c_lo), (hi, c_hi) in _stencil(mask, axis, h):
+        out[:, rows] = 0.0 + c_lo * np.take(V, rows + lo, axis=1) + c_hi * np.take(V, rows + hi, axis=1)
+    return out.reshape(values.shape)
 
 
 def _spatial_info(f_grid, domain, d=None):

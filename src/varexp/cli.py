@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import hashlib
+import logging
 import os
 import sys
 
@@ -478,9 +480,31 @@ def run(cfg):
     return 0
 
 
+def _openblas_threads(verb):
+    """numpy's bundled OpenBLAS `*_{verb}_num_threads*` ("set" or "get"), or None.
+
+    The library is a dependency of numpy's core extension, so a symbol
+    lookup through that extension finds it; numpy built on another BLAS has
+    none of these symbols.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None)
+            if fn is not None:
+                # both take and return a C int, in LP64 and ILP64 builds alike
+                fn.argtypes, fn.restype = ([ctypes.c_int], None) if verb == "set" else ([], ctypes.c_int)
+                return fn
+    return None
+
+
 def main(argv=None):
-    # numpy is already loaded here, so the cap reaches only the environment
-    # of child processes; this process's thread pools keep their size
+    # numpy is loaded by now, so its OpenBLAS pool is capped through its own
+    # setter; scipy loads later (with the Rothe solver) and reads the
+    # environment, as child processes do
     threads = os.environ.get("VAREXP_THREADS")
     if threads is not None:
         if not threads.isdigit() or int(threads) < 1:
@@ -488,6 +512,12 @@ def main(argv=None):
             return 2
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, threads)
+        set_threads = _openblas_threads("set")
+        if set_threads is None:
+            logging.getLogger(__name__).warning(
+                "numpy's BLAS has no OpenBLAS thread setter; VAREXP_THREADS does not cap it")
+        else:
+            set_threads(int(threads))
 
     parser = argparse.ArgumentParser(
         prog="varexp",

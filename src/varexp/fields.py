@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy import ndimage as _ndi
 
 log = logging.getLogger(__name__)
 
@@ -454,7 +453,9 @@ def domain_from_mask(mask, grid):
         raise ValueError("mask shape does not match grid")
     r = np.zeros(grid.dims)
     if mask.any() and not mask.all():
-        r = _ndi.distance_transform_edt(mask, sampling=grid.spacing)
+        from scipy import ndimage  # only this constructor needs scipy
+
+        r = ndimage.distance_transform_edt(mask, sampling=grid.spacing)
     elif mask.all():
         # no boundary inside the grid; fall back to distance to grid edge
         xx = grid.coords()

@@ -17,15 +17,15 @@ It reports the ratio table plus its analytic lower bound.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
+import math
 import os
 
 import numpy as np
-from scipy import ndimage as _ndi
-from scipy.special import logsumexp
 
 from .calculus import gradient, sym_gradient
-from .fields import ScalarField, VectorField, field_abs, write_pgm, write_table
+from .fields import ScalarField, VectorField, _shift_slices, field_abs, write_pgm, write_table
 from .modular import ExponentField, _luxembourg_root
 from .mollify import MollifierFamily, _gauss_legendre, convolve
 
@@ -97,9 +97,35 @@ def build_velocity(cfg, domain):
 
 
 def _dilate_mask(mask, radius, grid):
-    """Nodes within physical `radius` of the mask (Euclidean dilation)."""
-    out_dist = _ndi.distance_transform_edt(~mask, sampling=grid.spacing)
-    return mask | (out_dist < radius)
+    """Nodes at physical distance < radius from the mask (Euclidean dilation).
+
+    The union of the mask shifted by every lattice offset k with
+    sqrt(sum_i (k_i h_i)^2) < radius, the squares summed in axis order as a
+    Euclidean distance transform sums them.  For each offset of the leading
+    axes the admissible last-axis offsets form an interval |k_last| <= w,
+    so the mask is dilated along the last axis once per width w.
+    """
+    *h_lead, h_last = grid.spacing
+    along = [mask]  # along[w]: the mask dilated by |k_last| <= w
+    out = np.zeros_like(mask)
+    for k in itertools.product(*(range(-int(radius / h) - 1, int(radius / h) + 2) for h in h_lead)):
+        d2 = 0.0
+        for ki, h in zip(k, h_lead):
+            d2 += (ki * h) * (ki * h)
+        w = -1
+        while math.sqrt(d2 + ((w + 1) * h_last) * ((w + 1) * h_last)) < radius:
+            w += 1
+        if w < 0:
+            continue
+        while len(along) <= w:
+            j = len(along)
+            grown = along[-1].copy()
+            grown[..., j:] |= mask[..., :-j]
+            grown[..., :-j] |= mask[..., j:]
+            along.append(grown)
+        src, dst = _shift_slices(k)
+        out[dst] |= along[w][src]
+    return out
 
 
 def build_exponent(cfg, domain, velocity=None):
@@ -167,12 +193,26 @@ def build_phi(n, time_grid):
     return ScalarField(time_grid, vals)
 
 
+def _logsumexp_rows(a):
+    """log(sum(exp(a), axis=1)) of a finite 2-d array, max-shifted.
+
+    The m entries that tie for a row's max a_max leave the sum:
+    log1p(sum_rest exp(a - a_max) / m) + log(m) + a_max, the real-input
+    formula of scipy.special.logsumexp (1.17), with its bits.
+    """
+    a_max = np.max(a, axis=1, keepdims=True)
+    top = a == a_max
+    m = np.sum(top, axis=1, keepdims=True, dtype=float)
+    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=1, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
+
+
 def _log_time_modular(phi, q):
     """log(tau * sum_t |phi(t)|^q) for each exponent in q, once per distinct value."""
     qs, inv = np.unique(q, return_inverse=True)
     a = np.abs(phi.values)
     log_a = np.log(a[a > 0.0])
-    log_mod = logsumexp(qs[:, None] * log_a[None, :], axis=1) + np.log(phi.grid.spacing[0])
+    log_mod = _logsumexp_rows(qs[:, None] * log_a[None, :]) + np.log(phi.grid.spacing[0])
     return log_mod[inv]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy loads it lazily: load it here, not in the first convolve)
 
 from .fields import Grid, ScalarField, SymTensorField, VectorField, _Field, _sym_part, field_abs
 from .calculus import axis_derivative, sym_gradient

@@ -16,7 +16,9 @@ operator B and factorized each iteration, except for a quadratic step
 factor is kept on the operator and reused by every step at that tau.
 Armijo backtracking on the energy globalises the step.  `energy_step`
 returns the new field and an info dict.  Dirichlet boundary values are
-enforced by constraining the boundary layer of masked nodes to zero.  The
+enforced by constraining the boundary layer of masked nodes to zero.  This
+is the package's one sparse user: scipy.sparse and its SuperLU load with
+the first `EpsOperator`, so `import varexp` needs numpy only.  The
 module also provides the discrete energy (a priori) inequality report, the
 integration-by-parts residual in time, and manufactured-solution helpers.
 """
@@ -28,10 +30,8 @@ import functools
 import logging
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
-from .calculus import _axis_operator
+from .calculus import _stencil
 from .fields import Grid, ScalarField, VectorField, _magnitude, make_rectangle_domain, sym_pairs, sym_weights
 from .fields import write_table
 from .modular import ExponentField
@@ -238,6 +238,27 @@ class ProblemData:
 # built from the same masked stencil as calculus.gradient
 
 
+def splu(A, **options):
+    """scipy.sparse.linalg.splu; the one name through which the solver factorizes."""
+    from scipy.sparse.linalg import splu
+
+    return splu(A, **options)
+
+
+def _axis_operator(mask, axis, h):
+    """Sparse d/dx_axis on the nodes of `mask` (C order), spacing h, as CSR."""
+    from scipy import sparse
+
+    rows, cols, vals = [], [], []
+    for nodes, *terms in _stencil(mask, axis, h):
+        for shift, coeff in terms:
+            rows.append(nodes)
+            cols.append(nodes + shift)
+            vals.append(np.full(len(nodes), coeff))
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(mask.size, mask.size)).tocsr()
+
+
 class EpsOperator:
     """Sparse map from free velocity dofs to symmetric-gradient components.
 
@@ -248,6 +269,9 @@ class EpsOperator:
     """
 
     def __init__(self, domain):
+        import scipy.sparse.linalg  # noqa: F401  (SuperLU loads with the operator, not in a step)
+        from scipy import sparse
+
         g = domain.grid
         d = g.ndim
         mask_flat = domain.mask.reshape(-1)
@@ -417,6 +441,8 @@ class _Step:
         term taken as 0 at s = 0.  Every block is positive semidefinite for
         p > 1, so H is symmetric positive definite.
         """
+        from scipy import sparse
+
         op, p_nodes = self.op, self.p
         eps = op.eps(x)
         w = op.weights

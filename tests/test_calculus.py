@@ -250,3 +250,62 @@ def test_korn_steady_bounded_on_bump_corpus():
         if not rep.flagged:
             worst = max(worst, rep.ratio)
     assert 0.0 < worst <= 10.0
+
+
+def _csr_axis_operator(mask, axis, h):
+    """The stencil as a sparse matrix, rows summed by scipy's CSR product (the oracle)."""
+    from scipy import sparse
+
+    idx = np.arange(mask.size).reshape(mask.shape)
+    up_ok = np.zeros_like(mask)
+    dn_ok = np.zeros_like(mask)
+    lo, hi = [slice(None)] * mask.ndim, [slice(None)] * mask.ndim
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    up_ok[tuple(lo)] = mask[tuple(hi)]
+    dn_ok[tuple(hi)] = mask[tuple(lo)]
+    up, dn = np.roll(idx, -1, axis=axis), np.roll(idx, 1, axis=axis)
+    central, fwd, bwd = mask & up_ok & dn_ok, mask & up_ok & ~dn_ok, mask & ~up_ok & dn_ok
+    terms = [(central, up, 0.5 / h), (central, dn, -0.5 / h), (fwd, up, 1.0 / h),
+             (fwd, idx, -1.0 / h), (bwd, idx, 1.0 / h), (bwd, dn, -1.0 / h)]
+    rows = np.concatenate([idx[sel] for sel, _, _ in terms])
+    cols = np.concatenate([col[sel] for sel, col, _ in terms])
+    vals = np.concatenate([np.full(np.count_nonzero(sel), c) for sel, _, c in terms])
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(mask.size, mask.size)).tocsr()
+
+
+def _parity_masks():
+    g = vx.grid_on_box([-1, -1], [1, 1], [128, 128])
+    yield vx.make_disc_domain((0, 0), 0.9, g).mask, g.spacing
+    g = vx.grid_on_box([0, 0], [1.5, 1], [97, 61])
+    yield vx.make_disc_domain((0.75, 0.5), 0.45, g).mask, g.spacing
+    box = np.ones((40, 40, 40), dtype=bool)
+    box[[0, -1], :, :] = box[:, [0, -1], :] = box[:, :, [0, -1]] = False
+    box[14:26, 12:22, 17:29] = False
+    yield box, (0.025, 0.03, 0.02)
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("time_nodes", [None, 7])
+def test_slicing_stencil_matches_sparse_product_bitwise(case, time_nodes):
+    from varexp.calculus import _derivative
+    from varexp.rothe import _axis_operator
+
+    mask, spacing = list(_parity_masks())[case]
+    rng = np.random.default_rng(case)
+    lead = () if time_nodes is None else (time_nodes,)
+    for comps in ((), (2,)):
+        v = rng.normal(size=lead + mask.shape + comps)
+        # signed zeros and an exact zero difference, which the sum must not turn into -0.0
+        v[rng.random(v.shape) < 0.3] = -0.0
+        v[rng.random(v.shape) < 0.05] = 0.0
+        n = mask.size
+        cols = v.reshape(-1 if lead else 1, n, *comps or (1,)).transpose(1, 0, 2).reshape(n, -1)
+        for ax, h in enumerate(spacing):
+            A = _csr_axis_operator(mask, ax, h)
+            want = (A @ cols).reshape(n, -1, *comps or (1,)).transpose(1, 0, 2).reshape(v.shape)
+            got = _derivative(v, len(lead), mask, ax, h)
+            assert got.tobytes() == want.tobytes()
+            # the solver's operator is the same matrix
+            B = _axis_operator(mask, ax, h)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(B, part), getattr(A, part))

@@ -99,7 +99,19 @@ def test_cli_outputs_carry_stamp(tmp_path):
     assert first.startswith("# config ") and first.endswith("seed 9")
 
 
-def test_cli_threads_env_validation(monkeypatch, tmp_path):
+@pytest.fixture
+def keep_blas_threads():
+    """Give numpy's OpenBLAS pool its size back after a test that caps it in-process."""
+    from varexp.cli import _openblas_threads
+
+    get = _openblas_threads("get")
+    before = get() if get is not None else None
+    yield
+    if before is not None:
+        _openblas_threads("set")(before)
+
+
+def test_cli_threads_env_validation(monkeypatch, tmp_path, keep_blas_threads):
     monkeypatch.setenv("VAREXP_THREADS", "zero")
     assert main(["property-suite", "--out", str(tmp_path / "t")]) == 2
     monkeypatch.setenv("VAREXP_THREADS", "1")
@@ -154,10 +166,46 @@ def test_poincare_on_rectangle_is_a_config_error(tmp_path, capsys):
     assert "[domain] kind" in err and "nodes outside the domain" in err
 
 
-def test_import_leaves_quadrature_and_optimize_unloaded():
-    # a fresh interpreter, so earlier tests' imports do not count
+def _run_fresh(probe, env=None):
+    """stdout of `probe` in a fresh interpreter, so earlier tests' imports do not count."""
     src = os.path.dirname(os.path.dirname(varexp.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, varexp; print(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.fft'} & set(sys.modules)))"
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_quadrature_and_optimize_unloaded():
+    # no scipy module at all: scipy loads with the Rothe solver's first operator
+    probe = (
+        "import sys, varexp, varexp.rothe, varexp.korn, varexp.mollify, varexp.poincare, varexp.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert _run_fresh(probe) == "[]"
+    probe = (
+        "import sys, varexp as vx; from varexp.rothe import EpsOperator; "
+        "g = vx.grid_on_box([0, 0], [1, 1], [16, 16]); "
+        "EpsOperator(vx.make_disc_domain((0.5, 0.5), 0.4, g)); "
+        "print('scipy.sparse.linalg' in sys.modules)"
+    )
+    assert _run_fresh(probe) == "True"
+
+
+def test_threads_cap_the_running_process_blas(tmp_path):
+    from varexp.cli import _openblas_threads
+
+    if _openblas_threads("get") is None:
+        pytest.skip("numpy is not built on OpenBLAS")
+    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["VAREXP_THREADS"] = "1"
+    # numpy's OpenBLAS is loaded before main and capped by its setter; scipy's
+    # loads after main (as the Rothe solver loads it) and reads the environment
+    probe = (
+        "import ctypes, varexp.cli as c; "
+        f"assert c.main(['property-suite', '--out', {str(tmp_path / 'ps')!r}, '--seed', '0']) == 0; "
+        "import scipy.linalg._fblas as f; lib = ctypes.CDLL(f.__file__); "
+        "names = [p + '_get_num_threads' + s for p in ('scipy_openblas', 'openblas') for s in ('', '64_')]; "
+        "get = next((getattr(lib, n) for n in names if hasattr(lib, n)), None); "
+        "print(c._openblas_threads('get')(), get() if get else 1)"
+    )
+    assert _run_fresh(probe, env).splitlines()[-1] == "1 1"

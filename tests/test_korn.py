@@ -246,3 +246,56 @@ def test_writers(tmp_path):
     for p in paths:
         assert (tmp_path / p).exists() or p  # absolute path returned
         assert p.endswith(".pgm")
+
+
+def _edt_dilation(mask, radius, grid):
+    from scipy import ndimage
+
+    return mask | (ndimage.distance_transform_edt(~mask, sampling=grid.spacing) < radius)
+
+
+@pytest.mark.parametrize("res", [96, 48, 64])  # bench and demo 03, bench smoke, korn-figure default
+def test_dilation_matches_distance_transform_on_the_figure_grids(res):
+    dom = figure_domain(res)
+    cfg = WetBlanketConfig()
+    e = vx.field_abs(sym_gradient(build_velocity(cfg, dom), dom)).values
+    supp = e > 1e-13 * e.max()
+    for radius in (cfg.eps, cfg.eps / 2.0, 0.1, 1.0):
+        assert np.array_equal(korn._dilate_mask(supp, radius, dom.grid), _edt_dilation(supp, radius, dom.grid))
+
+
+def test_dilation_matches_distance_transform_on_random_masks():
+    rng = np.random.default_rng(7)
+    grids = [vx.grid_on_box([0, 0], [1, 3], [30, 50]), vx.grid_on_box([0, 0, 0], [1, 2, 3], [12, 15, 17])]
+    for g in grids:
+        h = g.spacing
+        # radii that equal lattice distances exactly, where the strict < decides
+        exact = [3 * h[0], float(np.sqrt(sum((k * hk) ** 2 for k, hk in zip((3, 4, 1), h))))]
+        for density in (0.002, 0.02, 0.2):
+            mask = rng.random(g.dims) < density
+            for radius in exact + [0.5 * min(h), 0.07, 0.2, 0.45]:
+                got = korn._dilate_mask(mask, radius, g)
+                assert np.array_equal(got, _edt_dilation(mask, radius, g)), (g.dims, density, radius)
+
+
+def test_log_sum_exp_matches_scipy_bitwise():
+    from scipy.special import logsumexp
+
+    # korn-spacetime's exponents against its time profiles
+    dom = figure_domain(96)
+    q = build_exponent(WetBlanketConfig(), dom).values.values[dom.mask]
+    qs = np.unique(q)
+    tg = vx.grid_on_box([-1.5], [1.5], [256])
+    for n in range(1, 6):
+        a = np.abs(build_phi(n, tg).values)
+        a_q = qs[:, None] * np.log(a[a > 0.0])[None, :]
+        assert korn._logsumexp_rows(a_q).tobytes() == logsumexp(a_q, axis=1).tobytes()
+    # rows whose max is tied m > 1 times, a constant row, and a row tied everywhere but one entry
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 200)) * np.array([1e-3, 1.0, 30.0, 700.0, 1.0, 1.0])[:, None]
+    for row, m in zip(a[:4], (2, 3, 7, 50)):
+        row[rng.choice(200, size=m, replace=False)] = row.max()
+    a[4] = -2.5
+    a[5] = 1.25
+    a[5, 17] = -40.0
+    assert korn._logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()

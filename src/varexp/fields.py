@@ -558,7 +558,7 @@ def write_field(path, f, comment=None):
     kind = _field_kind(f)
     g = f.grid
     ncomp = 1 if kind == "scalar" else f.values.shape[-1]
-    flat = f.values.reshape(-1, ncomp) if ncomp > 1 else f.values.reshape(-1, 1)
+    flat = f.values.reshape(-1, ncomp)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# varexp field v1\n")
         if comment:
@@ -568,8 +568,8 @@ def write_field(path, f, comment=None):
         fh.write("origin " + " ".join(fmt_float(o) for o in g.origin) + "\n")
         fh.write(f"ncomp {ncomp}\n")
         fh.write(f"layout {kind}\n")
-        for row in flat:
-            fh.write(" ".join(fmt_float(v) for v in row) + "\n")
+        # the values are float64, so repr of each Python float is fmt_float's text
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in flat.tolist())
 
 
 def read_field(path):

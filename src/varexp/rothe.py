@@ -11,10 +11,14 @@ A step's data (u_prev, tau, p at the masked nodes, the regularized law, f,
 F and b) is assembled once into a `_Step`, whose energy, gradient and
 Hessian are what damped Newton reads: the sparse step Hessian
 I/tau + B^T D B is assembled from the exact-adjoint symmetric-gradient
-operator B and factorized each iteration, except for a quadratic step
-(p = 2 at every masked node), whose Hessian depends on tau alone: its
-factor is kept on the operator and reused by every step at that tau.
-Armijo backtracking on the energy globalises the step.  `energy_step`
+operator B.  The operator holds one sparse LU factor.  A quadratic step
+(p = 2 at every masked node) has a Hessian that depends on tau alone, so
+its factor serves every quadratic step at that tau exactly.  Any other
+step solves its Newton system inexactly, by conjugate gradients
+preconditioned with the held factor to an Eisenstat-Walker forcing term,
+and factorizes its current Hessian only when no factor is held or CG
+stalls.  Armijo
+backtracking on the energy globalises the step.  `energy_step`
 returns the new field and an info dict.  Dirichlet boundary values are
 enforced by constraining the boundary layer of masked nodes to zero.  This
 is the package's one sparse user: scipy.sparse and its SuperLU load with
@@ -299,7 +303,7 @@ class EpsOperator:
             zero = sparse.csr_matrix((self.n_masked, self.n_free))
             blocks.append([blk if blk is not None else zero for blk in row])
         self.B = sparse.bmat(blocks, format="csr")
-        self._lu = None  # (tau, LU) of the last quadratic step, see _Step.newton_direction
+        self._lu = None  # (tau, exact_quadratic, LU) of the last factor, see _Step.newton_direction
 
     @functools.cached_property
     def _hessian_parts(self):
@@ -465,43 +469,95 @@ class _Step:
         H.setdiag(H.diagonal() + 1.0 / self.tau)
         return H.tocsc()
 
-    def newton_direction(self, x, g):
-        """The Newton step dx solving H(x) dx = -g.
+    def newton_direction(self, x, g, rtol):
+        """A Newton step dx with |H(x) dx + g| <= rtol |g|; returns (dx, CG iterations, factorized).
 
-        A quadratic step's Hessian depends only on the operator and tau, so
-        its factor stays on the operator and serves every later quadratic
-        step at the same tau.  Any other factor is dropped after its solve,
-        and the kept one before a new factorization, so at most one is alive.
+        The operator holds one LU factor, tagged with its tau and with
+        whether it is the exact Hessian of a quadratic step.  A quadratic
+        step's Hessian depends only on the operator and tau, so a quadratic
+        step at the tau of an exact quadratic factor solves with it
+        directly.  Any other step runs CG from dx = 0, preconditioned by
+        the held factor, for at most `_PCG_MAX` iterations; with an SPD
+        preconditioner every CG iterate is a descent direction.  When no
+        factor is held, CG stalls, or a quadratic step lacks its exact
+        factor, the step factorizes H(x), holds that factor in place of the
+        old one and solves exactly, so at most one factor is alive.
         """
-        op = self.op
-        if self.quadratic and op._lu is not None and op._lu[0] == self.tau:
-            return op._lu[1].solve(-g)
+        op, held, quadratic = self.op, self.op._lu, self.quadratic
+        if quadratic and held is not None and held[1] and held[0] == self.tau:
+            return held[2].solve(-g), 0, False
+        H = self.hessian(x)
+        cg_iters = 0
+        if not quadratic and held is not None:
+            dx, cg_iters = _pcg(H, -g, held[2].solve, rtol, _PCG_MAX)
+            if dx is not None:
+                return dx, cg_iters, False
         op._lu = None
         # H is symmetric positive definite: symmetric ordering, no pivoting
-        lu = splu(self.hessian(x), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
-        if self.quadratic:
-            op._lu = (self.tau, lu)
-        return lu.solve(-g)
+        op._lu = (self.tau, quadratic, lu)
+        return lu.solve(-g), cg_iters, True
 
 
-def _descend(step, x0, tol, max_iter, trace=None):
-    """Damped Newton on the convex step energy, globalised by Armijo backtracking.
+#: CG iterations a Newton solve may take on the held factor before it refactorizes
+_PCG_MAX = 8
+#: Eisenstat-Walker forcing term: eta_0 = _ETA_MAX, then
+#: eta_k = max(min(_ETA_MAX, _EW_GAMMA (res_k/res_{k-1})^2), _ETA_MIN)
+_ETA_MAX, _ETA_MIN, _EW_GAMMA = 0.1, 1e-6, 0.9
 
-    Each iteration solves H dx = -g with a sparse LU factorization of the
-    step Hessian (`_Step.newton_direction`; a quadratic step reuses its
-    factor), then halves t from 1 until the energy meets the Armijo test
-    along dx.  The energy trail is therefore monotone up to float
-    roundoff; the loop stops when the rms nodal residual falls below tol.
-    `trace`, if given, collects the energy after every accepted step.
+
+def _pcg(H, b, precond, rtol, maxiter):
+    """Preconditioned CG for H x = b from x = 0, stopped at |b - H x| <= rtol |b|.
+
+    Returns (x, iterations); x is None when `maxiter` iterations do not
+    reach rtol or a curvature turns non-positive.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    stop = rtol * np.linalg.norm(b)
+    p = rz = None
+    for it in range(1, maxiter + 1):
+        z = precond(r)
+        rz_new = float(np.dot(r, z))
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
+        Hp = H @ p
+        curv = float(np.dot(p, Hp))
+        if not (rz > 0.0 and curv > 0.0):
+            return None, it
+        alpha = rz / curv
+        x += alpha * p
+        r -= alpha * Hp
+        if np.linalg.norm(r) <= stop:
+            return x, it
+    return None, maxiter
+
+
+def _descend(step, x0, tol, max_iter, trace=None, counts=None):
+    """Inexact damped Newton on the convex step energy, globalised by Armijo backtracking.
+
+    Each iteration solves H dx = -g to the relative residual eta_k of an
+    Eisenstat-Walker forcing term (`_Step.newton_direction`): eta_0 = 0.1,
+    then eta_k = max(min(0.1, 0.9 (res_k/res_{k-1})^2), 1e-6), so the
+    solve tightens as Newton converges.  It then halves t from 1 until the
+    energy meets the Armijo test along dx.  The energy trail is therefore
+    monotone up to float roundoff; the loop stops when the rms nodal
+    residual falls below tol.  `trace`, if given, collects the energy after
+    every accepted step; `counts`, if given, adds up the step's
+    `factorizations` and `cg_iters`.
     """
     x = x0.copy()
     J, g = step.energy_grad(x)
     n = max(x.size, 1)
     res = float(np.sqrt(np.dot(g, g) / n))
+    eta = _ETA_MAX
     it = 0
     while res > tol and it < max_iter:
-        dx = step.newton_direction(x, g)
+        dx, cg_iters, factorized = step.newton_direction(x, g, eta)
+        if counts is not None:
+            counts["factorizations"] += int(factorized)
+            counts["cg_iters"] += cg_iters
         slope = float(np.dot(g, dx))
         t = 1.0
         # the roundoff allowance keeps Armijo decidable once the decrease
@@ -519,7 +575,8 @@ def _descend(step, x0, tol, max_iter, trace=None):
         J, g = step.energy_grad(x)
         if trace is not None:
             trace.append(J)
-        res = float(np.sqrt(np.dot(g, g) / n))
+        res, res_old = float(np.sqrt(np.dot(g, g) / n)), res
+        eta = max(min(_ETA_MAX, _EW_GAMMA * (res / res_old) ** 2), _ETA_MIN)
         it += 1
     if res > tol:
         raise RotheStepError(
@@ -549,12 +606,17 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000):
     """One implicit step: minimize the step energy, Picard-iterating the b-term.
 
     Returns (u, info): the new VectorField and a dict carrying the
-    converged energy, residual, and Newton iteration count, summed over
-    the Picard sweeps.  The minimizer runs damped Newton with Armijo
-    backtracking until the rms weak-form residual is below
-    1e-8 * (1 + data magnitude); non-convergence within max_iter Newton
-    iterations raises RotheStepError with the final residual, and so does
-    a Picard loop that has not settled after 50 sweeps.
+    converged energy and residual, and the Newton iterations
+    (`iters`), Hessian factorizations (`factorizations`) and CG iterations
+    (`cg_iters`), each summed over the Picard sweeps.  The minimizer runs
+    inexact damped Newton with Armijo backtracking (`_descend`): CG on the
+    held factor, a factorization only when CG stalls, and a quadratic
+    step's exact factor reused at its tau.  It stops when the rms
+    weak-form residual is below 1e-8 * (1 + data magnitude);
+    non-convergence within max_iter Newton iterations raises
+    RotheStepError with the final residual, and so does a Picard loop that
+    has not settled after 50 sweeps.  Each sweep's descent starts from the
+    previous sweep's minimizer.
     """
     if op is None:
         op = EpsOperator(data.domain)
@@ -569,19 +631,20 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000):
     # damped fixed point in the explicit b argument; without a lower-order
     # term the first sweep is the whole step
     plain = low is None or low.is_zero
-    v = step.x_prev.copy()
+    v = x = step.x_prev
     total_iters = 0
+    counts = {"factorizations": 0, "cg_iters": 0}
     drift = np.inf
     for _ in range(_PICARD_MAX):
         if not plain:
             step = dataclasses.replace(step, b=op.free_values(low(op.to_field(v).values)))
-        x, J, res, it = _descend(step, v, tol, max_iter)
+        x, J, res, it = _descend(step, x, tol, max_iter, counts=counts)
         total_iters += it
         v_new = 0.5 * v + 0.5 * x
         drift = float(np.sqrt(np.sum((v_new - v) ** 2) / max(v.size, 1)))
         v = v_new
         if plain or drift <= tol:
-            return op.to_field(x), {"energy": J, "residual": res, "iters": total_iters}
+            return op.to_field(x), {"energy": J, "residual": res, "iters": total_iters, **counts}
     raise RotheStepError(f"Picard loop did not settle in {_PICARD_MAX} iterations", drift)
 
 

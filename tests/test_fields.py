@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import varexp as vx
-from varexp.fields import _shift, domain_from_mask
+from varexp.fields import _shift, domain_from_mask, fmt_float
 
 
 def disc_setup(res=64):
@@ -195,6 +195,38 @@ def test_serialization_round_trip(tmp_path):
         back = vx.read_field(path)
         assert back.grid == f.grid
         assert np.array_equal(back.values, f.values)
+
+
+def write_field_per_value(path, f):
+    """The field writer as it was: fmt_float called from Python on every value."""
+    kind = {vx.ScalarField: "scalar", vx.VectorField: "vector", vx.SymTensorField: "sym"}[type(f)]
+    g = f.grid
+    ncomp = 1 if kind == "scalar" else f.values.shape[-1]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("# varexp field v1\n")
+        fh.write("dims " + " ".join(str(n) for n in g.dims) + "\n")
+        fh.write("spacing " + " ".join(fmt_float(s) for s in g.spacing) + "\n")
+        fh.write("origin " + " ".join(fmt_float(o) for o in g.origin) + "\n")
+        fh.write(f"ncomp {ncomp}\n")
+        fh.write(f"layout {kind}\n")
+        for row in f.values.reshape(-1, ncomp):
+            fh.write(" ".join(fmt_float(v) for v in row) + "\n")
+
+
+def test_write_field_matches_per_value_writer_bytewise(tmp_path):
+    rng = np.random.default_rng(3)
+    grid = vx.grid_on_box([0, -1], [2, 1], [7, 5])
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 2.5e-310, 1e300, -1e-300, 0.1, 1.0, -7.0]
+    for ncomp, cls in ((0, vx.ScalarField), (2, vx.VectorField), (3, vx.SymTensorField)):
+        shape = grid.dims + ((ncomp,) if ncomp else ())
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        values.flat[: len(special)] = special
+        f = cls(grid, values)
+        new, old = tmp_path / "new.field", tmp_path / "old.field"
+        vx.write_field(new, f)
+        write_field_per_value(old, f)
+        assert new.read_bytes() == old.read_bytes()
+        assert {b"-0.0", b"inf", b"-inf", b"nan", b"5e-324", b"1e+300", b"-1e-300"} <= set(new.read_bytes().split())
 
 
 def test_read_field_truncated_header_raises(tmp_path):

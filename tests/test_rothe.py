@@ -343,8 +343,10 @@ def test_quadratic_solve_factors_once_per_tau(monkeypatch):
     assert len(calls) == 1
     assert sum(dg.iters for dg in diags) >= data.steps
 
-    # the same solve refactoring at every Newton iteration, as a non-quadratic step does
+    # the same solve refactoring at every Newton iteration: a non-quadratic
+    # step whose CG on the held factor may take no iteration
     monkeypatch.setattr(rothe._Step, "quadratic", property(lambda self: False))
+    monkeypatch.setattr(rothe, "_PCG_MAX", 0)
     calls.clear()
     ref_traj, ref_diags = rothe_solve(data, law)
     assert len(calls) == sum(dg.iters for dg in ref_diags)
@@ -354,6 +356,8 @@ def test_quadratic_solve_factors_once_per_tau(monkeypatch):
 
 
 def test_new_tau_or_non_quadratic_step_refactors(monkeypatch):
+    from varexp import rothe
+
     data, law = mms_p2_data()
     op = EpsOperator(data.domain)
     calls = count_splu(monkeypatch)
@@ -367,17 +371,109 @@ def test_new_tau_or_non_quadratic_step_refactors(monkeypatch):
     energy_step(half.u0, 2, law, None, half, op=op)
     assert len(calls) == 2
 
-    # p = 2.5 at one node: not quadratic, so every Newton iteration factors
-    # and no factor is kept; the quadratic step after it refactors
+    # p = 2.5 at one node: not quadratic; with CG allowed no iteration every
+    # Newton iteration factors, the held factor is marked non-exact, and the
+    # quadratic step after it refactors
+    monkeypatch.setattr(rothe, "_PCG_MAX", 0)
     p = np.full(data.domain.grid.dims, 2.0)
     p.flat[op.free_idx[0]] = 2.5
     bumpy = ConstitutiveLaw(exponent=vx.ExponentField(vx.ScalarField(data.domain.grid, p)), delta=0.0)
     _, info = energy_step(u1, 2, bumpy, None, data, op=op)
     assert info["iters"] >= 1
     assert len(calls) == 2 + info["iters"]
-    assert op._lu is None
+    assert op._lu is not None and not op._lu[1]
     energy_step(u1, 2, law, None, data, op=op)
     assert len(calls) == 3 + info["iters"]
+
+
+def damped_varp_solve(monkeypatch):
+    """(trajectory, per-step info, data) of a 16^2 variable-exponent solve with a damped b-term."""
+    from varexp import rothe
+
+    dom = box_domain(16)
+    T, K = 0.25, 2
+    low = LowerOrderLaw.damped(0.5, 1.2, 0.6)
+    u_star, f, u0, law = mms_varp(dom, T, K, lambda x, y: 1.6 + 0.8 * x, 1e-2)
+    f = vx.VectorField(f.grid, f.values + low(u_star.values))
+    data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K, f=f)
+    infos = []
+    real = rothe.energy_step
+
+    def recorded(*args, **kwargs):
+        u, info = real(*args, **kwargs)
+        infos.append(info)
+        return u, info
+
+    monkeypatch.setattr(rothe, "energy_step", recorded)
+    traj, _ = rothe_solve(data, law, low)
+    monkeypatch.setattr(rothe, "energy_step", real)
+    return traj, infos, data
+
+
+def test_non_quadratic_solve_reuses_its_factor(monkeypatch):
+    from varexp import rothe
+
+    traj, infos, data = damped_varp_solve(monkeypatch)
+    assert len(infos) == data.steps
+    assert sum(i["factorizations"] for i in infos) < sum(i["iters"] for i in infos)
+    assert sum(i["cg_iters"] for i in infos) > 0
+
+    # the exact-Newton solve, refactoring at every iteration, reaches the
+    # same trajectory to within the step tolerance
+    monkeypatch.setattr(rothe, "_PCG_MAX", 0)
+    ref, ref_infos, _ = damped_varp_solve(monkeypatch)
+    assert all(i["factorizations"] == i["iters"] and i["cg_iters"] == 0 for i in ref_infos)
+    for k in range(1, data.steps + 1):
+        assert np.abs(traj[k].values - ref[k].values).max() <= _tolerance(data, ref[k - 1], k)
+
+
+def test_cg_on_the_exact_factor_is_one_iteration():
+    from varexp.rothe import _pcg, splu
+
+    rng = np.random.default_rng(14)
+    dom = box_domain(12)
+    op = EpsOperator(dom)
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.5), delta=0.05)
+    step = _Step(op, np.zeros(2 * op.n_free), 0.05, np.full(op.n_masked, 1.5), law)
+    H = step.hessian(rng.normal(size=2 * op.n_free))
+    lu = splu(H)
+    b = rng.normal(size=2 * op.n_free)
+    x, iters = _pcg(H, b, lu.solve, 1e-10, 8)
+    assert iters == 1
+    ref = lu.solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    # on the Hessian at another point the factor is only a preconditioner:
+    # CG then takes more iterations and meets its relative residual
+    H_far = step.hessian(3.0 * rng.normal(size=2 * op.n_free))
+    x, iters = _pcg(H_far, b, lu.solve, 1e-8, 50)
+    assert iters > 1
+    assert np.linalg.norm(b - H_far @ x) <= 1e-8 * np.linalg.norm(b)
+
+
+def test_inexact_newton_directions_descend(monkeypatch):
+    # p = 1.1, delta = 1e-3: the paper's regime, where CG runs on a lagged factor
+    from varexp import rothe
+
+    dom = box_domain(32)
+    T, K = 0.01, 1
+    _, _, u0 = mms_solution_p2(dom, T, K)
+    data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K)
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.1), delta=1e-3)
+    slopes, from_cg = [], []
+    real = rothe._Step.newton_direction
+
+    def recorded(self, x, g, rtol):
+        dx, cg_iters, factorized = real(self, x, g, rtol)
+        slopes.append(float(np.dot(g, dx)))
+        from_cg.append(not factorized)
+        return dx, cg_iters, factorized
+
+    monkeypatch.setattr(rothe._Step, "newton_direction", recorded)
+    _, info = energy_step(data.u0, 1, law, None, data)
+    assert len(slopes) == info["iters"]
+    assert sum(from_cg) == info["iters"] - info["factorizations"] > 0
+    assert max(slopes) < 0.0
 
 
 def test_energy_step_zero_data_is_zero():

@@ -442,8 +442,9 @@ class _Step:
         D is block-diagonal over masked nodes; with s = |eps|_W and W =
         diag(sym_weights) the block of a node is
         (delta+s)^(p-2) [W + (p-2)/(s(delta+s)) (W eps)(W eps)^T], the second
-        term taken as 0 at s = 0.  Every block is positive semidefinite for
-        p > 1, so H is symmetric positive definite.
+        term taken as 0 at s = 0 and scaled by s^2 where s(delta+s) would
+        under- or overflow.  Every block is positive semidefinite for p > 1,
+        so H is symmetric positive definite.
         """
         from scipy import sparse
 
@@ -456,8 +457,14 @@ class _Step:
         # base > 0 wherever p < 2 (see _step_law); 0^0 = 1 keeps p = 2 exact
         phi = base ** (p_nodes - 2.0)
         coef = np.zeros_like(s)
-        pos = s > 0.0
-        coef[pos] = phi[pos] * (p_nodes[pos] - 2.0) / (s[pos] * base[pos])
+        # s * base leaves the float range where s lies outside [1e-150, 1e150]
+        # (see _magnitude); there the second term is (p-2) s/base (W eps/s)(W eps/s)^T
+        far = ((s < 1e-150) & (s > 0.0)) | (s > 1e150)
+        near = (s > 0.0) & ~far
+        coef[near] = phi[near] * (p_nodes[near] - 2.0) / (s[near] * base[near])
+        if far.any():
+            we[far] /= s[far, None]
+            coef[far] = phi[far] * (p_nodes[far] - 2.0) * (s[far] / base[far])
         # blocks[a, node, b] is the entry of D at row a*nm + node, column b*nm + node
         blocks = coef[None, :, None] * we.T[:, :, None] * we[None, :, :]
         blocks += phi[None, :, None] * np.diag(w)[:, None, :]

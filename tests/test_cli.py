@@ -1,11 +1,15 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import varexp
-from varexp.cli import ConfigError, load_config, main
+from varexp.cli import _KEYS, ConfigError, load_config, main
 
 
 def test_config_defaults_and_overrides(tmp_path):
@@ -17,6 +21,17 @@ def test_config_defaults_and_overrides(tmp_path):
     # the output directory never enters the digest
     cfg2 = load_config("norms", None, {"out": "elsewhere", "seed": 5, "resolution": 32})
     assert cfg2.digest == cfg.digest
+    # every CSV stamp of a default run carries these digests
+    pinned = {
+        "norms": "add04fa85c2bdf07",
+        "mollify": "6f16dd5da0891ae7",
+        "korn-figure": "2eae9bb4f26c8a70",
+        "poincare-verify": "a0e8fe1fbcb44aa0",
+        "rothe-solve": "7dd1e42fb0ee0b19",
+        "property-suite": "e71005d9a44483a6",
+    }
+    for experiment, digest in pinned.items():
+        assert load_config(experiment, None, {}).digest == digest
 
 
 def test_config_file_and_section_merge(tmp_path):
@@ -76,6 +91,67 @@ def test_config_errors_are_diagnosed(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error: [domain] radius = 2.99" in err
         assert "center=(0.0, 0.0)" in err
+
+
+# the experiment that reads each section
+_READER = {"run": "norms", "domain": "norms", "modular": "norms", "norms": "norms", "mollify": "mollify",
+           "korn": "korn-figure", "poincare": "poincare-verify", "rothe": "rothe-solve"}
+# zero, negative, nan, inf, empty, a reversed pair, too many tokens, huge
+_HOSTILE = ["0", "-3", "nan", "inf", "-inf", "", "3 -3", "1 2 3", "1e300", "1000000000000"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(_KEYS)), text=st.sampled_from(_HOSTILE))
+@example(key=("korn", "n_max"), text="0")
+@example(key=("korn", "alpha"), text="0.9")
+@example(key=("korn", "eps"), text="-0.1")
+@example(key=("korn", "time_resolution"), text="3")
+@example(key=("korn", "time_interval"), text="1 -1")
+@example(key=("poincare", "samples"), text="0")
+@example(key=("poincare", "budget"), text="-1")
+@example(key=("rothe", "steps_ladder"), text="8 0")
+@example(key=("rothe", "p_constant"), text="nan")
+@example(key=("rothe", "p_constant"), text="1.0")
+@example(key=("rothe", "delta"), text="-1")
+@example(key=("rothe", "T"), text="0")
+@example(key=("rothe", "T"), text="-1")
+@example(key=("rothe", "stpes_ladder"), text="4 8")
+@example(key=("domain", "extent"), text="3 -3")
+@example(key=("domain", "radius"), text="nan")
+@example(key=("domain", "kind"), text="hexagon")
+@example(key=("run", "seed"), text="-1")
+@example(key=("norms", "fields"), text="0")
+@example(key=("norms", "fields"), text="-3")
+@example(key=("mollify", "fields"), text="0")
+@example(key=("mollify", "scales"), text="0")
+@example(key=("mollify", "scales"), text="-1")
+@example(key=("modular", "exponent"), text="constant")
+@example(key=("modular", "exponent"), text="constant 0.5")
+def test_hostile_config_values_name_their_key(tmp_path_factory, key, text):
+    """A hostile value exits 2 naming its key, or the table admits it and it runs without a traceback."""
+    section, name = key
+    experiment = _READER[section]
+    tmp = tmp_path_factory.mktemp("hostile")
+    path = tmp / "hostile.ini"
+    path.write_text(f"[{section}]\n{name} = {text}\n")
+    try:
+        load_config(experiment, str(path), {})
+        admitted = True
+    except ConfigError:
+        admitted = False
+    if admitted and key in (("run", "out"), ("run", "resolution")):
+        return  # any nonempty path is an output location, and the resolution has no cap yet
+    flags = {"--out": str(tmp / "out"), "--resolution": "16"}
+    if section == "run":
+        flags.pop(f"--{name}", None)  # a flag would replace the file's value
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = main([experiment, "--config", str(path)] + [arg for flag in flags.items() for arg in flag])
+    err = err.getvalue()
+    if admitted:
+        assert status in (0, 1) or (status == 2 and err.startswith("config error: ")), err
+    else:
+        assert status == 2 and err.startswith("config error: ") and f"[{section}] {name}" in err, err
 
 
 def test_rothe_ladder_needs_two_rungs(tmp_path):

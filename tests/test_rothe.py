@@ -6,6 +6,7 @@ from scipy import sparse
 from scipy.sparse.linalg import cg
 
 import varexp as vx
+from varexp.fields import _magnitude
 from varexp.rothe import (
     ConstitutiveLaw,
     EpsOperator,
@@ -257,6 +258,39 @@ def test_step_hessian_matches_finite_differences(p, delta):
         fd = (gp - gm) / (2 * e)
         Hv = H @ v
         assert np.linalg.norm(fd - Hv) <= 1e-5 * np.linalg.norm(Hv)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1.1, 2.0, 3.0])
+def test_step_hessian_at_tiny_strains(p):
+    # strains near 1e-170 and 1e-220 next to ordinary ones: s (delta + s) underflows there
+    rng = np.random.default_rng(15)
+    dom = box_domain(16)
+    g = dom.grid
+    op = EpsOperator(dom)
+    delta = 1e-8 if p < 2.0 else 0.0  # the solver's regularization, as in _Step.at
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(g, p), delta=delta)
+    x_coord = g.coords()[0]
+    scale = np.where(x_coord < 0.4, 1.0, np.where(x_coord < 0.7, 1e-170, 1e-220))
+    u = vx.VectorField(g, scale[..., None] * rng.normal(size=g.dims + (2,)))
+    x = op.free_values(u.values)
+    step = _Step(op, np.zeros_like(x), 0.05, np.full(op.n_masked, p), law)
+    mag = _magnitude(op.eps(x), op.weights, (-1,))
+    assert mag.min() < 1e-215 and np.any((mag > 1e-172) & (mag < 1e-165)) and mag.max() > 1.0
+
+    H = step.hessian(x)
+    assert np.all(np.isfinite(H.data))
+    # along x every node keeps its magnitude; the other direction moves ordinary dofs only
+    ordinary = op.free_values(np.broadcast_to((scale == 1.0)[..., None], g.dims + (2,)).astype(float))
+    for v in (x, ordinary * rng.normal(size=x.size)):
+        e = 1e-6
+        fd = (step.energy_grad(x + e * v)[1] - step.energy_grad(x - e * v)[1]) / (2 * e)
+        size = abs(H) @ np.abs(v)  # each dof compared at its own scale
+        assert np.all(np.abs(fd - H @ v) <= 1e-5 * size)
+
+    S = law.flux(op.eps(x), step.p, 2)
+    assert np.all(np.isfinite(S)) and np.all(np.isfinite(law.potential(mag, step.p)))
+    assert np.all(np.isfinite(flux_factor(mag, p, delta)))
 
 
 def coo_hessian(step, x):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .fields import SymTensorField, TensorField, VectorField, _shift, _sym_part, field_abs
+from .fields import SymTensorField, TensorField, VectorField, _shift, _sym_part, _time_axes, field_abs
 from .modular import luxembourg_norm
 
 __all__ = [
@@ -80,11 +80,7 @@ def _spatial_info(f_grid, domain, d=None):
         if off not in (0, 1):
             raise ValueError(f"cannot place {d} vector components on a {f_grid.ndim}-d grid")
         return off, np.ones(f_grid.dims[off:], dtype=bool)
-    if f_grid == domain.grid:
-        return 0, domain.mask
-    if f_grid.matches_spatial(domain.grid):
-        return 1, domain.mask
-    raise ValueError("grid mismatch between field and domain")
+    return _time_axes(f_grid, domain.grid, "domain"), domain.mask
 
 
 def axis_derivative(values, axis, h, mask=None):

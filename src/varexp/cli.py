@@ -106,7 +106,13 @@ def _exponent_spec(raw):
         if not os.path.isfile(args[0]):
             raise ValueError(f"exponent file does not exist: {args[0]}")
         p = vx.ExponentField(vx.read_field(args[0]))
-        return lambda dom: p
+
+        def on_domain(dom):
+            if p.grid != dom.grid:
+                raise ValueError(f"the file's grid {p.grid} is not the domain's {dom.grid}")
+            return p
+
+        return on_domain
     raise ValueError("must be constant/two-region/file: `constant P` with P > 1, `two-region`, or `file PATH`")
 
 
@@ -266,7 +272,8 @@ def _exp_norms(cfg, outdir, log):
     log.record("modular.luxembourg_constant_exponent_oracle", worst_oracle, 1e-6, worst_oracle <= 1e-6)
 
     worst_unit = 0.0
-    p_two = cfg.get("modular", "exponent")(dom)
+    with _blame(f"[modular] exponent and [run] resolution = {cfg.resolution}"):
+        p_two = cfg.get("modular", "exponent")(dom)
     for _ in range(n_fields // 2):
         f = _random_smooth_field(rng, grid)
         norm = vx.luxembourg_norm(f, p_two, dom)
@@ -371,7 +378,12 @@ def _exp_rothe(cfg, outdir, log):
         base = rt.ProblemData(domain=dom, u0=u0, T=T, tau=T / K)
         f = rt.mms_forcing_discrete(u_star, law, base, rt.mms_time_derivative_p2(dom, T, K))
         data = dataclasses.replace(base, f=f)
-        traj, diags = rt.rothe_solve(data, law)
+        try:
+            traj, diags = rt.rothe_solve(data, law)
+        except rt.RotheStepError as exc:
+            print(f"  rothe_solve at steps={K}: {exc}")
+            log.record("rothe.energy_step_converged", exc.residual, math.nan, False)
+            return
         step_errs = [float(np.sqrt(np.sum((u.values - u_star.values[k]) ** 2) * g.cell_volume))
                      for k, u in enumerate(traj)]
         errors.append(max(step_errs))

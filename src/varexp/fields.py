@@ -13,6 +13,7 @@ so everything here is safe to evaluate concurrently.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -49,7 +50,10 @@ class Grid:
 
     Node ``(i0, ..., ik)`` sits at ``origin + i * spacing``, exactly
     reproducible.  Space-only grids have d axes; space-time grids have
-    1 + d axes with time as axis 0.
+    1 + d axes with time as axis 0.  Spacing and origin are finite.  Grids
+    are equal when dims agree and each spacing (origin) a of the left grid is
+    within 1e-12 (1e-14) + 1e-12 |b| of the right grid's b: numpy's allclose
+    rule in plain floats, which `matches_spatial` applies to trailing axes.
     """
 
     __slots__ = ("dims", "spacing", "origin")
@@ -62,6 +66,8 @@ class Grid:
             raise ValueError("dims, spacing, origin must have equal length")
         if any(n < 2 for n in dims):
             raise ValueError(f"every axis needs >= 2 nodes, got dims={dims}")
+        if not all(map(math.isfinite, spacing + origin)):
+            raise ValueError(f"spacing and origin must be finite, got spacing={spacing}, origin={origin}")
         if any(s <= 0 for s in spacing):
             raise ValueError(f"every spacing must be > 0, got spacing={spacing}")
         object.__setattr__(self, "dims", dims)
@@ -101,20 +107,22 @@ class Grid:
         origin[axis] -= int(before) * self.spacing[axis]
         return Grid(dims, self.spacing, origin)
 
+    def _trailing_axes_equal(self, other):
+        """Whether self's last other.ndim axes equal other's axes, by the rule in the class docstring."""
+        lead = self.ndim - other.ndim
+        axes = ((self.spacing, other.spacing, 1e-12), (self.origin, other.origin, 1e-14))
+        return self.dims[lead:] == other.dims and all(
+            abs(a - b) <= atol + 1e-12 * abs(b) for mine, theirs, atol in axes for a, b in zip(mine[lead:], theirs)
+        )
+
     def __eq__(self, other):
         if not isinstance(other, Grid):
             return NotImplemented
-        return (
-            self.dims == other.dims
-            and np.allclose(self.spacing, other.spacing, rtol=1e-12, atol=1e-12)
-            and np.allclose(self.origin, other.origin, rtol=1e-12, atol=1e-14)
-        )
+        return self.ndim == other.ndim and self._trailing_axes_equal(other)
 
     def matches_spatial(self, spatial):
         """True if self is a space-time grid whose axes 1.. equal `spatial`."""
-        if self.ndim != spatial.ndim + 1:
-            return False
-        return Grid(self.dims[1:], self.spacing[1:], self.origin[1:]) == spatial
+        return self.ndim == spatial.ndim + 1 and self._trailing_axes_equal(spatial)
 
     def __repr__(self):
         return f"Grid(dims={self.dims}, spacing={self.spacing}, origin={self.origin})"
@@ -485,19 +493,18 @@ def shrink(domain, eps):
 # quadrature
 
 
-def _on_field_grid(f_grid, grid, values, what):
-    """Nodal values on `grid` placed on a field grid.
-
-    As-is when f_grid is `grid`; broadcast along time when f_grid is a
-    space-time grid over it.  `what` names the values' owner in the error.
-    """
+def _time_axes(f_grid, grid, what):
+    """0 if the field grid is `grid`, 1 if it is a space-time grid over it; else raises, naming `what`."""
     if f_grid == grid:
-        return values
+        return 0
     if f_grid.matches_spatial(grid):
-        return np.broadcast_to(values, f_grid.dims)
-    raise ValueError(
-        f"grid mismatch: field grid is neither the {what} grid nor a space-time grid over it"
-    )
+        return 1
+    raise ValueError(f"grid mismatch: field grid is neither the {what} grid nor a space-time grid over it")
+
+
+def _on_field_grid(f_grid, grid, values, what):
+    """Nodal values on `grid` placed on a field grid: as-is, or broadcast along time."""
+    return np.broadcast_to(values, f_grid.dims) if _time_axes(f_grid, grid, what) else values
 
 
 def integrate(f, domain):
@@ -557,8 +564,7 @@ def write_field(path, f, comment=None):
     """Plain-text field file: small header, then one node per line in C order."""
     kind = _field_kind(f)
     g = f.grid
-    ncomp = 1 if kind == "scalar" else f.values.shape[-1]
-    flat = f.values.reshape(-1, ncomp)
+    flat = f.values.reshape(-1, f.ncomp)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# varexp field v1\n")
         if comment:
@@ -566,7 +572,7 @@ def write_field(path, f, comment=None):
         fh.write("dims " + " ".join(str(n) for n in g.dims) + "\n")
         fh.write("spacing " + " ".join(fmt_float(s) for s in g.spacing) + "\n")
         fh.write("origin " + " ".join(fmt_float(o) for o in g.origin) + "\n")
-        fh.write(f"ncomp {ncomp}\n")
+        fh.write(f"ncomp {f.ncomp}\n")
         fh.write(f"layout {kind}\n")
         # the values are float64, so repr of each Python float is fmt_float's text
         fh.writelines(" ".join(map(repr, row)) + "\n" for row in flat.tolist())
@@ -607,11 +613,11 @@ def read_field(path):
 
 def export_csv(path, f, comment=None):
     """CSV export: one row per node, coordinates then components."""
+    _field_kind(f)  # raises on a kind with no field-file layout
     g = f.grid
-    ncomp = 1 if _field_kind(f) == "scalar" else f.values.shape[-1]
     coords = np.stack([c.reshape(-1) for c in g.coords()], axis=-1)
-    flat = f.values.reshape(-1, ncomp)
-    header = [f"x{a + 1}" for a in range(g.ndim)] + [f"c{c}" for c in range(ncomp)]
+    flat = f.values.reshape(-1, f.ncomp)
+    header = [f"x{a + 1}" for a in range(g.ndim)] + [f"c{c}" for c in range(f.ncomp)]
     write_table(path, header, np.concatenate([coords, flat], axis=1), comment)
 
 

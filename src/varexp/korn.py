@@ -140,7 +140,8 @@ def build_exponent(cfg, domain, velocity=None):
     """
     u = build_velocity(cfg, domain) if velocity is None else velocity
     eps_u = sym_gradient(u, domain)
-    supp = field_abs(eps_u).values > 1e-13 * field_abs(eps_u).max_abs()
+    eps_abs = field_abs(eps_u)
+    supp = eps_abs.values > 1e-13 * eps_abs.max_abs()
     g = domain.grid
     grown = _dilate_mask(supp, cfg.eps, g)
     if not (grown <= domain.mask).all():

@@ -37,7 +37,7 @@ import numpy as np
 
 from .calculus import _stencil
 from .fields import Grid, ScalarField, VectorField, _magnitude, make_rectangle_domain, sym_pairs, sym_weights
-from .fields import write_table
+from .fields import _time_axes, write_table
 from .modular import ExponentField
 
 log = logging.getLogger(__name__)
@@ -110,11 +110,7 @@ class ConstitutiveLaw:
     def exponent_at(self, data, k):
         """Spatial exponent values at vertex time index k."""
         p = self.exponent
-        if p.grid == data.domain.grid:
-            return p.values.values
-        if p.grid.matches_spatial(data.domain.grid):
-            return p.values.values[k]
-        raise ValueError("law exponent lives on neither the spatial nor the space-time grid")
+        return p.values.values[k] if _time_axes(p.grid, data.domain.grid, "domain") else p.values.values
 
     def flux(self, eps_comps, p_nodes, d):
         """S applied to compact symmetric components at a set of nodes."""
@@ -148,7 +144,6 @@ class LowerOrderLaw:
     func: object
     r: float
     gamma: float
-    eta_offset: float = 0.0
     c2: float = 0.0
     name: str = "custom"
 

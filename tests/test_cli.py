@@ -162,6 +162,35 @@ def test_rothe_ladder_needs_two_rungs(tmp_path):
     assert not any(name.endswith(".field") for name in os.listdir(out))
 
 
+def test_exponent_file_off_the_domain_grid_is_a_config_error(tmp_path, capsys):
+    grid = varexp.grid_on_box([-3, -3], [3, 3], [16, 16])
+    field = tmp_path / "p.field"
+    varexp.write_field(str(field), varexp.constant_exponent(grid, 2.0).values)
+    path = tmp_path / "p.ini"
+    path.write_text(f"[modular]\nexponent = file {field}\n[norms]\nfields = 2\npairs = 1\n")
+    run = ["norms", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(run + ["--resolution", "16"]) == 0
+    capsys.readouterr()
+    assert main(run + ["--resolution", "32"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "[modular] exponent" in err and "[run] resolution = 32" in err
+    # a non-finite spacing fails when the file is read
+    field.write_text(field.read_text().replace("spacing 0.375 0.375", "spacing inf 0.375"))
+    assert main(run + ["--resolution", "16"]) == 2
+    assert "config error: bad config value [modular] exponent" in capsys.readouterr().err
+
+
+def test_rothe_solver_failure_is_a_failed_invariant(tmp_path, monkeypatch, capsys):
+    def fail(data, law, low=None):
+        raise varexp.rothe.RotheStepError("energy step did not converge in 5000 iterations", 3.5e-4)
+
+    monkeypatch.setattr(varexp.rothe, "rothe_solve", fail)
+    assert main(["rothe-solve", "--out", str(tmp_path / "rs"), "--resolution", "16"]) == 1
+    out, err = capsys.readouterr()
+    assert "rothe.energy_step_converged" in err and "Traceback" not in err
+    assert "value=0.00035" in out
+
+
 def test_cli_exit_codes(tmp_path):
     assert main(["norms", "--out", str(tmp_path / "n"), "--seed", "1", "--resolution", "24"]) == 0
     assert main(["norms", "--resolution", "4", "--out", str(tmp_path / "x")]) == 2

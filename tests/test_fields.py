@@ -15,6 +15,10 @@ def test_grid_invariants():
         vx.Grid([1, 4], [0.1, 0.1], [0, 0])
     with pytest.raises(ValueError):
         vx.Grid([4, 4], [0.1, 0.0], [0, 0])
+    for spacing, origin in (([np.inf, 1], [0, 0]), ([np.nan, 1], [0, 0]),
+                            ([1, 1], [np.inf, 0]), ([1, 1], [0, np.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            vx.Grid([4, 4], spacing, origin)
     g = vx.Grid([4, 5], [0.25, 0.5], [1.0, -1.0])
     assert g.axis_coords(0)[3] == 1.0 + 3 * 0.25
     assert g.axis_coords(1)[0] == -1.0
@@ -110,6 +114,34 @@ def test_integrate_grid_mismatch():
     other = vx.grid_on_box([0, 0], [1, 1], [32, 32])
     with pytest.raises(ValueError, match="grid mismatch"):
         vx.integrate(vx.ScalarField(other, np.zeros(other.dims)), dom)
+
+
+def test_grid_relation_at_its_tolerance_edges():
+    """Spacing agrees within 1e-12 + 1e-12|b|, origin within 1e-14 + 1e-12|b|."""
+    g = vx.Grid([4, 5], [1.0, 0.5], [0.0, 2.0])
+    assert g == vx.Grid([4, 5], [1.0 + 1e-12, 0.5], [0.0, 2.0])
+    assert g != vx.Grid([4, 5], [1.0 + 5e-12, 0.5], [0.0, 2.0])
+    assert g == vx.Grid([4, 5], [1.0, 0.5], [5e-15, 2.0])
+    assert g != vx.Grid([4, 5], [1.0, 0.5], [5e-14, 2.0])
+    assert g != vx.Grid([4, 6], [1.0, 0.5], [0.0, 2.0])
+    assert g != vx.Grid([3, 4, 5], [0.1, 1.0, 0.5], [0.0, 0.0, 2.0])
+    assert vx.Grid([3, 4, 5], [0.1, 1.0 + 1e-12, 0.5], [-7.0, 5e-15, 2.0]).matches_spatial(g)
+    assert not vx.Grid([2, 3, 4, 5], [1.0, 0.1, 1.0, 0.5], [0.0, 0.0, 0.0, 2.0]).matches_spatial(g)
+    assert not vx.Grid([3, 5, 4], [0.1, 0.5, 1.0], [0.0, 2.0, 0.0]).matches_spatial(g)
+    assert not g.matches_spatial(g)
+
+    from varexp.calculus import gradient
+    from varexp.rothe import ConstitutiveLaw, ProblemData
+
+    # integrate's mismatch is test_integrate_grid_mismatch
+    grid, dom = disc_setup(16)
+    foreign = vx.grid_on_box([0, 0], [1, 1], [16, 16])
+    with pytest.raises(ValueError, match="grid mismatch"):
+        gradient(vx.VectorField(foreign, np.zeros(foreign.dims + (2,))), dom)
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(foreign, 2.0))
+    data = ProblemData(domain=dom, u0=vx.VectorField(grid, np.zeros(grid.dims + (2,))), T=0.1, tau=0.05)
+    with pytest.raises(ValueError, match="neither"):
+        law.exponent_at(data, 0)
 
 
 def test_r_is_lipschitz_across_neighbors():

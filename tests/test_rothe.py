@@ -99,7 +99,7 @@ def test_lower_order_conditions():
     for low in (LowerOrderLaw.zero(), LowerOrderLaw.power(0.7, 1.3), LowerOrderLaw.damped(0.5, 1.2, 0.8)):
         b = low(a)
         mag = np.sqrt(np.sum(a**2, axis=-1))
-        growth = np.sqrt(np.sum(b**2, axis=-1)) - (low.gamma * (1 + mag) ** low.r + low.eta_offset)
+        growth = np.sqrt(np.sum(b**2, axis=-1)) - low.gamma * (1 + mag) ** low.r
         assert growth.max() <= 1e-10
         sign = np.sum(b * a, axis=-1)
         assert sign.min() >= -low.c2 - 1e-10

@@ -147,6 +147,13 @@ _KEYS = {
 }
 
 
+def _resolution_cap(experiment):
+    """Largest [run] resolution the experiment takes."""
+    # from whole-process runs on a 2-vCPU VM: rothe-solve passes at 256 in 20 s and 428 MB but
+    # fails at 512 after 205 s and 4.6 GB; the others finish 512 in at most 33 s
+    return 256 if experiment == "rothe-solve" else 512
+
+
 @dataclasses.dataclass
 class RunConfig:
     experiment: str
@@ -198,6 +205,10 @@ def load_config(experiment, path, overrides):
             values[name, key] = _KEYS[name, key][1](text)
         except ValueError as exc:
             raise ConfigError(f"bad config value [{name}] {key} = {text!r}: {exc}")
+    cap = _resolution_cap(experiment)
+    if values["run", "resolution"] > cap:
+        text = texts["run", "resolution"]
+        raise ConfigError(f"bad config value [run] resolution = {text!r}: {experiment} is capped at {cap}")
     return RunConfig(experiment=experiment, values=values, digest=digest)
 
 

@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 
+def _close(a, b, atol=1e-12):
+    """numpy's allclose rule with rtol 1e-12, in plain floats; atol 1e-12 is the spacing rule of `Grid`."""
+    return abs(a - b) <= atol + 1e-12 * abs(b)
+
+
 class Grid:
     """Uniform tensor-product grid.
 
@@ -112,7 +117,7 @@ class Grid:
         lead = self.ndim - other.ndim
         axes = ((self.spacing, other.spacing, 1e-12), (self.origin, other.origin, 1e-14))
         return self.dims[lead:] == other.dims and all(
-            abs(a - b) <= atol + 1e-12 * abs(b) for mine, theirs, atol in axes for a, b in zip(mine[lead:], theirs)
+            _close(a, b, atol) for mine, theirs, atol in axes for a, b in zip(mine[lead:], theirs)
         )
 
     def __eq__(self, other):

@@ -6,10 +6,10 @@ Convolution and the maximal operator share one zero-padded FFT core,
 `_PaddedFFT`.  Convolution is one product per component, and an integer
 window sum restores the exact zeros and exact constants that the support
 statements need; the maximal operator is one correlation per ladder
-radius.  The smoothing operator cuts off, zero-extends, then mollifies;
-its quasi adjoint mollifies first and cuts off afterwards.  Smoothing
-scales are snapped to whole grid cells so support statements stay
-cell-exact.
+radius, each padded only as far as its ball reaches.  The smoothing
+operator cuts off, zero-extends, then mollifies; its quasi adjoint
+mollifies first and cuts off afterwards.  Smoothing scales are snapped to
+whole grid cells so support statements stay cell-exact.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: load it here, not in the first convolve)
 
-from .fields import Grid, ScalarField, SymTensorField, VectorField, _Field, _sym_part, field_abs
+from .fields import Grid, ScalarField, SymTensorField, VectorField, _close, _Field, _sym_part, field_abs
 from .calculus import axis_derivative, sym_gradient
 from .modular import ExponentField
 
@@ -150,11 +150,13 @@ class _PaddedFFT:
         self.shape = tuple(_fast_length(n + k) for n, k in zip(dims, reach))
         self.inside = tuple(slice(k, k + n) for n, k in zip(dims, reach))
 
-    def rfft(self, a):
-        return np.fft.rfftn(a, self.shape, self.axes)
+    def rfft(self, a, out=None):
+        """Spectrum of `a` zero-padded to the padded shape; with `out`, `a` must have that shape."""
+        return np.fft.rfftn(a, self.shape, self.axes, out=out)
 
-    def irfft(self, spec):
-        return np.fft.irfftn(spec, self.shape, self.axes)[self.inside]
+    def irfft(self, spec, out=None):
+        """The n in-grid nodes of the inverse transform; with `out`, the padded transform lands there."""
+        return np.fft.irfftn(spec, self.shape, self.axes, out=out)[self.inside]
 
 
 def convolve(f, eps):
@@ -235,11 +237,12 @@ def maximal(f):
     M(f)(x) = max over a fixed radius ladder of the average of |f| over
     in-grid nodes within distance r of x (masked midpoint quadrature).
     Each rung is one zero-padded FFT correlation of |f|, and of the
-    in-grid indicator, with the lattice ball; the node counts are rounded
-    to integers.  Averages over in-grid nodes keep M(const) = const up to
-    roundoff, and the ladder starts at the node value itself -- the
-    discrete r -> 0 limit -- so M(f) >= |f| holds exactly, as in the
-    continuum.
+    in-grid indicator, with the lattice ball, on the smallest padding the
+    ball needs; the spectra of |f| and of the indicator are taken once per
+    padded shape.  The node counts are rounded to integers.  Averages over
+    in-grid nodes keep M(const) = const up to roundoff, and the ladder
+    starts at the node value itself -- the discrete r -> 0 limit -- so
+    M(f) >= |f| holds exactly, as in the continuum.
     """
     g = f.grid
     a = field_abs(f).values
@@ -247,20 +250,39 @@ def maximal(f):
     h_min = float(min(spacing))
     radii = _maximal_radii(int(np.ceil(g.diameter() / h_min)), g.ndim)
 
-    # offsets -(n-1)..n-1 are all an in-grid node can reach; the ball fills
-    # the padded shape, so its transform needs no padding copy, and its
-    # entries past offset n-1 never meet an in-grid node
-    pad = _PaddedFFT(g.dims, [n - 1 for n in g.dims])
-    offsets = np.ix_(*[np.arange(N) - (n - 1) for N, n in zip(pad.shape, g.dims)])
-    fa = pad.rfft(a)
-    fone = pad.rfft(np.ones(g.dims))
-
     best = a.copy()
-    for r_cells in radii:
-        fk = pad.rfft(_lattice_ball(offsets, spacing, r_cells * h_min))
-        total = pad.irfft(fa * fk)
-        count = np.rint(pad.irfft(fone * fk))
-        np.maximum(best, total / count, out=best)
+    corner = tuple(slice(0, n) for n in g.dims)
+    shape = work = None
+    # the maximum does not depend on the order of the rungs: the largest
+    # padding goes first and sizes the flat work arrays, whose leading
+    # parts serve every smaller padding, so a rung allocates only the
+    # inverse transforms' intermediate spectra
+    for r_cells in reversed(radii):
+        r = r_cells * h_min
+        # offsets past n-1 never meet an in-grid node, so each axis pads only
+        # as far as the ball reaches, at most n-1 nodes
+        reach = [min(int(r / s), n - 1) for s, n in zip(spacing, g.dims)]
+        pad = _PaddedFFT(g.dims, reach)
+        if pad.shape != shape:
+            shape = pad.shape
+            half = shape[:-1] + (shape[-1] // 2 + 1,)
+            if work is None:
+                work = np.empty((4, math.prod(half)), complex), np.empty((2, math.prod(shape)))
+            fa, fone, fk, spec = (w[: math.prod(half)].reshape(half) for w in work[0])
+            ball, count = (w[: math.prod(shape)].reshape(shape) for w in work[1])
+            # the spectra of |f| and of the in-grid ones depend on the padded shape alone
+            ball[...] = 0.0
+            ball[corner] = a
+            pad.rfft(ball, out=fa)
+            ball[corner] = 1.0
+            pad.rfft(ball, out=fone)
+        offsets = np.ix_(*[np.arange(N) - k for N, k in zip(shape, reach)])
+        ball[...] = _lattice_ball(offsets, spacing, r)
+        pad.rfft(ball, out=fk)
+        total = pad.irfft(np.multiply(fa, fk, out=spec), out=ball)
+        nodes = pad.irfft(np.multiply(fone, fk, out=spec), out=count)
+        np.rint(nodes, out=nodes)
+        np.maximum(best, np.divide(total, nodes, out=total), out=best)
     return ScalarField(g, best)
 
 
@@ -274,7 +296,9 @@ def _alignment_offsets(src, target):
         raise ValueError("grids have different dimensionality")
     offs = []
     for ax in range(src.ndim):
-        if not np.isclose(src.spacing[ax], target.spacing[ax], rtol=1e-12):
+        # the spacing rule of `Grid ==`: on a spacing it calls different the
+        # cell volume differs, and the extension would change the modular
+        if not _close(src.spacing[ax], target.spacing[ax]):
             raise ValueError(f"axis {ax}: spacing differs between grids")
         delta = (src.origin[ax] - target.origin[ax]) / src.spacing[ax]
         k = int(round(delta))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varexp
-from varexp.cli import _KEYS, ConfigError, load_config, main
+from varexp.cli import _KEYS, EXPERIMENTS, ConfigError, _resolution_cap, load_config, main
 
 
 def test_config_defaults_and_overrides(tmp_path):
@@ -139,8 +139,8 @@ def test_hostile_config_values_name_their_key(tmp_path_factory, key, text):
         admitted = True
     except ConfigError:
         admitted = False
-    if admitted and key in (("run", "out"), ("run", "resolution")):
-        return  # any nonempty path is an output location, and the resolution has no cap yet
+    if admitted and key == ("run", "out"):
+        return  # any nonempty path is an output location
     flags = {"--out": str(tmp / "out"), "--resolution": "16"}
     if section == "run":
         flags.pop(f"--{name}", None)  # a flag would replace the file's value
@@ -152,6 +152,20 @@ def test_hostile_config_values_name_their_key(tmp_path_factory, key, text):
         assert status in (0, 1) or (status == 2 and err.startswith("config error: ")), err
     else:
         assert status == 2 and err.startswith("config error: ") and f"[{section}] {name}" in err, err
+
+
+def test_resolution_above_the_experiments_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the cap is checked before any grid exists
+    monkeypatch.setattr(varexp, "grid_on_box", None)
+    monkeypatch.setattr(varexp, "vertex_grid_on_box", None)
+    assert _resolution_cap("rothe-solve") == 256 and _resolution_cap("norms") == 512
+    for experiment in EXPERIMENTS:
+        cap = _resolution_cap(experiment)
+        assert load_config(experiment, None, {"resolution": cap}).resolution == cap
+        capsys.readouterr()
+        assert main([experiment, "--out", str(tmp_path / "out"), "--resolution", str(cap + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad config value [run] resolution") and f"capped at {cap}" in err
 
 
 def test_rothe_ladder_needs_two_rungs(tmp_path):
@@ -259,6 +273,13 @@ def test_cli_poincare_small(tmp_path):
     assert {"poincare_radial.csv", "poincare_swirl.csv", "poincare_rigid_core.csv"} <= set(
         os.listdir(out)
     )
+
+
+@pytest.mark.parametrize("resolution", [16, 17, 18, 31, 40, 55])
+def test_cli_poincare_odd_and_even_resolutions(tmp_path, resolution):
+    # on odd grids a node sits at the disc's centre, so 0.96 r.max() would
+    # put the test fields' support inside the boundary band
+    assert main(["poincare-verify", "--out", str(tmp_path / "pv"), "--resolution", str(resolution)]) == 0
 
 
 def test_poincare_on_rectangle_is_a_config_error(tmp_path, capsys):

@@ -162,9 +162,11 @@ def test_convolve_converges_in_variable_norm():
 
 
 def test_maximal_constant_exact():
-    grid = vx.grid_on_box([0, 0], [1, 1], [32, 32])
-    f = vx.ScalarField(grid, np.full(grid.dims, 2.5))
-    assert np.allclose(maximal(f).values, 2.5, atol=1e-13)
+    # at 128 nodes per axis the ladder pads to 9 shapes, from 135 to 256 nodes
+    for cells in (32, 128):
+        grid = vx.grid_on_box([0, 0], [1, 1], [cells, cells])
+        f = vx.ScalarField(grid, np.full(grid.dims, 2.5))
+        np.testing.assert_allclose(maximal(f).values, 2.5, rtol=0.0, atol=1e-13)
 
 
 def test_maximal_ball_center_value():
@@ -205,6 +207,9 @@ def _maximal_reference(f):
         ([0, 0, 0], [1, 0.5, 0.8], [9, 11, 14]),
         # a 49-node axis, where float offsets k*(1 + 2^-52) would drop every rim node
         ([0, 0], [1, 1], [7, 49]),
+        # unequal spacings: the ladder pads to 10 shapes, each axis reaching its own distance
+        ([0, 0], [1, 0.6], [40, 31]),
+        ([0, 0, 0], [0.5, 1, 0.7], [7, 12, 10]),
     ],
 )
 def test_maximal_matches_direct_ball_averages(lo, hi, cells, kind):
@@ -263,6 +268,22 @@ def test_zero_extend_rejects_misaligned():
     coarse = vx.Grid(grid.dims, (2 * grid.spacing[0], grid.spacing[1]), grid.origin)
     with pytest.raises(ValueError, match="spacing"):
         zero_extend(f, coarse)
+
+
+def test_zero_extend_admits_only_spacings_grid_equality_admits():
+    # a 5e-9 spacing gap would move the copy's modular by 3.2e-8: extension is
+    # modular-exact only on the spacings that `Grid ==` calls equal
+    grid = vx.Grid((8, 8), (0.1, 0.1), (0.0, 0.0))
+    ones = vx.ScalarField(grid, np.ones(grid.dims))
+    drifted = vx.Grid((12, 12), (0.1 + 5e-9, 0.1), (-0.2, -0.2))
+    assert vx.Grid(grid.dims, drifted.spacing, grid.origin) != grid
+    with pytest.raises(ValueError, match="spacing differs"):
+        zero_extend(ones, drifted)
+    # a last-ulp gap is the same spacing, and extension stays exact
+    near = vx.Grid((12, 12), (0.1 * (1 + 2e-16), 0.1), (-0.2, -0.2))
+    assert vx.Grid(grid.dims, near.spacing, grid.origin) == grid
+    big = zero_extend(ones, near)
+    assert np.array_equal(restrict(big, grid).values, ones.values) and big.values.sum() == 64.0
 
 
 def test_reflect_extend_time_constant_and_tent():

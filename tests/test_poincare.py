@@ -272,6 +272,26 @@ def test_poincare_rejects_uncompact_field():
         poincare_verify(u, dom, samples, cone=cone)
 
 
+def test_standard_fields_keep_off_the_boundary_band():
+    # 17 cells: a node sits at the centre, where 0.96 r.max() would reach the band
+    dom = disc_domain(17)
+    band = dom.mask & (dom.r <= max(dom.grid.spacing))
+    for u in standard_test_fields(dom).values():
+        assert not vx.field_abs(u).values[band].any()
+    # off the origin the fallback stays 0.96 r.max(), and where its support
+    # reaches the band the check rejects it, as it did before the shrink
+    for center, radius in (((0.3, 0.2), 2.4), ((1.5, 0.0), 1.0)):
+        off = vx.make_disc_domain(center, radius, vx.grid_on_box([-3, -3], [3, 3], [64, 64]))
+        fields = standard_test_fields(off)
+        fixed = standard_test_fields(off, support_radius=0.96 * float(off.r.max()))
+        assert all(np.array_equal(fields[name].values, fixed[name].values) for name in fields)
+        with pytest.raises(ValueError, match="not compactly supported"):
+            poincare_verify(fields["radial"], off, [tuple(np.argwhere(off.mask)[0])])
+    # a centred disc no wider than a cell has no node off its band to support the fields
+    with pytest.raises(ValueError, match="not positive"):
+        standard_test_fields(vx.make_disc_domain((0, 0), 0.3, dom.grid))
+
+
 def test_poincare_rejects_bad_samples():
     dom = disc_domain(64)
     cone = ConeParams(theta=np.pi / 4, h=1.0)

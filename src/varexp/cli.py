@@ -248,16 +248,19 @@ def _build_domain(cfg):
 
 def _random_smooth_field(rng, grid):
     """Seeded band-limited random field: a sum of four trigonometric products."""
-    xx = grid.coords()
-    span = [(grid.axis_coords(a)[-1] - grid.axis_coords(a)[0]) or 1.0 for a in range(grid.ndim)]
+    xs = [grid.axis_coords(a) for a in range(grid.ndim)]
+    span = [(x[-1] - x[0]) or 1.0 for x in xs]
     vals = np.zeros(grid.dims)
     for _ in range(4):
         ks = rng.integers(1, 4, size=grid.ndim)
         phase = rng.uniform(0, 2 * np.pi, size=grid.ndim)
         amp = rng.normal()
-        term = np.ones(grid.dims)
-        for a in range(grid.ndim):
-            term = term * np.sin(np.pi * ks[a] * (xx[a] - grid.axis_coords(a)[0]) / span[a] + phase[a])
+        term = 1.0
+        for a, x in enumerate(xs):
+            # a factor varies along one axis: evaluate it there and broadcast it into the
+            # product, which is the full-grid product bit for bit (1.0 * x is exact)
+            sine = np.sin(np.pi * ks[a] * (x - x[0]) / span[a] + phase[a])
+            term = term * sine.reshape((-1,) + (1,) * (grid.ndim - 1 - a))
         vals += amp * term
     return vx.ScalarField(grid, vals)
 

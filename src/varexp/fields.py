@@ -121,6 +121,8 @@ class Grid:
         )
 
     def __eq__(self, other):
+        if other is self:  # geometry is finite, so every grid equals itself
+            return True
         if not isinstance(other, Grid):
             return NotImplemented
         return self.ndim == other.ndim and self._trailing_axes_equal(other)
@@ -327,7 +329,9 @@ def _magnitude(v, w, axes):
     m = np.max(np.moveaxis(comps, -1, 0).copy(), axis=0)
     m = np.where(((m > 1e150) & (m < np.inf)) | ((m < 1e-150) & (m > 0.0)), m, 1.0)
     v = v / m[(...,) + (None,) * len(axes)]
-    return m * np.sqrt(np.sum(w * v**2, axis=axes))
+    v *= v  # w v^2 in place, in v's new array
+    v *= w
+    return m * np.sqrt(np.sum(v, axis=axes))
 
 
 def field_abs(f):
@@ -336,13 +340,18 @@ def field_abs(f):
     Euclidean norm for vectors, Frobenius norm for tensors (compact
     symmetric storage is weighted so that |A| matches the full matrix).
     """
+    return ScalarField(f.grid, _abs_values(f))
+
+
+def _abs_values(f):
+    """The values of `field_abs(f)`, as a plain array."""
     if isinstance(f, ScalarField):
-        return ScalarField(f.grid, np.abs(f.values))
+        return np.abs(f.values)
     if not isinstance(f, (VectorField, SymTensorField, TensorField)):
         raise TypeError(f"not a field: {type(f)!r}")
     axes = (-1, -2) if isinstance(f, TensorField) else (-1,)
     w = sym_weights(f.d) if isinstance(f, SymTensorField) else 1.0
-    return ScalarField(f.grid, _magnitude(f.values, w, axes))
+    return _magnitude(f.values, w, axes)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +543,8 @@ def fmt_float(v):
 
 
 def _cell(v):
+    if type(v) is float:  # the common cell, tested first: repr is fmt_float's text
+        return repr(v)
     if isinstance(v, (float, np.floating)):
         return fmt_float(v)
     if isinstance(v, np.integer):
@@ -551,8 +562,7 @@ def write_table(path, header, rows, comment=None):
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 _FIELD_KINDS = {"scalar": ScalarField, "vector": VectorField, "sym": SymTensorField}
@@ -644,7 +654,6 @@ def write_pgm(path, f, comment=None):
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(f"{v.shape[1]} {v.shape[0]}\n255\n")
-        for row in levels:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+        fh.writelines(" ".join(map(str, row)) + "\n" for row in levels.tolist())
     with open(str(path) + ".range.txt", "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"min {fmt_float(vmin)}\nmax {fmt_float(vmax)}\n")

@@ -11,13 +11,14 @@ non-degenerate.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 
 import numpy as np
 
 from .calculus import sym_gradient
 from .fields import VectorField as VectorFieldNS
-from .fields import field_abs, fmt_float, write_table
+from .fields import _abs_values, fmt_float, write_table
 
 log = logging.getLogger(__name__)
 
@@ -73,23 +74,21 @@ def _boundary_nodes(domain):
     return pts[:: max(1, len(pts) // 48)]
 
 
-def _outward_axis(domain, node):
-    """Unit direction of decreasing r at a node (outward normal proxy)."""
+def _outward_axes(domain, nodes):
+    """Unit directions of decreasing r at `nodes` (outward normal proxies), one row per node.
+
+    Central differences of r, one-sided at the grid's edge; a node where every
+    difference vanishes gets the first coordinate axis.
+    """
     g = domain.grid
-    vec = np.zeros(g.ndim)
-    for ax in range(g.ndim):
-        lo = list(node)
-        hi = list(node)
-        lo[ax] = max(node[ax] - 1, 0)
-        hi[ax] = min(node[ax] + 1, g.dims[ax] - 1)
-        vec[ax] = (domain.r[tuple(lo)] - domain.r[tuple(hi)]) / (
-            (hi[ax] - lo[ax]) * g.spacing[ax] or 1.0
-        )
-    n = np.linalg.norm(vec)
-    if n == 0.0:
-        vec[0] = 1.0
-        return vec
-    return vec / n
+    shift = np.eye(g.ndim, dtype=np.intp)[:, None, :]  # [axis, node, :] steps one node along axis
+    lo = np.maximum(nodes - shift, 0)
+    hi = np.minimum(nodes + shift, np.subtract(g.dims, 1))
+    step = np.sum(hi - lo, axis=2).T * np.asarray(g.spacing)
+    vec = (domain.r[tuple(lo.T)] - domain.r[tuple(hi.T)]) / np.where(step == 0.0, 1.0, step)
+    norm = np.linalg.norm(vec, axis=1, keepdims=True)
+    vec[norm[:, 0] == 0.0, 0] = 1.0
+    return vec / np.where(norm == 0.0, 1.0, norm)
 
 
 def cone_params_for(domain, theta=np.pi / 4, h=None):
@@ -98,7 +97,8 @@ def cone_params_for(domain, theta=np.pi / 4, h=None):
     Discs admit any opening below pi/2 with outward radial axes; rectangles
     work with pi/4 cones along outward normals.  Each sampled boundary
     point gets its cone sampled on a deterministic fan of 40 ray draws; a
-    cone point landing strictly inside the mask rejects the parameters.
+    cone point landing strictly inside the mask rejects the parameters, and
+    the error names the first such point of the first such boundary point.
     """
     if domain.kind not in ("disc", "rectangle", "polygon-mask"):
         raise ValueError(f"unsupported domain kind {domain.kind!r}")
@@ -109,27 +109,26 @@ def cone_params_for(domain, theta=np.pi / 4, h=None):
 
     spacing = np.asarray(g.spacing)
     origin = np.asarray(g.origin)
+    nodes = _boundary_nodes(domain)
+    axes = _outward_axes(domain, nodes)
+    # [node, draw]: a random direction, kept when it lies within the cone, and a height
     rng = np.random.default_rng(0)
-    for node in _boundary_nodes(domain):
-        x = origin + node * spacing
-        axis = _outward_axis(domain, tuple(node))
-        for _ in range(40):
-            # random direction within the cone, biased by rejection
-            v = rng.normal(size=g.ndim)
-            v /= np.linalg.norm(v)
-            if v @ axis < np.cos(theta):
-                continue
-            t = rng.uniform(1.5 * spacing.max(), h)
-            y = x + t * v
-            idx = np.rint((y - origin) / spacing).astype(int)
-            if np.any(idx < 0) or np.any(idx >= g.dims):
-                continue
-            # one-cell tolerance: a boundary-layer hit is not a violation
-            if domain.mask[tuple(idx)] and domain.r[tuple(idx)] > 1.5 * spacing.max():
-                raise ValueError(
-                    f"exterior cone verification failed at node {tuple(node.tolist())}: "
-                    f"cone point {y} lies inside the domain"
-                )
+    v = rng.normal(size=(len(nodes), 40, g.ndim))
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+    t = rng.uniform(1.5 * spacing.max(), h, size=(len(nodes), 40))
+    y = (origin + nodes * spacing)[:, None, :] + t[..., None] * v
+    idx = np.rint((y - origin) / spacing).astype(int)
+    in_grid = np.all((idx >= 0) & (idx < g.dims), axis=2)
+    at = tuple(np.where(in_grid[..., None], idx, 0).T)
+    # one-cell tolerance: a boundary-layer hit is not a violation
+    inside = (domain.mask[at] & (domain.r[at] > 1.5 * spacing.max())).T
+    bad = (np.sum(v * axes[:, None, :], axis=2) >= np.cos(theta)) & in_grid & inside
+    if bad.any():
+        k, j = np.unravel_index(np.argmax(bad), bad.shape)  # node-major: first node, then first draw
+        raise ValueError(
+            f"exterior cone verification failed at node {tuple(nodes[k].tolist())}: "
+            f"cone point {y[k, j]} lies inside the domain"
+        )
     return params
 
 
@@ -237,22 +236,25 @@ def _riesz_batch(eps_abs, domain, nodes):
     reach = rad[:, None] / spacing
     lo = np.maximum(np.floor(nodes - reach).astype(int), 0) - nodes
     hi = np.minimum(np.ceil(nodes + reach).astype(int) + 1, g.dims) - nodes
-    windows, which = np.unique(np.hstack([lo, hi]), axis=0, return_inverse=True)
+    # one integer key per window: on an axis of n nodes lo + n - 1 is in [0, n), hi in [1, n]
+    n = np.array(g.dims)
+    key = np.ravel_multi_index(tuple(np.hstack([lo + n - 1, hi]).T), tuple(n) + tuple(n + 1))
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
     strides = np.cumprod((1,) + g.dims[:0:-1])[::-1]
-    flat_a, flat_mask = np.ravel(eps_abs), np.ravel(domain.mask)
+    # a node outside the mask adds a * 0.0 = 0.0 for finite a, so zero it once here
+    flat_a = np.where(domain.mask, eps_abs, 0.0).ravel()
     singular = _singular_cell_average(spacing, d)
     out = np.empty(len(nodes))
-    for w, (w_lo, w_hi) in enumerate(zip(windows[:, :d], windows[:, d:])):
+    for w, (w_lo, w_hi) in enumerate(zip(lo[first], hi[first])):
         offsets = np.indices(w_hi - w_lo).reshape(d, -1).T + w_lo
         dist = np.sqrt(sum((offsets[:, ax] * spacing[ax]) ** 2 for ax in range(d)))
         kern = np.full(dist.shape, singular)
         kern[dist > 0] = dist[dist > 0] ** (1 - d)
-        members = np.flatnonzero(which.ravel() == w)
+        members = np.flatnonzero(which == w)
         for s in range(0, len(members), 64):
             rows = members[s : s + 64]
             flat = (nodes[rows] @ strides)[:, None] + offsets @ strides
-            ok = (dist <= rad[rows, None]) & flat_mask[flat]
-            out[rows] = np.sum(flat_a[flat] * np.where(ok, kern, 0.0), axis=1)
+            out[rows] = np.sum(flat_a[flat] * np.where(dist <= rad[rows, None], kern, 0.0), axis=1)
     return out * g.cell_volume
 
 
@@ -266,7 +268,7 @@ def riesz_rhs(u, domain, node, eps_u_abs=None):
     node = tuple(int(k) for k in node)
     if float(domain.r[node]) <= 0.0:
         raise ValueError("sample point must lie strictly inside the domain")
-    a = field_abs(sym_gradient(u, domain)).values if eps_u_abs is None else eps_u_abs
+    a = _abs_values(sym_gradient(u, domain)) if eps_u_abs is None else eps_u_abs
     return float(_riesz_batch(a, domain, [node])[0])
 
 
@@ -349,12 +351,14 @@ def poincare_verify(u, domain, samples, cone=None, c0_budget=10.0):
     g = domain.grid
     cone = cone or cone_params_for(domain)
     h0 = cone.h0
+    idx = np.fromiter(itertools.chain.from_iterable(samples), dtype=np.intp).reshape(-1, g.ndim)
+    if not len(idx):
+        raise ValueError("no samples to check")
 
-    absu = field_abs(u).values
+    absu = _abs_values(u)
     if absu[_boundary_band(domain)].max(initial=0.0) > 1e-14 * max(absu.max(), 1.0):
         raise ValueError("u is not compactly supported: nonzero within one cell of the boundary")
 
-    idx = np.asarray(samples, dtype=np.intp).reshape(-1, g.ndim)
     nodes = tuple(map(tuple, idx.tolist()))
     r_arr = domain.r[tuple(idx.T)]
     bad = np.flatnonzero(~((r_arr > 0.0) & (r_arr <= h0 + 1e-12)))
@@ -363,7 +367,7 @@ def poincare_verify(u, domain, samples, cone=None, c0_budget=10.0):
         raise ValueError(f"sample {nodes[k]} violates 0 < r <= h0 (r={r_arr[k]}, h0={h0})")
 
     lhs = absu[tuple(idx.T)]
-    rhs = _riesz_batch(field_abs(sym_gradient(u, domain)).values, domain, idx)
+    rhs = _riesz_batch(_abs_values(sym_gradient(u, domain)), domain, idx)
     usable = rhs > rhs_floor
     ratios = lhs[usable] / rhs[usable]
     c0 = float(ratios.max()) if ratios.size else 0.0

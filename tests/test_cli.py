@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varexp
-from varexp.cli import _KEYS, EXPERIMENTS, ConfigError, _resolution_cap, load_config, main
+from varexp.cli import _KEYS, EXPERIMENTS, ConfigError, _random_smooth_field, _resolution_cap, load_config, main
 
 
 def test_config_defaults_and_overrides(tmp_path):
@@ -248,6 +249,28 @@ def test_cli_experiments_smoke(tmp_path, args):
     out = tmp_path / args[0]
     assert main(args + ["--out", str(out), "--seed", "0"]) == 0
     assert any(p.endswith(".csv") for p in os.listdir(out))
+
+
+@pytest.mark.parametrize("dims", [(40, 40), (37, 53), (6, 9, 7)])
+def test_random_smooth_field_is_the_full_grid_formula(dims):
+    # each sine is evaluated on its axis and broadcast; the values must be the
+    # product of sines evaluated on the whole grid, bit for bit
+    grid = varexp.grid_on_box([0.0] * len(dims), [1.0 + a for a in range(len(dims))], list(dims))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        xx = grid.coords()
+        span = [(grid.axis_coords(a)[-1] - grid.axis_coords(a)[0]) or 1.0 for a in range(grid.ndim)]
+        vals = np.zeros(grid.dims)
+        for _ in range(4):
+            ks = rng.integers(1, 4, size=grid.ndim)
+            phase = rng.uniform(0, 2 * np.pi, size=grid.ndim)
+            amp = rng.normal()
+            term = np.ones(grid.dims)
+            for a in range(grid.ndim):
+                term = term * np.sin(np.pi * ks[a] * (xx[a] - grid.axis_coords(a)[0]) / span[a] + phase[a])
+            vals += amp * term
+        got = _random_smooth_field(np.random.default_rng(seed), grid).values
+        assert got.tobytes() == vals.tobytes()
 
 
 def test_cli_rothe_solve_honors_resolution(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 import varexp as vx
+from varexp.modular import _luxembourg_root
 
 
 def unit_square(res=64):
@@ -157,6 +158,25 @@ def test_luxembourg_root_hits_unit_modular(c, q, caplog):
         norm = vx.luxembourg_norm(f, p, dom)
     assert abs(vx.modular(f * (1.0 / norm), p, dom) - 1.0) <= 1e-12
     assert not [r for r in caplog.records if r.name == "varexp.modular"]
+
+
+def test_luxembourg_root_without_factors_is_the_zero_log_factor_root():
+    # log_c=None takes c = 1 at every node: the same root, to the last bit,
+    # as explicit zero log-factors, for p in [1.001, 200], magnitudes
+    # 1e-100..1e100 and supports with zeros or no nonzero node at all
+    rng = np.random.default_rng(20)
+    for case in range(200):
+        n = int(rng.integers(1, 400))
+        a = 10.0 ** rng.uniform(-100.0, 100.0) * rng.uniform(0.0, 1.0, size=n)
+        a[rng.random(n) < rng.uniform(0.0, 0.9)] = 0.0
+        if case % 25 == 0:
+            a[:] = 0.0
+        lo = rng.uniform(1.001, 200.0)
+        q = rng.uniform(lo, min(lo * 3.0, 200.0), size=n)
+        log_w = float(np.log(rng.uniform(1e-4, 1.0)))
+        bare = _luxembourg_root(a, q, None, log_w, 1e-8)
+        assert float.hex(bare) == float.hex(_luxembourg_root(a, q, np.zeros_like(a), log_w, 1e-8))
+        assert (bare == 0.0) == (not a.any())
 
 
 def test_luxembourg_two_region_root_oracle():

@@ -6,6 +6,8 @@ import pytest
 import varexp as vx
 from varexp.poincare import (
     ConeParams,
+    _boundary_nodes,
+    _outward_axes,
     _riesz_batch,
     _singular_cell_average,
     cap_area,
@@ -65,6 +67,52 @@ def test_cone_failure_names_the_node_in_plain_ints():
     full = vx.make_rectangle_domain([-1 + 1e-9] * 2, [1 - 1e-9] * 2, grid)
     with pytest.raises(ValueError, match=r"failed at node \(0, 0\): cone point"):
         cone_params_for(full, theta=np.pi / 4, h=1.0)
+
+
+def test_outward_axes_match_the_per_node_differences():
+    # reference: the one-node loop the array form replaced; only the norm's
+    # summation differs, so the axes agree to an ulp
+    grid = vx.grid_on_box([-1, -1], [1, 1], [32, 32])
+    domains = [
+        disc_domain(64),
+        vx.make_disc_domain((0.3, 0.2), 2.4, vx.grid_on_box([-3, -3], [3, 3], [64, 64])),
+        vx.make_rectangle_domain([-1 + 1e-9] * 2, [1 - 1e-9] * 2, grid),  # degenerate corners
+        vx.make_rectangle_domain([0.1] * 3, [0.9] * 3, vx.grid_on_box([0] * 3, [1] * 3, [12, 14, 10])),
+    ]
+    for dom in domains:
+        g, nodes = dom.grid, _boundary_nodes(dom)
+        for node, axis in zip(nodes, _outward_axes(dom, nodes)):
+            vec = np.zeros(g.ndim)
+            for ax in range(g.ndim):
+                lo, hi = list(node), list(node)
+                lo[ax], hi[ax] = max(node[ax] - 1, 0), min(node[ax] + 1, g.dims[ax] - 1)
+                vec[ax] = (dom.r[tuple(lo)] - dom.r[tuple(hi)]) / ((hi[ax] - lo[ax]) * g.spacing[ax] or 1.0)
+            n = np.linalg.norm(vec)
+            np.testing.assert_allclose(axis, vec / n if n else np.eye(g.ndim)[0], rtol=0, atol=4e-16)
+
+
+def test_cone_params_repeat_and_accept_smooth_domains():
+    # the ray fan is seeded, so a repeated call draws the same points
+    off_centre = vx.make_disc_domain((0.3, 0.2), 2.4, vx.grid_on_box([-3, -3], [3, 3], [64, 64]))
+    square = vx.make_rectangle_domain([0.02, 0.02], [0.98, 0.98], vx.grid_on_box([0, 0], [1, 1], [48, 48]))
+    for dom, h in ((disc_domain(64), 1.0), (disc_domain(128), 1.0), (off_centre, 1.0), (square, 0.3)):
+        expected = ConeParams(theta=np.pi / 4, h=h)
+        assert cone_params_for(dom, theta=np.pi / 4, h=h) == expected
+        assert cone_params_for(dom, theta=np.pi / 4, h=h) == expected
+
+
+def test_cone_failure_names_the_one_node_that_sees_inside():
+    # a 3x3 island of deep nodes (r = 2) off the disc lies in the exterior
+    # cone of one boundary node, the 35th in sample order, and no other cone
+    # reaches it
+    good = disc_domain(64)
+    mask, r = good.mask.copy(), good.r.copy()
+    mask[47:50, 5:8], r[47:50, 5:8] = True, 2.0
+    island = vx.Domain(good.grid, mask, r, "disc")
+    assert tuple(_boundary_nodes(island)[34].tolist()) == (45, 9)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"failed at node \(45, 9\): cone point"):
+            cone_params_for(island, theta=np.pi / 4, h=1.0)
 
 
 # -- caps and direction maps -------------------------------------------------
@@ -261,6 +309,13 @@ def test_poincare_zero_field_passes():
     samples = ring_samples(dom, (2.3,), cone.h0, per_ring=24)
     rep = poincare_verify(u, dom, samples, cone=cone)
     assert rep.passed and rep.c0_empirical == 0.0
+
+
+def test_poincare_refuses_an_empty_sample_set():
+    dom = disc_domain(64)
+    u = standard_test_fields(dom, support_radius=2.4)["radial"]
+    with pytest.raises(ValueError, match="no samples to check"):
+        poincare_verify(u, dom, [], cone=ConeParams(theta=np.pi / 4, h=1.0))
 
 
 def test_poincare_rejects_uncompact_field():

@@ -566,6 +566,8 @@ def write_table(path, header, rows, comment=None):
 
 
 _FIELD_KINDS = {"scalar": ScalarField, "vector": VectorField, "sym": SymTensorField}
+#: nodes that `write_field` formats with one % operation
+_FIELD_CHUNK_ROWS = 4096
 
 
 def _field_kind(f):
@@ -589,8 +591,12 @@ def write_field(path, f, comment=None):
         fh.write("origin " + " ".join(fmt_float(o) for o in g.origin) + "\n")
         fh.write(f"ncomp {f.ncomp}\n")
         fh.write(f"layout {kind}\n")
-        # the values are float64, so repr of each Python float is fmt_float's text
-        fh.writelines(" ".join(map(repr, row)) + "\n" for row in flat.tolist())
+        # the values are float64, so %r of each Python float is fmt_float's text;
+        # one % per chunk of rows keeps the text of only one chunk alive
+        line = " ".join(["%r"] * f.ncomp) + "\n"
+        for start in range(0, len(flat), _FIELD_CHUNK_ROWS):
+            chunk = flat[start : start + _FIELD_CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_field(path):

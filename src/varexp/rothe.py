@@ -6,10 +6,15 @@ weak form of
     (u - u_prev)/tau - div S(., ., eps(u)) + b(., ., u) = f - div F,
 
 with a flux of (p(t,x), delta)-structure, S(A) = (delta+|A|)^(p-2) A, and a
-lower-order term b treated explicitly inside a damped fixed-point loop.
+lower-order term b treated explicitly inside a relaxed fixed-point loop:
+v <- (1 - theta) v + theta x, undamped (theta = 1) first, with theta halved
+whenever the gap rms(x - v) stops shrinking (keeps more than 0.8 of the
+previous sweep's gap).
 A step's data (u_prev, tau, p at the masked nodes, the regularized law, f,
 F and b) is assembled once into a `_Step`, whose energy, gradient and
-Hessian are what damped Newton reads: the sparse step Hessian
+Hessian are what damped Newton reads.  The strain eps(x) that the line
+search evaluates at the point it accepts serves the gradient and Hessian
+there, so each Newton iterate evaluates it once.  The sparse step Hessian
 I/tau + B^T D B is assembled from the exact-adjoint symmetric-gradient
 operator B.  The operator holds one sparse LU factor.  A quadratic step
 (p = 2 at every masked node) has a Hessian that depends on tau alone, so
@@ -114,8 +119,11 @@ class ConstitutiveLaw:
 
     def flux(self, eps_comps, p_nodes, d):
         """S applied to compact symmetric components at a set of nodes."""
-        fac = flux_factor(_magnitude(eps_comps, sym_weights(d), (-1,)), p_nodes, self.delta)
-        return fac[..., None] * eps_comps
+        return self._flux(eps_comps, _magnitude(eps_comps, sym_weights(d), (-1,)), p_nodes)
+
+    def _flux(self, eps_comps, eps_mag, p_nodes):
+        """`flux` given the components' magnitudes |eps|_W."""
+        return flux_factor(eps_mag, p_nodes, self.delta)[..., None] * eps_comps
 
     def potential(self, eps_mag, p_nodes):
         return flux_potential(eps_mag, p_nodes, self.delta)
@@ -311,7 +319,12 @@ class EpsOperator:
         indptr = np.arange(0, m * nm * m + 1, m, dtype=np.int32)
         cols = np.arange(m, dtype=np.int32) * nm + np.arange(nm, dtype=np.int32)[:, None]
         indices = np.broadcast_to(cols, (m, nm, m)).ravel()
-        return self.B.T.tocsr(), indptr, indices
+        return self._Bt.tocsr(), indptr, indices
+
+    @functools.cached_property
+    def _Bt(self):
+        """B^T as the CSC view that shares B's arrays, built once for every adjoint."""
+        return self.B.T
 
     # -- dof packing -------------------------------------------------------
     def free_values(self, nodal):
@@ -343,7 +356,7 @@ class EpsOperator:
         """Exact adjoint of eps applied to weighted masked-node components."""
         m = self.d * (self.d + 1) // 2
         y = (self.weights * comps).T.reshape(m * self.n_masked)
-        return self.B.T @ y
+        return self._Bt @ y
 
 
 class RotheStepError(RuntimeError):
@@ -388,6 +401,10 @@ class _Step:
     f: np.ndarray = None
     F: np.ndarray = None
     b: np.ndarray = None
+    #: [x, (J, eps, |eps|_W)] of the last point evaluated, see `_point`
+    _last: list = dataclasses.field(
+        default_factory=lambda: [None, None], init=False, repr=False, compare=False
+    )
 
     @classmethod
     def at(cls, law, data, k, op, u_prev):
@@ -398,25 +415,40 @@ class _Step:
         F = op.masked_values(Fk, op.d * (op.d + 1) // 2) if Fk is not None else None
         return cls(op, op.to_free(u_prev), data.tau, p, law, f, F)
 
+    def _point(self, x):
+        """(energy, eps, |eps|_W) at free dofs x; the last point's values are kept.
+
+        Newton's line search evaluates the energy at the point it accepts,
+        and the gradient and Hessian there read these values rather than
+        recompute them, so each iterate's strain is evaluated once.  The
+        point is recognised by the identity of x, which callers therefore
+        never change in place.
+        """
+        last = self._last
+        if last[0] is not x:
+            eps = self.op.eps(x)
+            w = self.op.weights
+            du = x - self.x_prev
+            mag = _magnitude(eps, w, (-1,))
+            J = float(np.sum(0.5 * du * du) / self.tau + np.sum(self.law.potential(mag, self.p)))
+            if self.f is not None:
+                J -= float(np.dot(self.f, x))
+            if self.b is not None:
+                J += float(np.dot(self.b, x))
+            if self.F is not None:
+                J -= float(np.sum(w * self.F * eps))
+            last[:] = x, (J, eps, mag)
+        return last[1]
+
     def energy(self, x):
         """Energy value at free dofs x, and eps(x) at masked nodes."""
-        eps = self.op.eps(x)
-        w = self.op.weights
-        du = x - self.x_prev
-        mag = _magnitude(eps, w, (-1,))
-        J = float(np.sum(0.5 * du * du) / self.tau + np.sum(self.law.potential(mag, self.p)))
-        if self.f is not None:
-            J -= float(np.dot(self.f, x))
-        if self.b is not None:
-            J += float(np.dot(self.b, x))
-        if self.F is not None:
-            J -= float(np.sum(w * self.F * eps))
+        J, eps, _ = self._point(x)
         return J, eps
 
     def energy_grad(self, x):
         """Energy value and gradient at free dofs x."""
-        J, eps = self.energy(x)
-        S = self.law.flux(eps, self.p, self.op.d)
+        J, eps, mag = self._point(x)
+        S = self.law._flux(eps, mag, self.p)
         if self.F is not None:
             S = S - self.F
         g = (x - self.x_prev) / self.tau + self.op.eps_adjoint(S)
@@ -444,10 +476,9 @@ class _Step:
         from scipy import sparse
 
         op, p_nodes = self.op, self.p
-        eps = op.eps(x)
+        _, eps, s = self._point(x)
         w = op.weights
         we = w * eps
-        s = _magnitude(eps, w, (-1,))
         base = self.law.delta + s
         # base > 0 wherever p < 2 (see _step_law); 0^0 = 1 keeps p = 2 exact
         phi = base ** (p_nodes - 2.0)
@@ -543,11 +574,13 @@ def _descend(step, x0, tol, max_iter, trace=None, counts=None):
     Eisenstat-Walker forcing term (`_Step.newton_direction`): eta_0 = 0.1,
     then eta_k = max(min(0.1, 0.9 (res_k/res_{k-1})^2), 1e-6), so the
     solve tightens as Newton converges.  It then halves t from 1 until the
-    energy meets the Armijo test along dx.  The energy trail is therefore
-    monotone up to float roundoff; the loop stops when the rms nodal
-    residual falls below tol.  `trace`, if given, collects the energy after
-    every accepted step; `counts`, if given, adds up the step's
-    `factorizations` and `cg_iters`.
+    energy meets the Armijo test along dx.  The accepted point is the last
+    one the line search evaluated, so the gradient and Newton direction
+    there read its energy and strain (`_Step._point`) instead of computing
+    them again.  The energy trail is monotone up to float roundoff; the loop
+    stops when the rms nodal residual falls below tol.  `trace`, if given,
+    collects the energy after every accepted step; `counts`, if given, adds
+    up the step's `factorizations` and `cg_iters`.
     """
     x = x0.copy()
     J, g = step.energy_grad(x)
@@ -589,6 +622,9 @@ def _descend(step, x0, tol, max_iter, trace=None, counts=None):
 
 #: Picard sweeps allowed for the explicit lower-order argument of one step
 _PICARD_MAX = 50
+#: a Picard sweep whose gap exceeds this share of the previous sweep's gap has
+#: stopped shrinking: at that rate 50 sweeps shrink it by less than five orders
+_PICARD_SHRINK = 0.8
 
 
 def _tolerance(data, u_prev, k):
@@ -608,17 +644,22 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000):
     """One implicit step: minimize the step energy, Picard-iterating the b-term.
 
     Returns (u, info): the new VectorField and a dict carrying the
-    converged energy and residual, and the Newton iterations
-    (`iters`), Hessian factorizations (`factorizations`) and CG iterations
-    (`cg_iters`), each summed over the Picard sweeps.  The minimizer runs
+    converged energy and residual, the Picard sweeps run (`sweeps`, 1
+    without a lower-order term), and the Newton iterations (`iters`),
+    Hessian factorizations (`factorizations`) and CG iterations
+    (`cg_iters`), each summed over the sweeps.  The minimizer runs
     inexact damped Newton with Armijo backtracking (`_descend`): CG on the
     held factor, a factorization only when CG stalls, and a quadratic
-    step's exact factor reused at its tau.  It stops when the rms
-    weak-form residual is below 1e-8 * (1 + data magnitude);
-    non-convergence within max_iter Newton iterations raises
-    RotheStepError with the final residual, and so does a Picard loop that
-    has not settled after 50 sweeps.  Each sweep's descent starts from the
-    previous sweep's minimizer.
+    step's exact factor reused at its tau; the gradient and Hessian at an
+    accepted iterate reuse the strain its line search evaluated.  It stops
+    when the rms weak-form residual is below tol = 1e-8 * (1 + data
+    magnitude); non-convergence within max_iter Newton iterations raises
+    RotheStepError with the final residual.  A sweep minimizes with b taken
+    at v, from the previous sweep's minimizer x, and relaxes v <- (1 - theta)
+    v + theta x: theta = 1 at first, halved whenever the gap rms(x - v)
+    stops shrinking, that is whenever it keeps more than 0.8 of the previous
+    sweep's gap.  The loop stops once that gap is at most tol, and
+    raises RotheStepError when it has not after 50 sweeps.
     """
     if op is None:
         op = EpsOperator(data.domain)
@@ -630,24 +671,27 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000):
         )
     tol = _tolerance(data, u_prev, k)
 
-    # damped fixed point in the explicit b argument; without a lower-order
-    # term the first sweep is the whole step
+    # an undamped map that nearly flips the gap's sign each sweep shrinks it
+    # by a factor close to 1, which theta = 1/2 cancels; without a
+    # lower-order term the first sweep is the whole step
     plain = low is None or low.is_zero
     v = x = step.x_prev
+    theta, gap = 1.0, np.inf
     total_iters = 0
     counts = {"factorizations": 0, "cg_iters": 0}
-    drift = np.inf
-    for _ in range(_PICARD_MAX):
+    for sweep in range(1, _PICARD_MAX + 1):
         if not plain:
             step = dataclasses.replace(step, b=op.free_values(low(op.to_field(v).values)))
         x, J, res, it = _descend(step, x, tol, max_iter, counts=counts)
         total_iters += it
-        v_new = 0.5 * v + 0.5 * x
-        drift = float(np.sqrt(np.sum((v_new - v) ** 2) / max(v.size, 1)))
-        v = v_new
-        if plain or drift <= tol:
-            return op.to_field(x), {"energy": J, "residual": res, "iters": total_iters, **counts}
-    raise RotheStepError(f"Picard loop did not settle in {_PICARD_MAX} iterations", drift)
+        gap, gap_old = float(np.sqrt(np.sum((x - v) ** 2) / max(v.size, 1))), gap
+        if plain or gap <= tol:
+            info = {"energy": J, "residual": res, "iters": total_iters, "sweeps": sweep, **counts}
+            return op.to_field(x), info
+        if gap > _PICARD_SHRINK * gap_old:
+            theta *= 0.5
+        v = (1.0 - theta) * v + theta * x
+    raise RotheStepError(f"Picard loop did not settle in {_PICARD_MAX} iterations", gap)
 
 
 def rothe_solve(data, law, low=None):

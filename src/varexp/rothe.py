@@ -22,10 +22,10 @@ its factor serves every quadratic step at that tau exactly.  Any other
 step solves its Newton system inexactly, by conjugate gradients
 preconditioned with the held factor to an Eisenstat-Walker forcing term,
 and factorizes its current Hessian only when no factor is held or CG
-stalls.  Armijo
-backtracking on the energy globalises the step.  `energy_step`
-returns the new field and an info dict.  Dirichlet boundary values are
-enforced by constraining the boundary layer of masked nodes to zero.  This
+stalls.  Armijo backtracking on the energy globalises the step.
+`energy_step` returns the new field and an info dict, which `rothe_solve`
+records as it is.  Dirichlet boundary values are enforced by constraining
+the boundary layer of masked nodes to zero.  This
 is the package's one sparse user: scipy.sparse and its SuperLU load with
 the first `EpsOperator`, so `import varexp` needs numpy only.  The
 module also provides the discrete energy (a priori) inequality report, the
@@ -113,9 +113,13 @@ class ConstitutiveLaw:
             raise ValueError("delta must be >= 0")
 
     def exponent_at(self, data, k):
-        """Spatial exponent values at vertex time index k."""
-        p = self.exponent
-        return p.values.values[k] if _time_axes(p.grid, data.domain.grid, "domain") else p.values.values
+        """Spatial exponent values at vertex time index k; a space-time p needs steps + 1 time nodes."""
+        p, n = self.exponent, data.steps + 1
+        if not _time_axes(p.grid, data.domain.grid, "domain"):
+            return p.values.values
+        if p.grid.dims[0] != n:
+            raise ValueError(f"p(t, x) needs steps + 1 = {n} vertex time nodes, got {p.grid.dims[0]}")
+        return p.values.values[k]
 
     def flux(self, eps_comps, p_nodes, d):
         """S applied to compact symmetric components at a set of nodes."""
@@ -285,6 +289,7 @@ class EpsOperator:
         free_flat = domain.interior_mask().reshape(-1)
         self.domain = domain
         self.d = d
+        self.m = d * (d + 1) // 2  # compact symmetric components per node
         self.masked_idx = np.flatnonzero(mask_flat)
         self.free_idx = np.flatnonzero(free_flat)
         self.n_masked = len(self.masked_idx)
@@ -315,7 +320,7 @@ class EpsOperator:
         Row a*n_masked + node of D holds the node's m block entries, at
         columns b*n_masked + node for b = 0..m-1.
         """
-        nm, m = self.n_masked, self.d * (self.d + 1) // 2
+        nm, m = self.n_masked, self.m
         indptr = np.arange(0, m * nm * m + 1, m, dtype=np.int32)
         cols = np.arange(m, dtype=np.int32) * nm + np.arange(nm, dtype=np.int32)[:, None]
         indices = np.broadcast_to(cols, (m, nm, m)).ravel()
@@ -349,13 +354,11 @@ class EpsOperator:
 
     def eps(self, x):
         """Compact components at masked nodes, shape (n_masked, m)."""
-        m = self.d * (self.d + 1) // 2
-        return (self.B @ x).reshape(m, self.n_masked).T
+        return (self.B @ x).reshape(self.m, self.n_masked).T
 
     def eps_adjoint(self, comps):
         """Exact adjoint of eps applied to weighted masked-node components."""
-        m = self.d * (self.d + 1) // 2
-        y = (self.weights * comps).T.reshape(m * self.n_masked)
+        y = (self.weights * comps).T.reshape(self.m * self.n_masked)
         return self._Bt @ y
 
 
@@ -412,7 +415,7 @@ class _Step:
         p, law = _step_law(law, data, k, op)
         fk, Fk = data.f_at(k), data.F_at(k)
         f = op.free_values(fk) if fk is not None else None
-        F = op.masked_values(Fk, op.d * (op.d + 1) // 2) if Fk is not None else None
+        F = op.masked_values(Fk, op.m) if Fk is not None else None
         return cls(op, op.to_free(u_prev), data.tau, p, law, f, F)
 
     def _point(self, x):
@@ -533,6 +536,8 @@ class _Step:
         return lu.solve(-g), cg_iters, True
 
 
+#: Newton iterations one step energy minimization may take
+_NEWTON_MAX = 5000
 #: CG iterations a Newton solve may take on the held factor before it refactorizes
 _PCG_MAX = 8
 #: Eisenstat-Walker forcing term: eta_0 = _ETA_MAX, then
@@ -567,7 +572,7 @@ def _pcg(H, b, precond, rtol, maxiter):
     return None, maxiter
 
 
-def _descend(step, x0, tol, max_iter, trace=None, counts=None):
+def _descend(step, x0, tol):
     """Inexact damped Newton on the convex step energy, globalised by Armijo backtracking.
 
     Each iteration solves H dx = -g to the relative residual eta_k of an
@@ -578,21 +583,19 @@ def _descend(step, x0, tol, max_iter, trace=None, counts=None):
     one the line search evaluated, so the gradient and Newton direction
     there read its energy and strain (`_Step._point`) instead of computing
     them again.  The energy trail is monotone up to float roundoff; the loop
-    stops when the rms nodal residual falls below tol.  `trace`, if given,
-    collects the energy after every accepted step; `counts`, if given, adds
-    up the step's `factorizations` and `cg_iters`.
+    stops when the rms nodal residual falls below tol.  Returns (x, J,
+    residual, counts), counts holding `iters`, `factorizations` and `cg_iters`.
     """
     x = x0.copy()
     J, g = step.energy_grad(x)
     n = max(x.size, 1)
     res = float(np.sqrt(np.dot(g, g) / n))
     eta = _ETA_MAX
-    it = 0
-    while res > tol and it < max_iter:
+    it = factorizations = cg_total = 0
+    while res > tol and it < _NEWTON_MAX:
         dx, cg_iters, factorized = step.newton_direction(x, g, eta)
-        if counts is not None:
-            counts["factorizations"] += int(factorized)
-            counts["cg_iters"] += cg_iters
+        factorizations += int(factorized)
+        cg_total += cg_iters
         slope = float(np.dot(g, dx))
         t = 1.0
         # the roundoff allowance keeps Armijo decidable once the decrease
@@ -608,16 +611,14 @@ def _descend(step, x0, tol, max_iter, trace=None, counts=None):
             raise RotheStepError("backtracking stalled", res)
         x = xn
         J, g = step.energy_grad(x)
-        if trace is not None:
-            trace.append(J)
         res, res_old = float(np.sqrt(np.dot(g, g) / n)), res
         eta = max(min(_ETA_MAX, _EW_GAMMA * (res / res_old) ** 2), _ETA_MIN)
         it += 1
     if res > tol:
         raise RotheStepError(
-            f"energy step did not converge in {max_iter} iterations (residual {res:.3e})", res
+            f"energy step did not converge in {_NEWTON_MAX} iterations (residual {res:.3e})", res
         )
-    return x, J, res, it
+    return x, J, res, {"iters": it, "factorizations": factorizations, "cg_iters": cg_total}
 
 
 #: Picard sweeps allowed for the explicit lower-order argument of one step
@@ -640,20 +641,21 @@ def _tolerance(data, u_prev, k):
     return 1e-8 * (1.0 + mag)
 
 
-def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000):
+def energy_step(u_prev, k, law, low, data, op=None):
     """One implicit step: minimize the step energy, Picard-iterating the b-term.
 
     Returns (u, info): the new VectorField and a dict carrying the
-    converged energy and residual, the Picard sweeps run (`sweeps`, 1
-    without a lower-order term), and the Newton iterations (`iters`),
-    Hessian factorizations (`factorizations`) and CG iterations
-    (`cg_iters`), each summed over the sweeps.  The minimizer runs
+    converged energy and modular sum |eps(u)|_W^p over the masked nodes
+    (`modular_eps`), both per unit cell volume, the residual, `iters`,
+    `factorizations` and `cg_iters` summed over the Picard sweeps, the
+    sweeps (`sweeps`, 1 without a lower-order term) and `delta`, the delta
+    the step ran at.  The minimizer runs
     inexact damped Newton with Armijo backtracking (`_descend`): CG on the
     held factor, a factorization only when CG stalls, and a quadratic
     step's exact factor reused at its tau; the gradient and Hessian at an
     accepted iterate reuse the strain its line search evaluated.  It stops
     when the rms weak-form residual is below tol = 1e-8 * (1 + data
-    magnitude); non-convergence within max_iter Newton iterations raises
+    magnitude); non-convergence within 5000 Newton iterations raises
     RotheStepError with the final residual.  A sweep minimizes with b taken
     at v, from the previous sweep's minimizer x, and relaxes v <- (1 - theta)
     v + theta x: theta = 1 at first, halved whenever the gap rms(x - v)
@@ -664,11 +666,6 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000):
     if op is None:
         op = EpsOperator(data.domain)
     step = _Step.at(law, data, k, op, u_prev)
-    if step.law is not law:
-        log.warning(
-            "delta=0 with p_min < 2 is non-smooth at eps=0; regularized with delta=%r",
-            step.law.delta,
-        )
     tol = _tolerance(data, u_prev, k)
 
     # an undamped map that nearly flips the gap's sign each sweep shrinks it
@@ -677,16 +674,17 @@ def energy_step(u_prev, k, law, low, data, op=None, max_iter=5000):
     plain = low is None or low.is_zero
     v = x = step.x_prev
     theta, gap = 1.0, np.inf
-    total_iters = 0
-    counts = {"factorizations": 0, "cg_iters": 0}
+    counts = {}
     for sweep in range(1, _PICARD_MAX + 1):
         if not plain:
             step = dataclasses.replace(step, b=op.free_values(low(op.to_field(v).values)))
-        x, J, res, it = _descend(step, x, tol, max_iter, counts=counts)
-        total_iters += it
+        x, J, res, swept = _descend(step, x, tol)
+        counts = {key: counts.get(key, 0) + n for key, n in swept.items()}
         gap, gap_old = float(np.sqrt(np.sum((x - v) ** 2) / max(v.size, 1))), gap
         if plain or gap <= tol:
-            info = {"energy": J, "residual": res, "iters": total_iters, "sweeps": sweep, **counts}
+            _, _, mag = step._point(x)  # the strain the last Newton iterate evaluated
+            info = {"energy": J, "residual": res, **counts, "sweeps": sweep,
+                    "delta": step.law.delta, "modular_eps": float(np.sum(mag**step.p))}
             return op.to_field(x), info
         if gap > _PICARD_SHRINK * gap_old:
             theta *= 0.5
@@ -700,14 +698,14 @@ def rothe_solve(data, law, low=None):
     The trajectory holds K+1 VectorFields starting from u0 projected onto
     the free dofs (Dirichlet layer zeroed).  Diagnostics record per-step
     energy, L2 norm, the exponent modular of eps(u), the final residual,
-    and the iteration count.
+    and the iteration count, all as `energy_step` reports them.  A delta = 0
+    law that a step regularizes is logged once, at the first such step.
     """
     domain = data.domain
     op = EpsOperator(domain)
-    d = op.d
     if low is not None and not low.is_zero:
         p_minus = law.exponent.p_minus
-        bound = critical_growth_bound(p_minus, d)
+        bound = critical_growth_bound(p_minus, op.d)
         if low.r >= bound:
             raise ValueError(
                 f"lower-order growth r={low.r} is supercritical (needs r < {bound:.3f})"
@@ -717,18 +715,21 @@ def rothe_solve(data, law, low=None):
     u = op.to_field(op.to_free(data.u0))  # projects the boundary layer to zero
     traj = [u]
     diags = []
+    warned = False
     for k in range(1, data.steps + 1):
         u, info = energy_step(traj[-1], k, law, low, data, op=op)
         traj.append(u)
-        p_nodes, _ = _step_law(law, data, k, op)
-        mag = _magnitude(op.eps(op.to_free(u)), op.weights, (-1,))
+        if info["delta"] != law.delta and not warned:
+            warned = True
+            log.warning("delta=0 with p_min < 2 is non-smooth at eps=0; regularized with delta=%r, "
+                        "first at step %d of %d", info["delta"], k, data.steps)
         diags.append(
             StepDiagnostics(
                 k=k,
                 t=k * data.tau,
                 energy=info["energy"] * vol,
                 l2norm=float(np.sqrt(np.sum(u.values**2) * vol)),
-                modular_eps=float(np.sum(mag**p_nodes) * vol),
+                modular_eps=info["modular_eps"] * vol,
                 residual=info["residual"],
                 iters=info["iters"],
             )
@@ -765,7 +766,6 @@ def energy_inequality_report(traj, law, low, data):
     """
     op = EpsOperator(data.domain)
     vol = data.domain.grid.cell_volume
-    w = op.weights
     half_u0 = 0.5 * float(np.sum(traj[0].values**2)) * vol
 
     lhs_rhs = []
@@ -774,16 +774,14 @@ def energy_inequality_report(traj, law, low, data):
     acc_floor = 0.0
     for k in range(1, data.steps + 1):
         step = _Step.at(law, data, k, op, traj[k - 1])
-        x = op.to_free(traj[k])
-        eps = op.eps(x)
-        mag = _magnitude(eps, w, (-1,))
-        f_pair = float(np.dot(step.f, x)) * vol if step.f is not None else 0.0
-        F_pair = float(np.sum(w * step.F * eps)) * vol if step.F is not None else 0.0
-
         if low is not None and not low.is_zero:
             step = dataclasses.replace(step, b=op.free_values(low(traj[k].values)))
+        x = op.to_free(traj[k])
         _, g = step.energy_grad(x)
+        _, eps, mag = step._point(x)  # the strain energy_grad evaluated
         g_k = float(np.dot(g, x)) * vol
+        f_pair = float(np.dot(step.f, x)) * vol if step.f is not None else 0.0
+        F_pair = float(np.sum(op.weights * step.F * eps)) * vol if step.F is not None else 0.0
 
         acc_eps += data.tau * float(np.sum(mag**step.p)) * vol
         acc_data += data.tau * (f_pair + F_pair + g_k)

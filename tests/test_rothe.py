@@ -215,7 +215,9 @@ def test_energy_gradient_matches_finite_differences():
         assert fd == pytest.approx(np.dot(grad, v), rel=1e-5, abs=1e-9)
 
 
-def test_descent_energy_monotone():
+def test_descent_energy_monotone(monkeypatch):
+    from varexp import rothe
+
     rng = np.random.default_rng(5)
     dom = box_domain(10)
     g = dom.grid
@@ -225,8 +227,17 @@ def test_descent_energy_monotone():
     x_prev = np.zeros(op.n_free * 2)
     fk = rng.normal(size=op.n_free * 2)
     trail = []
-    x, J, res, it = _descend(_Step(op, x_prev, 0.05, p_nodes, law, fk), x_prev, 1e-10, 5000, trace=trail)
+    real = rothe._Step.energy_grad
+
+    def recorded(self, x):
+        J, g = real(self, x)
+        trail.append(J)
+        return J, g
+
+    monkeypatch.setattr(rothe._Step, "energy_grad", recorded)
+    x, J, res, counts = _descend(_Step(op, x_prev, 0.05, p_nodes, law, fk), x_prev, 1e-10)
     assert res <= 1e-10
+    assert len(trail) == counts["iters"] + 1  # the start, then every accepted iterate
     trail = np.asarray(trail)
     scale = np.abs(trail[0]) + 1.0
     assert np.all(np.diff(trail) <= 1e-12 * scale)  # nonincreasing up to roundoff
@@ -463,7 +474,7 @@ def test_non_quadratic_solve_reuses_its_factor(monkeypatch):
         assert np.abs(traj[k].values - ref[k].values).max() <= _tolerance(data, ref[k - 1], k)
 
 
-def reference_descend(step, x0, tol, max_iter):
+def reference_descend(step, x0, tol):
     """`_descend` with every energy, gradient and Hessian evaluated afresh.
 
     The step keeps its last point by the identity of x, so handing each
@@ -478,7 +489,7 @@ def reference_descend(step, x0, tol, max_iter):
     eta = rothe._ETA_MAX
     it = 0
     counts = {"factorizations": 0, "cg_iters": 0}
-    while res > tol and it < max_iter:
+    while res > tol and it < rothe._NEWTON_MAX:
         dx, cg_iters, factorized = step.newton_direction(x.copy(), g, eta)
         counts["factorizations"] += int(factorized)
         counts["cg_iters"] += cg_iters
@@ -498,7 +509,7 @@ def reference_descend(step, x0, tol, max_iter):
         res, res_old = float(np.sqrt(np.dot(g, g) / n)), res
         eta = max(min(rothe._ETA_MAX, rothe._EW_GAMMA * (res / res_old) ** 2), rothe._ETA_MIN)
         it += 1
-    return x, J, res, it, counts
+    return x, J, res, {"iters": it, **counts}
 
 
 @pytest.mark.parametrize("exponent", ["p=1.1", "p(x)"])
@@ -522,13 +533,12 @@ def test_descend_reuses_each_iterates_strain_bitwise(shape, exponent):
     f = 20.0 * rng.normal(size=2 * op.n_free)
     tol = 1e-8 * (1.0 + np.abs(x_prev).max() / tau + np.abs(f).max())
 
-    counts = {"factorizations": 0, "cg_iters": 0}
-    x, J, res, it = _descend(_Step(op, x_prev, tau, p_nodes, law, f), x_prev, tol, 5000, counts=counts)
+    x, J, res, counts = _descend(_Step(op, x_prev, tau, p_nodes, law, f), x_prev, tol)
     op._lu = None  # the reference starts without a held factor too
-    ref = reference_descend(_Step(op, x_prev, tau, p_nodes, law, f), x_prev, tol, 5000)
-    assert it > 1 and counts["factorizations"] >= 1
+    ref = reference_descend(_Step(op, x_prev, tau, p_nodes, law, f), x_prev, tol)
+    assert counts["iters"] > 1 and counts["factorizations"] >= 1
     assert np.array_equal(x, ref[0])
-    assert (J, res, it, counts) == ref[1:]
+    assert (J, res, counts) == ref[1:]
 
 
 def damped_half_step(u_prev, k, law, low, data, op):
@@ -538,7 +548,7 @@ def damped_half_step(u_prev, k, law, low, data, op):
     v = x = step.x_prev
     for sweep in range(1, 51):
         step = dataclasses.replace(step, b=op.free_values(low(op.to_field(v).values)))
-        x, *_ = _descend(step, x, tol, 5000)
+        x, *_ = _descend(step, x, tol)
         v_new = 0.5 * v + 0.5 * x
         if np.sqrt(np.mean((v_new - v) ** 2)) <= tol:
             return op.to_field(x), sweep
@@ -753,8 +763,11 @@ def test_energy_inequality_on_random_data():
         assert lhs <= rhs + 1e-9 * (abs(rhs) + 1.0)
 
 
-def test_nonconvergence_raises_with_residual():
+def test_nonconvergence_raises_with_residual(monkeypatch):
     # p = 1.1 with small delta and strong forcing: two Newton steps are not enough
+    from varexp import rothe
+
+    monkeypatch.setattr(rothe, "_NEWTON_MAX", 2)
     dom = box_domain(10)
     g = dom.grid
     law = ConstitutiveLaw(exponent=vx.constant_exponent(g, 1.1), delta=1e-3)
@@ -763,7 +776,7 @@ def test_nonconvergence_raises_with_residual():
     f = vx.VectorField(st, 50.0 * rng.normal(size=st.dims + (2,)))
     data = ProblemData(domain=dom, u0=vx.VectorField(g, np.zeros(g.dims + (2,))), T=0.2, tau=0.1, f=f)
     with pytest.raises(RotheStepError) as err:
-        energy_step(data.u0, 1, law, None, data, max_iter=2)
+        energy_step(data.u0, 1, law, None, data)
     assert err.value.residual > 0
 
 
@@ -783,6 +796,66 @@ def test_regularization_decided_on_masked_nodes(caplog):
     with caplog.at_level(logging.WARNING, logger="varexp.rothe"):
         traj, _ = rothe_solve(data, law)
     assert not [r for r in caplog.records if "regularized" in r.getMessage()]
+    for lhs, rhs in energy_inequality_report(traj, law, None, data):
+        assert lhs <= rhs + 1e-9 * (abs(rhs) + 1.0)
+
+
+def test_regularization_is_logged_once_per_solve(caplog):
+    # delta = 0 with p = 1.5: every step regularizes, and the solve says so once
+    dom = box_domain(12)
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.5), delta=0.0)
+    T, K = 0.04, 4
+    _, _, u0 = mms_solution_p2(dom, T, K)
+    data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K)
+    with caplog.at_level(logging.WARNING, logger="varexp.rothe"):
+        _, diags = rothe_solve(data, law)
+    records = [r.getMessage() for r in caplog.records if "regularized" in r.getMessage()]
+    assert len(diags) == K
+    assert len(records) == 1
+    assert "delta=1e-08" in records[0] and "first at step 1 of 4" in records[0]
+
+
+@pytest.mark.parametrize("nodes", [3, 9])
+def test_spacetime_exponent_needs_one_time_node_per_step(nodes, monkeypatch):
+    # K = 4 steps need 5 time nodes: 3 run out after two steps, and 9 would
+    # give step k the p of t = k T/8 instead of k T/4
+    from varexp import rothe
+
+    def no_descent(*args):
+        raise AssertionError("a step ran before the exponent was checked")
+
+    monkeypatch.setattr(rothe, "_descend", no_descent)
+    dom = box_domain(8)
+    g = dom.grid
+    T, K = 0.2, 4
+    st = vx.Grid((nodes,) + g.dims, (T / (nodes - 1),) + g.spacing, (0.0,) + g.origin)
+    law = ConstitutiveLaw(exponent=vx.ExponentField(vx.ScalarField(st, np.full(st.dims, 1.8))), delta=0.05)
+    data = ProblemData(domain=dom, u0=vx.VectorField(g, np.zeros(g.dims + (2,))), T=T, tau=T / K)
+    with pytest.raises(ValueError, match=rf"needs steps \+ 1 = 5 vertex time nodes, got {nodes}"):
+        rothe_solve(data, law)
+
+
+def test_spacetime_exponent_solve_reads_each_steps_time_node():
+    # p(t, x) = 1.5 + 0.4 sin(2 pi t) cos(pi x) differs at every vertex time,
+    # so each step's modular pins the time index the solver read
+    rng = np.random.default_rng(18)
+    dom = box_domain(16)
+    g = dom.grid
+    T, K = 0.25, 4
+    st = spacetime(g, T, K)
+    tt, xx, _ = st.coords()
+    p_vals = 1.5 + 0.4 * np.sin(2 * np.pi * tt) * np.cos(np.pi * xx)
+    law = ConstitutiveLaw(exponent=vx.ExponentField(vx.ScalarField(st, p_vals)), delta=1e-2)
+    f = vx.VectorField(st, 0.5 * rng.normal(size=st.dims + (2,)))
+    u0v = np.zeros(g.dims + (2,))
+    inner = dom.interior_mask()
+    u0v[inner] = 0.2 * rng.normal(size=(int(inner.sum()), 2))
+    data = ProblemData(domain=dom, u0=vx.VectorField(g, u0v), T=T, tau=T / K, f=f)
+    traj, diags = rothe_solve(data, law)
+    for k, dg in enumerate(diags, start=1):
+        p_k = vx.ExponentField(vx.ScalarField(g, p_vals[k]))
+        ref = vx.modular(vx.sym_gradient(traj[k], dom), p_k, dom)
+        assert dg.modular_eps == pytest.approx(ref, rel=1e-12)
     for lhs, rhs in energy_inequality_report(traj, law, None, data):
         assert lhs <= rhs + 1e-9 * (abs(rhs) + 1.0)
 

@@ -10,11 +10,21 @@ radius, each padded only as far as its ball reaches.  The smoothing
 operator cuts off, zero-extends, then mollifies; its quasi adjoint
 mollifies first and cuts off afterwards.  Smoothing scales are snapped to
 whole grid cells so support statements stay cell-exact.
+
+The FFT work runs on two lanes where the process may use two or more CPUs
+and VAREXP_THREADS is not 1: the calling thread and one worker thread,
+started on first use.  `maximal` splits its padded-shape groups of rungs
+between them, and `convolve` computes its window sum on the worker while
+the caller transforms the components, once the padded transform holds
+`_LANE_MIN_NODES` nodes.  Each lane computes the same values the serial
+path does, so the outputs do not depend on the lanes; VAREXP_THREADS=1
+keeps mollify serial.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: load it here, not in the first convolve)
@@ -38,6 +48,13 @@ __all__ = [
 ]
 
 _CNORM_CACHE = {}
+
+#: padded transform nodes from which `convolve` hands its window sum to the
+#: worker lane; below it the hand-off costs more than the overlap saves
+#: (measured on 2 vCPUs: 20 736 nodes 0.65 -> 0.87 ms, 28 800 1.37 -> 0.97 ms)
+_LANE_MIN_NODES = 30_000
+
+_WORKER = None
 
 # the one quadrature rule of the package (Golub & Welsch, Math. Comp. 23, 1969)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
@@ -133,6 +150,27 @@ def _fast_length(n):
         m += 1
 
 
+def _lane():
+    """The worker lane, started on first use; None where mollify runs serial.
+
+    The worker runs only numpy and the private helpers below, never a
+    public varexp function, so a traced run keeps one span stack.  Every
+    large array it writes is allocated by the calling thread, so its own
+    malloc arena stays small.
+    """
+    global _WORKER
+    threads = os.environ.get("VAREXP_THREADS", "")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if (threads.isdigit() and int(threads) == 1) or cpus < 2:
+        return None
+    # a forked child inherits the executor but not its thread: it starts its own
+    if _WORKER is None or _WORKER[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _WORKER = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="varexp-mollify")
+    return _WORKER[1]
+
+
 class _PaddedFFT:
     """Zero-padded real FFTs over the grid axes, for linear convolution with a centred kernel.
 
@@ -140,23 +178,40 @@ class _PaddedFFT:
     to keep the circular product acyclic on the n output nodes, which sit
     k nodes into the transform; each axis is then padded on to a fast
     length.  Transforms of data and kernel take the same padded shape, so
-    their spectra multiply.
+    their spectra multiply.  Both directions write into arrays the caller
+    passes and skip the lines that hold only padding or only off-grid
+    output; every line they transform is the line `np.fft.rfftn` and
+    `np.fft.irfftn` transform, so the values are theirs, bit for bit.
     """
 
-    __slots__ = ("axes", "shape", "inside")
+    __slots__ = ("shape", "half", "rows", "inside")
 
     def __init__(self, dims, reach):
-        self.axes = tuple(range(len(dims)))
         self.shape = tuple(_fast_length(n + k) for n, k in zip(dims, reach))
+        self.half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+        # the inverse's last pass: in-grid rows at full padded length
+        self.rows = tuple(dims[:-1]) + self.shape[-1:]
         self.inside = tuple(slice(k, k + n) for n, k in zip(dims, reach))
 
-    def rfft(self, a, out=None):
-        """Spectrum of `a` zero-padded to the padded shape; with `out`, `a` must have that shape."""
-        return np.fft.rfftn(a, self.shape, self.axes, out=out)
+    def rfft(self, a, out):
+        """Spectrum of `a`, zero-padded (or cropped) from its corner to the padded shape, into `out`."""
+        a = a[tuple(slice(0, n) for n in self.shape[:-1])]
+        out[...] = 0.0
+        np.fft.rfft(a, self.shape[-1], axis=-1, out=out[tuple(slice(0, n) for n in a.shape[:-1])])
+        # rfftn's order; the axes before `ax` are still zero past `a`
+        for ax in range(len(self.shape) - 2, -1, -1):
+            lines = out[tuple(slice(0, n) for n in a.shape[:ax])]
+            np.fft.fft(lines, axis=ax, out=lines)
+        return out
 
-    def irfft(self, spec, out=None):
-        """The n in-grid nodes of the inverse transform; with `out`, the padded transform lands there."""
-        return np.fft.irfftn(spec, self.shape, self.axes, out=out)[self.inside]
+    def irfft(self, spec, out):
+        """In-grid nodes of the inverse transform of `spec`, which it overwrites; `out` has shape `rows`."""
+        # irfftn's order; past the axes already done only in-grid rows are needed
+        for ax in range(len(self.shape) - 1):
+            lines = spec[self.inside[:ax]]
+            np.fft.ifft(lines, axis=ax, out=lines)
+        np.fft.irfft(spec[self.inside[:-1]], self.shape[-1], axis=-1, out=out)
+        return out[..., self.inside[-1]]
 
 
 def convolve(f, eps):
@@ -170,34 +225,62 @@ def convolve(f, eps):
     so one integer window sum restores them: a node whose kernel footprint
     sees no nonzero component is exactly 0, and one whose footprint lies
     in the grid and sees only ones is exactly 1, the sum the weights are
-    renormalized to.
+    renormalized to.  From `_LANE_MIN_NODES` padded nodes on, the worker
+    lane computes the window sum while this thread transforms the
+    components.
     """
     if not isinstance(f, _Field):
         raise TypeError(f"not a field: {type(f)!r}")
     g = f.grid
     w = MollifierFamily(g.ndim).sampled_weights(g.spacing, eps)
     pad = _PaddedFFT(g.dims, [n // 2 for n in w.shape])
-    spec = pad.rfft(w)
     comps = f.values.reshape(g.dims + (-1,))
+    footprint = w != 0.0
+    window = np.empty((2,) + pad.half, complex), np.empty(pad.rows)
+    lane = _lane() if math.prod(pad.shape) >= _LANE_MIN_NODES else None
+    if lane is not None:
+        sums = lane.submit(_window_sums, comps, footprint, pad, *window)
+
+    kspec, spec = np.empty((2,) + pad.half, complex)
+    pad.rfft(w, kspec)
+    rows = np.empty(pad.rows)
     out = np.empty(comps.shape)
     # one contiguous component at a time: strided transforms of the whole
     # field are slower and hold every component's spectrum at once
     for c in range(comps.shape[-1]):
-        out[..., c] = pad.irfft(pad.rfft(np.ascontiguousarray(comps[..., c])) * spec)
+        pad.rfft(np.ascontiguousarray(comps[..., c]), spec)
+        out[..., c] = pad.irfft(np.multiply(spec, kspec, out=spec), rows)
 
-    # a node's level is 0 where every component is 0, 2 where every one is
-    # 1, else 1, and 0 off the grid.  A window's level sum is 0 exactly when
-    # it sees only zeros, and twice its node count exactly when it lies in
-    # the grid and sees only ones.  The sums are small integers, so
-    # rounding recovers them exactly.
-    zero = ~comps.any(axis=-1)
-    one = (comps == 1.0).all(axis=-1)
-    if zero.any() or one.any():
-        footprint = w != 0.0
-        sums = np.rint(pad.irfft(pad.rfft((~zero).astype(float) + one) * pad.rfft(footprint)))
+    sums = _window_sums(comps, footprint, pad, *window) if lane is None else sums.result()
+    if sums is not None:
         out[sums == 0.0] = 0.0
         out[sums == 2 * footprint.sum()] = 1.0
     return type(f)(g, out.reshape(f.values.shape))
+
+
+def _window_sums(comps, footprint, pad, spectra, rows):
+    """Sums of the node levels over each kernel footprint, or None where no node is all 0 or all 1.
+
+    A node's level is 0 where every component is 0, 2 where every one is
+    1, else 1, and 0 off the grid.  A window's level sum is 0 exactly when
+    it sees only zeros, and twice its node count exactly when it lies in
+    the grid and sees only ones.  The sums are small integers, so rounding
+    recovers them exactly.  The work lands in `spectra` and `rows`.
+    """
+    zero = ~comps.any(axis=-1)
+    one = comps[..., 0] == 1.0
+    for c in range(1, comps.shape[-1]):
+        one &= comps[..., c] == 1.0
+    if not (zero.any() or one.any()):
+        return None
+    levels = rows[..., : zero.shape[-1]]
+    np.logical_not(zero, out=levels)
+    np.add(levels, one, out=levels)
+    fl, ff = spectra
+    pad.rfft(levels, fl)
+    pad.rfft(footprint, ff)
+    sums = pad.irfft(np.multiply(fl, ff, out=fl), rows)
+    return np.rint(sums, out=sums)
 
 
 def _maximal_radii(max_cells, ndim):
@@ -242,48 +325,74 @@ def maximal(f):
     padded shape.  The node counts are rounded to integers.  Averages over
     in-grid nodes keep M(const) = const up to roundoff, and the ladder
     starts at the node value itself -- the discrete r -> 0 limit -- so
-    M(f) >= |f| holds exactly, as in the continuum.
+    M(f) >= |f| holds exactly, as in the continuum.  With the worker lane
+    the padded-shape groups are split between the two lanes, each with its
+    own running maximum; the maximum does not depend on the order of the
+    rungs, so the result is the serial one.
     """
     g = f.grid
     a = field_abs(f).values
     spacing = np.asarray(g.spacing)
     h_min = float(min(spacing))
-    radii = _maximal_radii(int(np.ceil(g.diameter() / h_min)), g.ndim)
-
-    best = a.copy()
-    corner = tuple(slice(0, n) for n in g.dims)
-    shape = work = None
-    # the maximum does not depend on the order of the rungs: the largest
-    # padding goes first and sizes the flat work arrays, whose leading
-    # parts serve every smaller padding, so a rung allocates only the
-    # inverse transforms' intermediate spectra
-    for r_cells in reversed(radii):
+    groups = {}
+    for r_cells in _maximal_radii(int(np.ceil(g.diameter() / h_min)), g.ndim):
         r = r_cells * h_min
         # offsets past n-1 never meet an in-grid node, so each axis pads only
         # as far as the ball reaches, at most n-1 nodes
         reach = [min(int(r / s), n - 1) for s, n in zip(spacing, g.dims)]
         pad = _PaddedFFT(g.dims, reach)
-        if pad.shape != shape:
-            shape = pad.shape
-            half = shape[:-1] + (shape[-1] // 2 + 1,)
-            if work is None:
-                work = np.empty((4, math.prod(half)), complex), np.empty((2, math.prod(shape)))
-            fa, fone, fk, spec = (w[: math.prod(half)].reshape(half) for w in work[0])
-            ball, count = (w[: math.prod(shape)].reshape(shape) for w in work[1])
-            # the spectra of |f| and of the in-grid ones depend on the padded shape alone
-            ball[...] = 0.0
-            ball[corner] = a
-            pad.rfft(ball, out=fa)
-            ball[corner] = 1.0
-            pad.rfft(ball, out=fone)
-        offsets = np.ix_(*[np.arange(N) - k for N, k in zip(shape, reach)])
-        ball[...] = _lattice_ball(offsets, spacing, r)
-        pad.rfft(ball, out=fk)
-        total = pad.irfft(np.multiply(fa, fk, out=spec), out=ball)
-        nodes = pad.irfft(np.multiply(fone, fk, out=spec), out=count)
-        np.rint(nodes, out=nodes)
-        np.maximum(best, np.divide(total, nodes, out=total), out=best)
+        groups.setdefault(pad.shape, []).append((r, reach, pad))
+
+    # costliest group first, onto the less loaded lane
+    lane = _lane() if len(groups) > 1 else None
+    lanes, loads = ([], []), [0, 0]
+    for rungs in sorted(groups.values(), key=_group_cost, reverse=True):
+        i = 0 if lane is None else loads.index(min(loads))
+        lanes[i].append(rungs)
+        loads[i] += _group_cost(rungs)
+
+    best = a.copy()
+    if lanes[1]:
+        other = a.copy()
+        done = lane.submit(_maximal_lane, a, spacing, lanes[1], other, _maximal_work(lanes[1]))
+    _maximal_lane(a, spacing, lanes[0], best, _maximal_work(lanes[0]))
+    if lanes[1]:
+        done.result()
+        np.maximum(best, other, out=best)
     return ScalarField(g, best)
+
+
+def _group_cost(rungs):
+    """FFT work of one padded-shape group: |f| and the ones once, per rung the ball and two inverses."""
+    return (2 + 3 * len(rungs)) * math.prod(rungs[0][2].shape)
+
+
+def _maximal_work(groups):
+    """Flat buffers whose leading parts serve every group of one lane: four spectra, three real arrays."""
+    pad = max((rungs[0][2] for rungs in groups), key=lambda pad: math.prod(pad.shape))
+    return np.empty((4, math.prod(pad.half)), complex), np.empty((3, math.prod(pad.shape)))
+
+
+def _maximal_lane(a, spacing, groups, best, work):
+    """Raise `best` to the ball averages of `a` on every rung of `groups`, in the buffers `work`."""
+    spectra, reals = work
+    ones = np.broadcast_to(1.0, a.shape)
+    for rungs in groups:
+        pad = rungs[0][2]
+        fa, fone, fk, spec = (w[: math.prod(pad.half)].reshape(pad.half) for w in spectra)
+        # the spectra of |f| and of the in-grid ones depend on the padded shape alone
+        pad.rfft(a, fa)
+        pad.rfft(ones, fone)
+        total, nodes = (w[: math.prod(pad.rows)].reshape(pad.rows) for w in reals[1:])
+        for r, reach, pad in rungs:
+            # the ball is zero past offset int(r/s): only its corner is built
+            ext = [min(N, k + int(r / s) + 1) for N, k, s in zip(pad.shape, reach, spacing)]
+            ball = reals[0][: math.prod(ext)].reshape(ext)
+            ball[...] = _lattice_ball(np.ix_(*[np.arange(m) - k for m, k in zip(ext, reach)]), spacing, r)
+            pad.rfft(ball, fk)
+            means = pad.irfft(np.multiply(fa, fk, out=spec), total)
+            counts = pad.irfft(np.multiply(fone, fk, out=spec), nodes)
+            np.maximum(best, np.divide(means, np.rint(counts, out=counts), out=means), out=best)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +583,13 @@ def sym_grad_smooth_decomposition(u, domain, h):
     if not isinstance(u, VectorField):
         raise TypeError("decomposition expects a VectorField")
     h_eff, cutoff, fu = _spacetime_setup(u, domain, h)
-
-    eps_u = sym_gradient(u, domain)
-    f_eps = zero_extend(eps_u, fu.grid)
-    termA = convolve(_mul_spatial(f_eps, cutoff.eta.values), h_eff)
+    # the intermediate fields are dropped as soon as they are used, so each
+    # convolution holds only its own input and result
+    eta = cutoff.eta.values
+    termA = convolve(_mul_spatial(zero_extend(sym_gradient(u, domain), fu.grid), eta), h_eff)
 
     # u (x) grad eta_h, broadcast along time, then symmetrized
     outer = fu.values[..., :, None] * cutoff.grad_eta().values[np.newaxis, ..., None, :]
-    termB = convolve(SymTensorField(fu.grid, _sym_part(outer)), h_eff)
-    return termA, termB
+    product = SymTensorField(fu.grid, _sym_part(outer))
+    del fu, outer
+    return termA, convolve(product, h_eff)

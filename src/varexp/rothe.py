@@ -42,7 +42,7 @@ import numpy as np
 
 from .calculus import _stencil
 from .fields import Grid, ScalarField, VectorField, _magnitude, make_rectangle_domain, sym_pairs, sym_weights
-from .fields import _time_axes, write_table
+from .fields import _close, _time_axes, write_table
 from .modular import ExponentField
 
 log = logging.getLogger(__name__)
@@ -113,12 +113,11 @@ class ConstitutiveLaw:
             raise ValueError("delta must be >= 0")
 
     def exponent_at(self, data, k):
-        """Spatial exponent values at vertex time index k; a space-time p needs steps + 1 time nodes."""
-        p, n = self.exponent, data.steps + 1
+        """Spatial exponent values at vertex time index k; a space-time p sits on the step's time nodes."""
+        p = self.exponent
         if not _time_axes(p.grid, data.domain.grid, "domain"):
             return p.values.values
-        if p.grid.dims[0] != n:
-            raise ValueError(f"p(t, x) needs steps + 1 = {n} vertex time nodes, got {p.grid.dims[0]}")
+        data._check_time_nodes("p(t, x)", p.grid)
         return p.values.values[k]
 
     def flux(self, eps_comps, p_nodes, d):
@@ -226,12 +225,23 @@ class ProblemData:
             fld = getattr(self, name)
             if fld is not None and not fld.grid.matches_spatial(self.domain.grid):
                 raise ValueError(f"{name} must live on a space-time grid over the domain")
-            if fld is not None and fld.grid.dims[0] != self.steps + 1:
-                raise ValueError(f"{name} needs {self.steps + 1} vertex time nodes")
+            if fld is not None:
+                self._check_time_nodes(name, fld.grid)
 
     @property
     def steps(self):
         return int(round(self.T / self.tau))
+
+    def _check_time_nodes(self, name, grid):
+        """Refuse a space-time grid whose time axis is not the vertex times t_k = k tau, k = 0..K."""
+        n = self.steps + 1
+        if grid.dims[0] != n:
+            raise ValueError(f"{name} needs steps + 1 = {n} vertex time nodes, got {grid.dims[0]}")
+        if not (_close(grid.spacing[0], self.tau) and _close(grid.origin[0], 0.0)):
+            raise ValueError(
+                f"{name} must sit on the vertex times t_k = k tau from t = 0 (tau = {self.tau!r}), "
+                f"got time origin {grid.origin[0]!r} and spacing {grid.spacing[0]!r}"
+            )
 
     def f_at(self, k):
         if self.f is None:
@@ -699,7 +709,8 @@ def rothe_solve(data, law, low=None):
     the free dofs (Dirichlet layer zeroed).  Diagnostics record per-step
     energy, L2 norm, the exponent modular of eps(u), the final residual,
     and the iteration count, all as `energy_step` reports them.  A delta = 0
-    law that a step regularizes is logged once, at the first such step.
+    law that a step regularizes is logged once, at the first such step,
+    before that step runs.
     """
     domain = data.domain
     op = EpsOperator(domain)
@@ -717,12 +728,15 @@ def rothe_solve(data, law, low=None):
     diags = []
     warned = False
     for k in range(1, data.steps + 1):
+        # decided before the step runs, so a step that fails is still reported
+        if not warned:
+            delta = _step_law(law, data, k, op)[1].delta
+            warned = delta != law.delta
+            if warned:
+                log.warning("delta=0 with p_min < 2 is non-smooth at eps=0; regularized with delta=%r, "
+                            "first at step %d of %d", delta, k, data.steps)
         u, info = energy_step(traj[-1], k, law, low, data, op=op)
         traj.append(u)
-        if info["delta"] != law.delta and not warned:
-            warned = True
-            log.warning("delta=0 with p_min < 2 is non-smooth at eps=0; regularized with delta=%r, "
-                        "first at step %d of %d", info["delta"], k, data.steps)
         diags.append(
             StepDiagnostics(
                 k=k,

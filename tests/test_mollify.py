@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import integrate as sciint
 from scipy import ndimage
 
 import varexp as vx
+from varexp import mollify
 from varexp.mollify import (
     CutoffFamily,
     MollifierFamily,
@@ -531,3 +533,127 @@ def test_uniform_boundedness_over_dyadic_scales():
         )
         worst = max(worst, vx.luxembourg_norm(Ru, pe, dom_all) / base)
     assert worst <= 2.0
+
+
+# -- the worker lane ---------------------------------------------------------
+
+#: tolerance of <R* u, v> = <u, R v> relative to <|u|, |R v|>, as in the bench
+ADJOINT_RTOL = 1e-12
+
+
+class _CountingLane(ThreadPoolExecutor):
+    """A one-thread worker lane that counts what it is handed."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def counting_lane():
+    lane = _CountingLane()
+    yield lane
+    lane.shutdown()
+
+
+def _lane_case(name):
+    """(field, mollifier scales) of one lane test case."""
+    rng = np.random.default_rng(29)
+    if name == "disc128":
+        grid = vx.grid_on_box([-3, -3], [3, 3], [128, 128])
+        disc = vx.make_disc_domain((0.0, 0.0), 2.5, grid)
+        return vx.ScalarField(grid, rng.normal(size=grid.dims) * disc.mask), (1, 4, 16)
+    if name == "spacetime":
+        grid = vx.Grid((26, 48, 48), (1 / 24, 1 / 48, 1 / 48), (0.0, 0.0, 0.0))
+        vals = rng.normal(size=grid.dims + (2,))
+        vals[:3] = 0.0
+        vals[-3:] = 1.0
+        return vx.VectorField(grid, vals), (2, 8)
+    dims, hi = {
+        "rect40x31": ((40, 31), [1, 0.6]),
+        "grid7x12x10": ((7, 12, 10), [0.5, 1, 0.7]),
+        "grid16x24x24": ((16, 24, 24), [1, 1, 1]),
+        "wide_kernel": ((5, 7), [1, 1.5]),
+        "zeros": ((33, 20), [1, 1]),
+        "ones": ((33, 20), [1, 1]),
+    }[name]
+    grid = vx.grid_on_box([0] * len(dims), hi, list(dims))
+    vals = {"zeros": np.zeros, "ones": np.ones}.get(name, lambda shape: rng.normal(size=shape))(grid.dims)
+    # the wide kernel reaches 12 nodes past each side of the 5 x 7 grid
+    return vx.ScalarField(grid, vals), ((1, 12) if name == "wide_kernel" else (1, 3))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["disc128", "rect40x31", "grid7x12x10", "grid16x24x24", "spacetime", "wide_kernel", "zeros", "ones"],
+)
+def test_worker_lane_gives_the_serial_arrays_bit_for_bit(name, counting_lane, monkeypatch):
+    f, scales = _lane_case(name)
+    h = max(f.grid.spacing)
+
+    def run():
+        return [maximal(f).values] + [convolve(f, k * h).values for k in scales]
+
+    monkeypatch.setattr(mollify, "_lane", lambda: None)
+    serial = run()
+    monkeypatch.setattr(mollify, "_lane", lambda: counting_lane)
+    before = counting_lane.submitted
+    laned = run()
+    # maximal hands one share of its rungs to the worker; above the size
+    # gate each convolve hands over its window sum
+    assert counting_lane.submitted - before == 1 + (len(scales) if name == "spacetime" else 0)
+    for a, b in zip(serial, laned):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_small_convolve_stays_on_the_calling_thread(counting_lane, monkeypatch):
+    # a 96^2 transform is below the gate at every scale the CLI uses
+    grid = vx.grid_on_box([0, 0], [1, 1], [96, 96])
+    f = vx.ScalarField(grid, np.random.default_rng(30).normal(size=grid.dims))
+    monkeypatch.setattr(mollify, "_lane", lambda: counting_lane)
+    before = counting_lane.submitted
+    for k in (1, 4, 16):
+        convolve(f, k * grid.spacing[0])
+    assert counting_lane.submitted == before
+
+
+@st.composite
+def _adjoint_cases(draw):
+    """A small space-time grid over the unit square, a smoothing scale of 1-3 cells and
+    1-3 time steps, and a seed for two fields."""
+    cells = draw(st.integers(6, 14))
+    t_nodes = draw(st.integers(2, 10))
+    h_cells = draw(st.integers(1, 3))
+    h_steps = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return cells, t_nodes, h_cells, h_steps, seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_adjoint_cases())
+def test_smoothing_adjointness_through_the_worker_lane(case, counting_lane):
+    cells, t_nodes, h_cells, h_steps, seed = case
+    spatial = vx.grid_on_box([0.0, 0.0], [1.0, 1.0], [cells, cells])
+    dom = vx.make_rectangle_domain([-0.05, -0.05], [1.05, 1.05], spatial)
+    h = h_cells * max(spatial.spacing)
+    tau = h / h_steps
+    grid = vx.Grid((t_nodes,) + spatial.dims, (tau,) + spatial.spacing, (0.5 * tau,) + spatial.origin)
+    rng = np.random.default_rng(seed)
+    u, v = (vx.VectorField(grid, rng.normal(size=grid.dims + (2,))) for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        # every convolution of these small grids hands its window sum over
+        mp.setattr(mollify, "_lane", lambda: counting_lane)
+        mp.setattr(mollify, "_LANE_MIN_NODES", 0)
+        before = counting_lane.submitted
+        star_u = restrict(smooth_Rstar(u, dom, h), grid)
+        r_v = restrict(smooth_R(v, dom, h), grid)
+        assert counting_lane.submitted - before >= 2
+    lhs = vx.holder_pairing(star_u, v, domain=dom)
+    rhs = vx.holder_pairing(u, r_v, domain=dom)
+    size = vx.integrate(vx.ScalarField(grid, np.sum(np.abs(u.values * r_v.values), axis=-1)), dom)
+    assert abs(lhs - rhs) <= ADJOINT_RTOL * size

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -833,6 +834,48 @@ def test_spacetime_exponent_needs_one_time_node_per_step(nodes, monkeypatch):
     data = ProblemData(domain=dom, u0=vx.VectorField(g, np.zeros(g.dims + (2,))), T=T, tau=T / K)
     with pytest.raises(ValueError, match=rf"needs steps \+ 1 = 5 vertex time nodes, got {nodes}"):
         rothe_solve(data, law)
+
+
+@pytest.mark.parametrize("name", ["p", "f", "F"])
+def test_spacetime_data_must_sit_on_the_steps_time_nodes(name):
+    # 5 nodes for K = 4 steps, but on t in [5, 9]: step k would read t = 5 + k
+    dom = box_domain(8)
+    g = dom.grid
+    T, K = 0.2, 4
+    st = vx.Grid((K + 1,) + g.dims, (1.0,) + g.spacing, (5.0,) + g.origin)
+    u0 = vx.VectorField(g, np.zeros(g.dims + (2,)))
+    exponent = vx.constant_exponent(g, 1.8)
+    forcing = {}
+    if name == "p":
+        exponent = vx.ExponentField(vx.ScalarField(st, np.full(st.dims, 1.8)))
+    elif name == "f":
+        forcing["f"] = vx.VectorField(st, np.ones(st.dims + (2,)))
+    else:
+        forcing["F"] = vx.SymTensorField(st, np.ones(st.dims + (3,)))
+    law = ConstitutiveLaw(exponent=exponent, delta=0.05)
+    label = re.escape("p(t, x)" if name == "p" else name)
+    with pytest.raises(ValueError, match=rf"^{label} must sit on the vertex times"):
+        rothe_solve(ProblemData(domain=dom, u0=u0, T=T, tau=T / K, **forcing), law)
+
+
+def test_regularization_is_logged_before_a_failing_step(monkeypatch, caplog):
+    # delta = 0 with p = 1.1 regularizes from step 1, which fails under a
+    # two-iteration Newton cap: the warning is logged all the same, once
+    from varexp import rothe
+
+    monkeypatch.setattr(rothe, "_NEWTON_MAX", 2)
+    dom = box_domain(10)
+    g = dom.grid
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(g, 1.1), delta=0.0)
+    rng = np.random.default_rng(9)
+    st = spacetime(g, 0.2, 2)
+    f = vx.VectorField(st, 50.0 * rng.normal(size=st.dims + (2,)))
+    data = ProblemData(domain=dom, u0=vx.VectorField(g, np.zeros(g.dims + (2,))), T=0.2, tau=0.1, f=f)
+    with caplog.at_level(logging.WARNING, logger="varexp.rothe"), pytest.raises(RotheStepError):
+        rothe_solve(data, law)
+    records = [r.getMessage() for r in caplog.records if "regularized" in r.getMessage()]
+    assert len(records) == 1
+    assert "first at step 1 of 2" in records[0]
 
 
 def test_spacetime_exponent_solve_reads_each_steps_time_node():

@@ -20,9 +20,10 @@ operator B.  The operator holds one sparse LU factor.  A quadratic step
 (p = 2 at every masked node) has a Hessian that depends on tau alone, so
 its factor serves every quadratic step at that tau exactly.  Any other
 step solves its Newton system inexactly, by conjugate gradients
-preconditioned with the held factor to an Eisenstat-Walker forcing term,
-and factorizes its current Hessian only when no factor is held or CG
-stalls.  Armijo backtracking on the energy globalises the step.
+preconditioned with the held factor to an Eisenstat-Walker forcing term.
+CG multiplies by the Hessian without forming it; the step assembles and
+factorizes its current Hessian only when no factor is held or CG stalls.
+Armijo backtracking on the energy globalises the step.
 `energy_step` returns the new field and an info dict, which `rothe_solve`
 records as it is.  Dirichlet boundary values are enforced by constraining
 the boundary layer of masked nodes to zero.  This
@@ -218,6 +219,11 @@ class ProblemData:
             raise ValueError(f"tau={self.tau} does not divide T={self.T}")
         if self.u0.grid != self.domain.grid:
             raise ValueError("u0 must live on the domain grid")
+        # a NaN or inf would reach the solver as a residual no tolerance test can decide
+        for name in ("u0", "f", "F"):
+            fld = getattr(self, name)
+            if fld is not None and not np.all(np.isfinite(fld.values)):
+                raise ValueError(f"{name} must be finite, got a NaN or inf value")
         outside = ~self.domain.mask
         if np.abs(self.u0.values[outside]).max(initial=0.0) > 0.0:
             raise ValueError("u0 must be supported in the domain")
@@ -476,22 +482,20 @@ class _Step:
         """True when p = 2 at every masked node, where H = I/tau + B^T W B for every x."""
         return bool(np.all(self.p == 2.0))
 
-    def hessian(self, x):
-        """Hessian I/tau + B^T D B of the energy at free dofs x, as a CSC matrix.
+    def _curvature(self, x):
+        """(phi, coef, W eps) at free dofs x: the blocks of D, node by node.
 
         D is block-diagonal over masked nodes; with s = |eps|_W and W =
         diag(sym_weights) the block of a node is
-        (delta+s)^(p-2) [W + (p-2)/(s(delta+s)) (W eps)(W eps)^T], the second
-        term taken as 0 at s = 0 and scaled by s^2 where s(delta+s) would
-        under- or overflow.  Every block is positive semidefinite for p > 1,
-        so H is symmetric positive definite.
+        (delta+s)^(p-2) [W + (p-2)/(s(delta+s)) (W eps)(W eps)^T] =
+        phi W + coef (W eps)(W eps)^T, the second term taken as 0 at s = 0.
+        Where s(delta+s) would under- or overflow, W eps is returned divided
+        by s and coef multiplied by s^2, which leaves the block as it is.
+        Every block is positive semidefinite for p > 1.
         """
-        from scipy import sparse
-
-        op, p_nodes = self.op, self.p
+        p_nodes = self.p
         _, eps, s = self._point(x)
-        w = op.weights
-        we = w * eps
+        we = self.op.weights * eps
         base = self.law.delta + s
         # base > 0 wherever p < 2 (see _step_law); 0^0 = 1 keeps p = 2 exact
         phi = base ** (p_nodes - 2.0)
@@ -504,9 +508,22 @@ class _Step:
         if far.any():
             we[far] /= s[far, None]
             coef[far] = phi[far] * (p_nodes[far] - 2.0) * (s[far] / base[far])
+        return phi, coef, we
+
+    def hessian(self, x):
+        """Hessian I/tau + B^T D B of the energy at free dofs x, as a CSC matrix.
+
+        D's blocks are `_curvature`'s; they are positive semidefinite, so H
+        is symmetric positive definite.  Only a factorization needs H as a
+        matrix: CG multiplies by `hessian_operator` instead.
+        """
+        from scipy import sparse
+
+        op = self.op
+        phi, coef, we = self._curvature(x)
         # blocks[a, node, b] is the entry of D at row a*nm + node, column b*nm + node
         blocks = coef[None, :, None] * we.T[:, :, None] * we[None, :, :]
-        blocks += phi[None, :, None] * np.diag(w)[:, None, :]
+        blocks += phi[None, :, None] * np.diag(op.weights)[:, None, :]
         bt, indptr, indices = op._hessian_parts
         n = blocks.shape[0] * blocks.shape[1]
         D = sparse.csr_matrix((blocks.ravel(), indices, indptr), shape=(n, n))
@@ -514,6 +531,29 @@ class _Step:
         # setdiag also inserts the diagonal entries the product dropped as exact zeros
         H.setdiag(H.diagonal() + 1.0 / self.tau)
         return H.tocsc()
+
+    def hessian_operator(self, x):
+        """H(x) = I/tau + B^T D B as a LinearOperator that never forms the matrix.
+
+        A product v/tau + B^T y reads `_curvature`'s blocks node by node:
+        y = phi W (B v) + coef (W eps) ((W eps) . B v), laid out as B's rows.
+        """
+        from scipy.sparse.linalg import LinearOperator
+
+        op = self.op
+        phi, coef, we = self._curvature(x)
+        phi_w = op.weights[:, None] * phi  # (m, n_masked), the layout of B v
+        we = np.ascontiguousarray(we.T)
+        B, bt, inv_tau = op.B, op._Bt, 1.0 / self.tau
+
+        def matvec(v):
+            e = (B @ v).reshape(we.shape)
+            y = phi_w * e
+            y += (coef * np.einsum("an,an->n", we, e)) * we
+            return v * inv_tau + bt @ y.reshape(-1)
+
+        n = B.shape[1]
+        return LinearOperator((n, n), matvec=matvec, dtype=np.float64)
 
     def newton_direction(self, x, g, rtol):
         """A Newton step dx with |H(x) dx + g| <= rtol |g|; returns (dx, CG iterations, factorized).
@@ -524,21 +564,23 @@ class _Step:
         step at the tau of an exact quadratic factor solves with it
         directly.  Any other step runs CG from dx = 0, preconditioned by
         the held factor, for at most `_PCG_MAX` iterations; with an SPD
-        preconditioner every CG iterate is a descent direction.  When no
-        factor is held, CG stalls, or a quadratic step lacks its exact
-        factor, the step factorizes H(x), holds that factor in place of the
+        preconditioner every CG iterate is a descent direction.  CG
+        multiplies by H(x) through `hessian_operator` without forming it:
+        H is assembled only to be factorized.  When no factor is held, CG
+        stalls, or a quadratic step lacks its exact factor, the step
+        assembles and factorizes H(x), holds that factor in place of the
         old one and solves exactly, so at most one factor is alive.
         """
         op, held, quadratic = self.op, self.op._lu, self.quadratic
         if quadratic and held is not None and held[1] and held[0] == self.tau:
             return held[2].solve(-g), 0, False
-        H = self.hessian(x)
         cg_iters = 0
         if not quadratic and held is not None:
-            dx, cg_iters = _pcg(H, -g, held[2].solve, rtol, _PCG_MAX)
+            dx, cg_iters = _pcg(self.hessian_operator(x), -g, held[2].solve, rtol, _PCG_MAX)
             if dx is not None:
                 return dx, cg_iters, False
         op._lu = None
+        H = self.hessian(x)
         # H is symmetric positive definite: symmetric ordering, no pivoting
         lu = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -593,8 +635,10 @@ def _descend(step, x0, tol):
     one the line search evaluated, so the gradient and Newton direction
     there read its energy and strain (`_Step._point`) instead of computing
     them again.  The energy trail is monotone up to float roundoff; the loop
-    stops when the rms nodal residual falls below tol.  Returns (x, J,
-    residual, counts), counts holding `iters`, `factorizations` and `cg_iters`.
+    stops when the rms nodal residual falls below tol.  A residual that
+    does not end at or below tol, NaN included, raises RotheStepError.
+    Returns (x, J, residual, counts), counts holding `iters`,
+    `factorizations` and `cg_iters`.
     """
     x = x0.copy()
     J, g = step.energy_grad(x)
@@ -624,10 +668,13 @@ def _descend(step, x0, tol):
         res, res_old = float(np.sqrt(np.dot(g, g) / n)), res
         eta = max(min(_ETA_MAX, _EW_GAMMA * (res / res_old) ** 2), _ETA_MIN)
         it += 1
-    if res > tol:
-        raise RotheStepError(
-            f"energy step did not converge in {_NEWTON_MAX} iterations (residual {res:.3e})", res
-        )
+    # a NaN residual fails every comparison, so "converged" must be res <= tol
+    if not res <= tol:
+        if np.isfinite(res):
+            why = f"did not converge in {_NEWTON_MAX} iterations"
+        else:
+            why = f"reached a non-finite residual at iteration {it}"
+        raise RotheStepError(f"energy step {why} (residual {res:.3e})", res)
     return x, J, res, {"iters": it, "factorizations": factorizations, "cg_iters": cg_total}
 
 

@@ -360,6 +360,37 @@ def test_step_hessian_matches_coo_assembly_bitwise(shape, p, delta):
         assert np.array_equal(H.data, ref.data)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("p", "delta"), [(1.1, 1e-8), (1.1, 1e-3), (1.5, 1e-8), (1.5, 1e-3),
+                                          ("p(x)", 1e-8), ("p(x)", 1e-3), (2.0, 0.0), (2.0, 1e-8),
+                                          (2.0, 1e-3), (3.0, 0.0), (3.0, 1e-8), (3.0, 1e-3)])
+@pytest.mark.parametrize("shape", ["box", "disc"])
+def test_hessian_operator_matches_the_assembled_hessian(shape, p, delta):
+    # strains at scale 1 and at 1e-160, where s (delta + s) underflows and the
+    # blocks take their far-range scaling
+    rng = np.random.default_rng(17)
+    if shape == "box":
+        dom = box_domain(24)
+    else:
+        dom = vx.make_disc_domain((0, 0), 0.8, vx.grid_on_box([-1, -1], [1, 1], [17, 19]))
+    g = dom.grid
+    op = EpsOperator(dom)
+    if p == "p(x)":
+        exponent = vx.ExponentField(vx.ScalarField(g, 1.8 + 0.6 * g.coords()[0]))
+    else:
+        exponent = vx.constant_exponent(g, p)
+    law = ConstitutiveLaw(exponent=exponent, delta=delta)
+    p_nodes = exponent.values.values.reshape(-1)[op.masked_idx]
+    step = _Step(op, np.zeros(2 * op.n_free), 0.05, p_nodes, law)
+    for scale in (1.0, 1e-160):
+        x = scale * rng.normal(size=2 * op.n_free)
+        H, A = step.hessian(x), step.hessian_operator(x)
+        assert A.shape == H.shape
+        for _ in range(3):
+            v = rng.normal(size=x.size)
+            assert np.all(np.abs(A @ v - H @ v) <= 1e-14 * (abs(H) @ np.abs(v)))
+
+
 def mms_p2_data(n=12, T=0.2, K=4):
     dom = box_domain(n)
     u_star, f, u0 = mms_solution_p2(dom, T, K)
@@ -640,8 +671,9 @@ def test_inexact_newton_directions_descend(monkeypatch):
     _, _, u0 = mms_solution_p2(dom, T, K)
     data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K)
     law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.1), delta=1e-3)
-    slopes, from_cg = [], []
+    slopes, from_cg, assembled = [], [], []
     real = rothe._Step.newton_direction
+    real_hessian = rothe._Step.hessian
 
     def recorded(self, x, g, rtol):
         dx, cg_iters, factorized = real(self, x, g, rtol)
@@ -649,12 +681,21 @@ def test_inexact_newton_directions_descend(monkeypatch):
         from_cg.append(not factorized)
         return dx, cg_iters, factorized
 
+    def counted_hessian(self, x):
+        assembled.append(1)
+        return real_hessian(self, x)
+
     monkeypatch.setattr(rothe._Step, "newton_direction", recorded)
+    monkeypatch.setattr(rothe._Step, "hessian", counted_hessian)
     _, info = energy_step(data.u0, 1, law, None, data)
     assert len(slopes) == info["iters"]
     assert info["sweeps"] == 1  # no lower-order term: one sweep is the whole step
     assert sum(from_cg) == info["iters"] - info["factorizations"] > 0
     assert max(slopes) < 0.0
+    # CG multiplies by H without forming it: H is assembled only to be factorized
+    assert len(assembled) == info["factorizations"]
+    # the counts the assembled-H products gave: the operator's products change none
+    assert (info["iters"], info["factorizations"], info["cg_iters"]) == (13, 5, 81)
 
 
 def test_energy_step_zero_data_is_zero():
@@ -739,6 +780,37 @@ def test_problem_data_validation():
     bad = np.ones(g.dims + (2,))
     with pytest.raises(ValueError, match="supported in the domain"):
         ProblemData(domain=small, u0=vx.VectorField(g, bad), T=1.0, tau=0.5)
+
+
+@pytest.mark.parametrize(("name", "bad"), [("u0", np.nan), ("f", np.inf), ("F", np.nan)])
+def test_problem_data_refuses_non_finite_data(name, bad):
+    # a NaN u0 would give a NaN trajectory at 0 iterations a step, and an inf
+    # f an infinite tolerance that the first step meets without iterating
+    dom = box_domain(12)
+    g = dom.grid
+    T, K = 0.2, 4
+    st = spacetime(g, T, K)
+    values = {"u0": np.zeros(g.dims + (2,)), "f": np.ones(st.dims + (2,)), "F": np.ones(st.dims + (3,))}
+    inner = np.flatnonzero(dom.interior_mask())[0]
+    values[name].reshape(-1, values[name].shape[-1])[inner, 0] = bad
+    fields = {"u0": vx.VectorField(g, values["u0"]), "f": vx.VectorField(st, values["f"]),
+              "F": vx.SymTensorField(st, values["F"])}
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        ProblemData(domain=dom, T=T, tau=T / K, **fields)
+
+
+def test_descend_refuses_a_nan_residual():
+    # NaN fails both res > tol and res <= tol: the loop never runs, and the
+    # step must not pass for converged
+    dom = box_domain(12)
+    op = EpsOperator(dom)
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.5), delta=1e-3)
+    x_prev = np.zeros(2 * op.n_free)
+    x_prev[0] = np.nan
+    step = _Step(op, x_prev, 0.05, np.full(op.n_masked, 1.5), law)
+    with pytest.raises(RotheStepError, match="non-finite residual at iteration 0") as err:
+        _descend(step, x_prev, 1e-8)
+    assert np.isnan(err.value.residual)
 
 
 def test_energy_inequality_on_random_data():

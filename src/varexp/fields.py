@@ -660,6 +660,8 @@ def write_pgm(path, f, comment=None):
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(f"{v.shape[1]} {v.shape[0]}\n255\n")
-        fh.writelines(" ".join(map(str, row)) + "\n" for row in levels.tolist())
+        # one % over the whole raster, as write_field formats its chunks
+        line = " ".join(["%d"] * v.shape[1]) + "\n"
+        fh.write(line * v.shape[0] % tuple(levels.ravel().tolist()))
     with open(str(path) + ".range.txt", "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"min {fmt_float(vmin)}\nmax {fmt_float(vmax)}\n")

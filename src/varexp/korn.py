@@ -12,11 +12,23 @@ the space-time modular of phi(t) F(x) factors into spatial and time sums.
 The mollified profile phi_n is sampled with one fixed Gauss-Legendre rule,
 after a substitution that removes the profile's singularity at t = 0.
 It reports the ratio table plus its analytic lower bound.
+
+Each ingredient is built once.  `build_velocity` keeps u per (config,
+domain object), |grad u| and |eps(u)| are kept per (velocity object, domain
+object) and p per (config, domain object, velocity object), so
+`build_exponent`, `korn_ratio_sequence` and `write_heatmaps` share one u,
+one pair of strain magnitudes and one p.  `build_phi` keeps the samples of
+phi_n per (n, time grid geometry).  Each cache is a bounded LRU (four
+entries per construction stage, 64 profiles) of immutable fields with
+read-only arrays, and fields and domains are immutable, so keying them by
+identity is exact.  A cached result has the bits of a fresh build: no
+output depends on the caches.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import logging
 import math
@@ -25,11 +37,17 @@ import os
 import numpy as np
 
 from .calculus import gradient, sym_gradient
-from .fields import ScalarField, VectorField, _shift_slices, field_abs, write_pgm, write_table
+from .fields import Grid, ScalarField, VectorField, _shift_slices, field_abs, write_pgm, write_table
 from .modular import ExponentField, _luxembourg_root
 from .mollify import MollifierFamily, _gauss_legendre, convolve
 
 log = logging.getLogger(__name__)
+
+#: velocities, strain magnitudes and exponents kept, each by its key; at the
+#: CLI's 512^2 cap one of each holds about 10 MB together
+_CONSTRUCTIONS_KEPT = 4
+#: phi_n samples kept, by n and the time grid's geometry
+_PROFILES_KEPT = 64
 
 __all__ = [
     "WetBlanketConfig",
@@ -71,6 +89,8 @@ class WetBlanketConfig:
         A = np.asarray(self.skew, dtype=float)
         if not np.allclose(A, -A.T):
             raise ValueError("skew matrix must satisfy A = -A^T")
+        # a nested tuple of floats keeps the config hashable and immutable
+        object.__setattr__(self, "skew", tuple(map(tuple, A.tolist())))
 
 
 def build_velocity(cfg, domain):
@@ -78,8 +98,13 @@ def build_velocity(cfg, domain):
 
     eta equals 1 on the ball of radius eta_radius - eta_moll_eps, so there
     grad u = A exactly while eps(u) = 0; outside the eta_radius +
-    eta_moll_eps ball u vanishes.
+    eta_moll_eps ball u vanishes.  Built once per (cfg, domain).
     """
+    return _velocity(cfg, domain)
+
+
+@functools.lru_cache(maxsize=_CONSTRUCTIONS_KEPT)
+def _velocity(cfg, domain):
     g = domain.grid
     if g.ndim != 2:
         raise ValueError("the construction is two-dimensional")
@@ -136,18 +161,27 @@ def build_exponent(cfg, domain, velocity=None):
         p = alpha * (omega_{eps/2} * chi) + beta * (1 - omega_{eps/2} * chi)
     with chi the indicator of the eps/2-neighborhood of that support.
     Exactly alpha on the support, exactly beta at distance > eps from it,
-    and alpha <= p <= beta everywhere.
+    and alpha <= p <= beta everywhere.  Built once per (cfg, domain, u).
     """
-    u = build_velocity(cfg, domain) if velocity is None else velocity
-    eps_u = sym_gradient(u, domain)
-    eps_abs = field_abs(eps_u)
+    return _exponent(cfg, domain, build_velocity(cfg, domain) if velocity is None else velocity)
+
+
+@functools.lru_cache(maxsize=_CONSTRUCTIONS_KEPT)
+def _strains(u, domain):
+    """|grad u| and |eps(u)|, once per velocity and domain."""
+    return field_abs(gradient(u, domain)), field_abs(sym_gradient(u, domain))
+
+
+@functools.lru_cache(maxsize=_CONSTRUCTIONS_KEPT)
+def _exponent(cfg, domain, u):
+    grad_abs, eps_abs = _strains(u, domain)
     supp = eps_abs.values > 1e-13 * eps_abs.max_abs()
     g = domain.grid
     grown = _dilate_mask(supp, cfg.eps, g)
     if not (grown <= domain.mask).all():
         raise ValueError("the eps-neighborhood of the rigid ring leaks out of the domain")
     outside = domain.mask & ~grown
-    gu_supp = field_abs(gradient(u, domain)).values > 1e-13
+    gu_supp = grad_abs.values > 1e-13
     if not (outside & gu_supp).any():
         raise ValueError("the large-exponent region misses the gradient support")
 
@@ -183,15 +217,26 @@ def build_phi(n, time_grid):
     tau = time_grid.spacing[0]
     if tau > delta:
         raise ValueError(f"time grid too coarse for n={n}: spacing {tau} > {delta}")
+    return ScalarField(time_grid, _phi_samples(n, time_grid.dims, time_grid.spacing, time_grid.origin))
+
+
+@functools.lru_cache(maxsize=_PROFILES_KEPT)
+def _phi_samples(n, dims, spacing, origin):
+    """The values of `build_phi(n, Grid(dims, spacing, origin))`, read-only.
+
+    A `Grid` cannot key the cache: its tolerant equality has no hash.
+    """
+    delta = 2.0 ** (-n)
     omega = MollifierFamily(1).scaled
-    t = time_grid.axis_coords(0)
+    t = Grid(dims, spacing, origin).axis_coords(0)
     vals = np.zeros_like(t)
     for sign in (1.0, -1.0):  # an empty side has lo == hi and adds 0
         lo, hi = (np.sqrt(np.clip(sign * t + d, 0.0, 1.0)) for d in (-delta, delta))
         vals += _gauss_legendre(
             lambda u: (2.0 - 2.0 * u) * omega((t[:, None] - sign * u * u)[..., None], delta), lo, hi
         )
-    return ScalarField(time_grid, vals)
+    vals.flags.writeable = False
+    return vals
 
 
 def _logsumexp_rows(a):
@@ -208,13 +253,11 @@ def _logsumexp_rows(a):
     return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
-def _log_time_modular(phi, q):
-    """log(tau * sum_t |phi(t)|^q) for each exponent in q, once per distinct value."""
-    qs, inv = np.unique(q, return_inverse=True)
+def _log_time_modular(phi, qs):
+    """log(tau * sum_t |phi(t)|^q) for each exponent q in the 1-d array qs."""
     a = np.abs(phi.values)
     log_a = np.log(a[a > 0.0])
-    log_mod = _logsumexp_rows(qs[:, None] * log_a[None, :]) + np.log(phi.grid.spacing[0])
-    return log_mod[inv]
+    return _logsumexp_rows(qs[:, None] * log_a[None, :]) + np.log(phi.grid.spacing[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,10 +287,7 @@ def korn_ratio_sequence(cfg, domain, time_grid, n_max):
     """
     u = build_velocity(cfg, domain)
     p = build_exponent(cfg, domain, velocity=u)
-    gu = gradient(u, domain)
-    eu = sym_gradient(u, domain)
-    abs_gu = field_abs(gu)
-    abs_eu = field_abs(eu)
+    abs_gu, abs_eu = _strains(u, domain)
     if not (np.all(np.isfinite(abs_gu.values)) and np.all(np.isfinite(abs_eu.values))):
         raise ValueError("field has non-finite values")
 
@@ -261,12 +301,14 @@ def korn_ratio_sequence(cfg, domain, time_grid, n_max):
     a_gu = abs_gu.values[domain.mask]
     a_eu = abs_eu.values[domain.mask]
     q = p.values.values[domain.mask]
+    # Phi_n(q) once per distinct exponent value; q is the same for every n
+    qs, inv = np.unique(q, return_inverse=True)
     log_w = np.log(vol)
     bounds = np.array([cfg.alpha, cfg.beta])
     rows = []
     for n in range(1, n_max + 1):
         phi = build_phi(n, time_grid)
-        log_phi = _log_time_modular(phi, q)
+        log_phi = _log_time_modular(phi, qs)[inv]
         num = _luxembourg_root(a_gu, q, log_phi, log_w, 1e-8)
         den = _luxembourg_root(a_eu, q, log_phi, log_w, 1e-8)
         if den <= 1e-12 * max(num, 1.0):
@@ -290,11 +332,8 @@ def write_heatmaps(outdir, cfg, domain, comment=None):
     """Graymap rasters of |grad u|, |eps(u)|, and the exponent, with sidecars."""
     u = build_velocity(cfg, domain)
     p = build_exponent(cfg, domain, velocity=u)
-    panels = {
-        "grad_u_abs.pgm": field_abs(gradient(u, domain)),
-        "sym_grad_abs.pgm": field_abs(sym_gradient(u, domain)),
-        "exponent.pgm": p.values,
-    }
+    grad_abs, eps_abs = _strains(u, domain)
+    panels = {"grad_u_abs.pgm": grad_abs, "sym_grad_abs.pgm": eps_abs, "exponent.pgm": p.values}
     paths = []
     for name, fld in panels.items():
         path = os.path.join(outdir, name)

@@ -340,6 +340,20 @@ def test_import_leaves_quadrature_and_optimize_unloaded():
     assert _run_fresh(probe) == "True"
 
 
+def test_korn_path_loads_no_scipy(tmp_path):
+    # one scipy subpackage costs a few tenths of a second and tens of MB at import
+    probe = (
+        "import sys, varexp as vx; from varexp import korn as kn; "
+        "dom = vx.make_disc_domain((0, 0), 2.5, vx.grid_on_box([-3, -3], [3, 3], [48, 48])); "
+        "tg = vx.grid_on_box([-1.5], [1.5], [64]); cfg = kn.WetBlanketConfig(); "
+        "[kn.build_phi(n, tg) for n in (1, 2, 3)]; kn.korn_ratio_sequence(cfg, dom, tg, 3); "
+        f"kn.write_heatmaps({str(tmp_path)!r}, cfg, dom); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert _run_fresh(probe) == "[]"
+    assert (tmp_path / "exponent.pgm").exists()
+
+
 def test_threads_cap_the_running_process_blas(tmp_path):
     from varexp.cli import _openblas_threads
 

@@ -318,6 +318,28 @@ def test_csv_and_pgm_outputs(tmp_path):
     assert side.startswith("min ")
 
 
+def _pgm_per_row(f, comment=None):
+    """A graymap written one `join` per raster row."""
+    v = f.values
+    vmin, vmax = float(v.min()), float(v.max())
+    span = vmax - vmin
+    levels = np.zeros_like(v, dtype=int) if span == 0 else np.rint((v - vmin) / span * 255).astype(int)
+    head = "P2\n" + (f"# {comment}\n" if comment else "") + f"{v.shape[1]} {v.shape[0]}\n255\n"
+    return (head + "".join(" ".join(map(str, row)) + "\n" for row in levels.tolist())).encode("ascii")
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 7), (97, 97), (40, 13)])
+def test_pgm_matches_per_row_writer(tmp_path, dims):
+    grid = vx.Grid(dims, (0.1, 0.2), (0.0, 0.0))
+    rng = np.random.default_rng(sum(dims))
+    fields = [rng.normal(size=dims), np.full(dims, 3.5), grid.coords()[1] - grid.coords()[0]]
+    for k, vals in enumerate(fields):
+        f = vx.ScalarField(grid, vals)
+        path = tmp_path / f"f{k}.pgm"
+        vx.write_pgm(path, f, comment="stamp" if k else None)
+        assert path.read_bytes() == _pgm_per_row(f, comment="stamp" if k else None)
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 @pytest.mark.parametrize("kind", ["vector", "sym", "full"])
 def test_magnitude_at_extreme_scales(kind, scale):

@@ -299,3 +299,113 @@ def test_log_sum_exp_matches_scipy_bitwise():
     a[5] = 1.25
     a[5, 17] = -40.0
     assert korn._logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()
+
+
+def _clear_caches():
+    for cached in (korn._velocity, korn._strains, korn._exponent, korn._phi_samples):
+        cached.cache_clear()
+
+
+def test_cached_construction_is_bit_equal_to_an_uncached_build():
+    _clear_caches()
+    dom = figure_domain(48)
+    cfg = WetBlanketConfig()
+    u = build_velocity(cfg, dom)
+    assert build_velocity(cfg, dom) is u
+    fresh_u = korn._velocity.__wrapped__(cfg, dom)
+    assert u.values.tobytes() == fresh_u.values.tobytes()
+
+    p = build_exponent(cfg, dom)
+    assert build_exponent(cfg, dom, velocity=u) is p
+    fresh_p = korn._exponent.__wrapped__(cfg, dom, fresh_u)
+    assert p.values.values.tobytes() == fresh_p.values.values.tobytes()
+    assert (p.p_minus, p.p_plus) == (fresh_p.p_minus, fresh_p.p_plus)
+
+    grad_abs, eps_abs = korn._strains(u, dom)
+    assert grad_abs.values.tobytes() == vx.field_abs(gradient(fresh_u, dom)).values.tobytes()
+    assert eps_abs.values.tobytes() == vx.field_abs(sym_gradient(fresh_u, dom)).values.tobytes()
+
+    tg = vx.grid_on_box([-1.5], [1.5], [128])
+    twin = vx.grid_on_box([-1.5], [1.5], [128])  # equal geometry, another object
+    shifted = vx.grid_on_box([-1.25], [1.5], [128])  # equal dims, other spacing and origin
+    for n in (1, 3):
+        for grids in ((tg, tg, twin), (shifted, shifted)):
+            g = grids[0]
+            fresh = korn._phi_samples.__wrapped__(n, g.dims, g.spacing, g.origin)
+            for grid in grids:
+                phi = build_phi(n, grid)
+                assert phi.grid is grid and phi.values.tobytes() == fresh.tobytes()
+    assert korn._phi_samples.cache_info().misses == 4
+
+    rows = korn_ratio_sequence(cfg, dom, tg, 3)
+    _clear_caches()
+    assert korn_ratio_sequence(cfg, dom, tg, 3) == rows
+
+
+def test_cache_keeps_configs_and_domains_apart():
+    dom, twin = figure_domain(48), figure_domain(48)  # equal geometry, two objects
+    cfg = WetBlanketConfig()
+    # a nested list is stored as a tuple of floats, so the config stays hashable
+    doubled = WetBlanketConfig(skew=[[0, -2], [2, 0]])
+    assert doubled.skew == ((0.0, -2.0), (2.0, 0.0))
+    for other in (WetBlanketConfig(alpha=1.5), doubled):
+        p, p_other = build_exponent(cfg, dom), build_exponent(other, dom)
+        assert p_other is not p
+        fresh = korn._exponent.__wrapped__(other, dom, korn._velocity.__wrapped__(other, dom))
+        assert p_other.values.values.tobytes() == fresh.values.values.tobytes()
+    assert build_exponent(WetBlanketConfig(alpha=1.5), dom).p_minus == 1.5
+    assert np.array_equal(build_velocity(doubled, dom).values, 2.0 * build_velocity(cfg, dom).values)
+
+    u, u_twin = build_velocity(cfg, dom), build_velocity(cfg, twin)
+    assert u_twin is not u and u_twin.grid is twin.grid
+    assert u_twin.values.tobytes() == u.values.tobytes()
+    p, p_twin = build_exponent(cfg, dom), build_exponent(cfg, twin)
+    assert p_twin is not p and p_twin.values.values.tobytes() == p.values.values.tobytes()
+
+
+def test_cached_arrays_are_read_only():
+    dom = figure_domain(48)
+    cfg = WetBlanketConfig()
+    tg = vx.grid_on_box([-1.5], [1.5], [64])
+    u = build_velocity(cfg, dom)
+    arrays = [u.values, build_exponent(cfg, dom).values.values, *(f.values for f in korn._strains(u, dom))]
+    arrays += [korn._phi_samples(2, tg.dims, tg.spacing, tg.origin), build_phi(2, tg).values]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_korn_pass_builds_each_ingredient_once(monkeypatch, tmp_path):
+    # korn-figure's calls: the ratio table, the heatmaps, then the sampled profiles
+    _clear_caches()
+    calls = {"convolve": [], "gradient": 0, "sym_gradient": 0, "quadrature": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    korn_convolve = korn.convolve
+
+    def convolve(f, eps):
+        calls["convolve"].append(eps)
+        return korn_convolve(f, eps)
+
+    monkeypatch.setattr(korn, "convolve", convolve)
+    monkeypatch.setattr(korn, "gradient", counted("gradient", korn.gradient))
+    monkeypatch.setattr(korn, "sym_gradient", counted("sym_gradient", korn.sym_gradient))
+    monkeypatch.setattr(korn, "_gauss_legendre", counted("quadrature", korn._gauss_legendre))
+
+    dom = figure_domain(48)
+    cfg = WetBlanketConfig()
+    tg = vx.grid_on_box([-1.5], [1.5], [128])
+    korn_ratio_sequence(cfg, dom, tg, 5)
+    write_heatmaps(tmp_path, cfg, dom)
+    profiles = [build_phi(n, tg) for n in range(1, 6)]
+    # one mollification for the velocity's cutoff, one for the exponent's mix
+    assert calls["convolve"] == [cfg.eta_moll_eps, cfg.eps / 2.0]
+    assert (calls["gradient"], calls["sym_gradient"]) == (1, 1)
+    assert calls["quadrature"] == 2 * len(profiles)  # both sides of t = 0, once per n

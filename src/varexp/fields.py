@@ -50,6 +50,14 @@ def _close(a, b, atol=1e-12):
     return abs(a - b) <= atol + 1e-12 * abs(b)
 
 
+def _check_scalar(name, value, lo, above=False):
+    """`value` as a float; a ValueError naming `name` unless it is finite and >= lo (> lo with `above`)."""
+    v = float(value)
+    if not (math.isfinite(v) and (v > lo if above else v >= lo)):
+        raise ValueError(f"{name} must be finite and {'>' if above else '>='} {lo:g}, got {value!r}")
+    return v
+
+
 class Grid:
     """Uniform tensor-product grid.
 

@@ -37,7 +37,8 @@ import os
 import numpy as np
 
 from .calculus import gradient, sym_gradient
-from .fields import Grid, ScalarField, VectorField, _shift_slices, field_abs, write_pgm, write_table
+from .fields import Grid, ScalarField, VectorField, _check_scalar, _shift_slices, field_abs, write_pgm
+from .fields import write_table
 from .modular import ExponentField, _luxembourg_root
 from .mollify import MollifierFamily, _gauss_legendre, convolve
 
@@ -69,9 +70,10 @@ class WetBlanketConfig:
     alpha/beta are the exponent bounds (1 < alpha < beta), eps the
     separation scale of the exponent transition ring, eta_radius the radius
     of the indicator mollified into the velocity cutoff, and eta_moll_eps
-    that mollification scale.  omega1 is the region carrying the small
-    exponent; it must admit an eps-neighborhood inside the domain whose
-    complement still meets the support of the full gradient.
+    that mollification scale; these three are finite and > 0.  omega1 is
+    the region carrying the small exponent; it must admit an
+    eps-neighborhood inside the domain whose complement still meets the
+    support of the full gradient.
     """
 
     alpha: float = 1.1
@@ -84,8 +86,8 @@ class WetBlanketConfig:
     def __post_init__(self):
         if not (1.0 < self.alpha <= self.beta):
             raise ValueError("need 1 < alpha <= beta")
-        if self.eps <= 0:
-            raise ValueError("need eps > 0")
+        for name in ("eps", "eta_radius", "eta_moll_eps"):
+            _check_scalar(name, getattr(self, name), 0.0, above=True)
         A = np.asarray(self.skew, dtype=float)
         if not np.allclose(A, -A.T):
             raise ValueError("skew matrix must satisfy A = -A^T")

@@ -1,31 +1,18 @@
 """Implicit-Euler (Rothe) solver for the model parabolic problem.
 
-Each backward-Euler step solves a convex minimization whose gradient is the
-weak form of
+Each backward-Euler step minimizes an energy whose gradient is the weak
+form of
 
     (u - u_prev)/tau - div S(., ., eps(u)) + b(., ., u) = f - div F,
 
 with a flux of (p(t,x), delta)-structure, S(A) = (delta+|A|)^(p-2) A, and a
-lower-order term b treated explicitly inside a relaxed fixed-point loop:
-v <- (1 - theta) v + theta x, undamped (theta = 1) first, with theta halved
-whenever the gap rms(x - v) stops shrinking (keeps more than 0.8 of the
-previous sweep's gap).
-A step's data (u_prev, tau, p at the masked nodes, the regularized law, f,
-F and b) is assembled once into a `_Step`, whose energy, gradient and
-Hessian are what damped Newton reads.  The strain eps(x) that the line
-search evaluates at the point it accepts serves the gradient and Hessian
-there, so each Newton iterate evaluates it once.  The sparse step Hessian
-I/tau + B^T D B is assembled from the exact-adjoint symmetric-gradient
-operator B.  The operator holds one sparse LU factor.  A quadratic step
-(p = 2 at every masked node) has a Hessian that depends on tau alone, so
-its factor serves every quadratic step at that tau exactly.  Any other
-step solves its Newton system inexactly, by conjugate gradients
-preconditioned with the held factor to an Eisenstat-Walker forcing term.
-CG multiplies by the Hessian without forming it; the step assembles and
-factorizes its current Hessian only when no factor is held or CG stalls.
-Armijo backtracking on the energy globalises the step.
-`energy_step` returns the new field and an info dict, which `rothe_solve`
-records as it is.  Dirichlet boundary values are enforced by constraining
+lower-order term b = grad Psi, both implicit, so one Newton solve settles
+the step.  A step's data is assembled once into a `_Step`, whose energy,
+gradient and Hessian I/tau + B^T D B + L (B the exact-adjoint
+symmetric-gradient operator, L the Jacobian of b) inexact damped Newton
+reads (`_descend`).  A Newton direction that does not descend shows an
+energy that is not convex, as tau kappa >= 1 can make it, and raises
+RotheStepError.  Dirichlet boundary values are enforced by constraining
 the boundary layer of masked nodes to zero.  This
 is the package's one sparse user: scipy.sparse and its SuperLU load with
 the first `EpsOperator`, so `import varexp` needs numpy only.  The
@@ -43,7 +30,7 @@ import numpy as np
 
 from .calculus import _stencil
 from .fields import Grid, ScalarField, VectorField, _magnitude, make_rectangle_domain, sym_pairs, sym_weights
-from .fields import _close, _time_axes, write_table
+from .fields import _check_scalar, _close, _time_axes, write_table
 from .modular import ExponentField
 
 log = logging.getLogger(__name__)
@@ -110,8 +97,7 @@ class ConstitutiveLaw:
     c1_offset: float = 0.0
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        _check_scalar("delta", self.delta, 0.0)
 
     def exponent_at(self, data, k):
         """Spatial exponent values at vertex time index k; a space-time p sits on the step's time nodes."""
@@ -146,55 +132,76 @@ def critical_growth_bound(p_minus, d):
 
 @dataclasses.dataclass(frozen=True)
 class LowerOrderLaw:
-    """Lower-order term b(t,x,a) with growth exponent r and sign constant c2.
+    """Lower-order term b(a) = (c |a|^(r-1) - kappa/(1+|a|^2)) a, a's components on its trailing axis.
 
-    Canonical instances: `zero` (b = 0), `power` (gamma |a|^(r-1) a, which
-    is sign-positive), and `damped` which subtracts a bounded attractor and
-    therefore carries a genuine c2 > 0.
+    b = grad Psi with Psi(a) = c |a|^(r+1)/(r+1) - (kappa/2) log(1+|a|^2).
+    gamma = c + kappa is the growth constant and c2 = kappa the sign
+    constant.  `zero` has c = kappa = 0 and `power` kappa = 0, which is
+    sign-positive; `damped` subtracts the bounded attractor kappa a/(1+|a|^2).
     """
 
-    func: object
+    c: float
     r: float
-    gamma: float
-    c2: float = 0.0
-    name: str = "custom"
+    kappa: float = 0.0
 
     @classmethod
     def zero(cls):
-        return cls(func=lambda a: np.zeros_like(a), r=1.0, gamma=0.0, name="zero")
+        return cls(0.0, 1.0)
 
     @classmethod
     def power(cls, gamma, r):
-        if gamma < 0 or r < 1:
-            raise ValueError("need gamma >= 0 and r >= 1")
-
-        def f(a):
-            return gamma * _magnitude(a, 1.0, (-1,))[..., None] ** (r - 1.0) * a
-
-        return cls(func=f, r=float(r), gamma=float(gamma), name="power")
+        return cls(_check_scalar("gamma", gamma, 0.0), _check_scalar("r", r, 1.0))
 
     @classmethod
     def damped(cls, gamma, r, kappa):
         """Power law minus the bounded perturbation kappa a/(1+|a|^2)."""
-        if kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        base = cls.power(gamma, r)
+        return cls(_check_scalar("gamma", gamma, 0.0), _check_scalar("r", r, 1.0),
+                   _check_scalar("kappa", kappa, 0.0))
 
-        def f(a):
+    @property
+    def gamma(self):
+        return self.c + self.kappa
+
+    @property
+    def c2(self):
+        return self.kappa
+
+    @property
+    def is_zero(self):
+        return self.c == 0.0 and self.kappa == 0.0
+
+    def potential(self, a):
+        """Psi at each node of a."""
+        s = _magnitude(a, 1.0, (-1,))
+        psi = self.c * s ** (self.r + 1.0) / (self.r + 1.0)
+        if self.kappa:
+            psi = psi - 0.5 * self.kappa * np.log1p(s * s)
+        return psi
+
+    def __call__(self, a):
+        out = self.c * _magnitude(a, 1.0, (-1,))[..., None] ** (self.r - 1.0) * a
+        if self.kappa:
             # kappa (a/m) / (m |a/m|^2 + 1/m) where |a|^2 would overflow; m = 1 elsewhere
             m = np.max(np.abs(a), axis=-1)[..., None]
             m = np.where((m > 1e150) & (m < np.inf), m, 1.0)
             s = a / m
-            return base.func(a) - kappa * s / (m * np.sum(s**2, axis=-1)[..., None] + 1.0 / m)
+            out = out - self.kappa * s / (m * np.sum(s**2, axis=-1)[..., None] + 1.0 / m)
+        return out
 
-        return cls(func=f, r=float(r), gamma=float(gamma) + kappa, c2=float(kappa), name="damped")
+    def curvature(self, a):
+        """(beta, coef, a/|a|) per node, b's Jacobian being beta I + coef (a/|a|)(a/|a|)^T.
 
-    def __call__(self, a):
-        return self.func(a)
-
-    @property
-    def is_zero(self):
-        return self.gamma == 0.0 and self.c2 == 0.0
+        For b(a) = phi(|a|) a, beta = phi and coef = |a| phi'; a/|a| is 0 at a = 0.
+        """
+        s = _magnitude(a, 1.0, (-1,))
+        sr = s ** (self.r - 1.0)
+        beta, coef = self.c * sr, self.c * (self.r - 1.0) * sr
+        if self.kappa:
+            w = 1.0 / (1.0 + s * s)
+            beta = beta - self.kappa * w
+            coef = coef + 2.0 * self.kappa * (s * w) ** 2
+        unit = np.divide(a, s[..., None], out=np.zeros_like(a), where=s[..., None] > 0.0)
+        return beta, coef, unit
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,6 +221,8 @@ class ProblemData:
     F: object = None
 
     def __post_init__(self):
+        for name in ("T", "tau"):
+            _check_scalar(name, getattr(self, name), 0.0, above=True)
         K = self.T / self.tau
         if abs(K - round(K)) > 1e-9 * max(1.0, K):
             raise ValueError(f"tau={self.tau} does not divide T={self.T}")
@@ -405,11 +414,11 @@ def _step_law(law, data, k, op):
 
 @dataclasses.dataclass(frozen=True)
 class _Step:
-    """The convex energy of one implicit step over the free dofs of `op`.
+    """The energy of one implicit step over the free dofs of `op`.
 
-    x_prev, f and b are free-dof vectors, F holds compact components at
-    the masked nodes, and p is the exponent there; f, F and b may be None
-    for zero data.  Values are per unit cell volume.
+    x_prev and f are free-dof vectors, F holds compact components at the
+    masked nodes, p is the exponent there, and low is the lower-order law;
+    f, F and low may be None for zero data.  Values are per unit cell volume.
     """
 
     op: EpsOperator
@@ -419,20 +428,25 @@ class _Step:
     law: ConstitutiveLaw
     f: np.ndarray = None
     F: np.ndarray = None
-    b: np.ndarray = None
+    low: LowerOrderLaw = None
     #: [x, (J, eps, |eps|_W)] of the last point evaluated, see `_point`
     _last: list = dataclasses.field(
         default_factory=lambda: [None, None], init=False, repr=False, compare=False
     )
 
     @classmethod
-    def at(cls, law, data, k, op, u_prev):
-        """Step k of `data` from u_prev, without a lower-order term."""
+    def at(cls, law, data, k, op, u_prev, low=None):
+        """Step k of `data` from u_prev with lower-order law `low`; a zero law is left out."""
         p, law = _step_law(law, data, k, op)
         fk, Fk = data.f_at(k), data.F_at(k)
         f = op.free_values(fk) if fk is not None else None
         F = op.masked_values(Fk, op.m) if Fk is not None else None
-        return cls(op, op.to_free(u_prev), data.tau, p, law, f, F)
+        low = None if low is None or low.is_zero else low
+        return cls(op, op.to_free(u_prev), data.tau, p, law, f, F, low)
+
+    def _nodes(self, x):
+        """Free-dof vector x as node values, shape (n_free, d)."""
+        return x.reshape(self.op.d, -1).T
 
     def _point(self, x):
         """(energy, eps, |eps|_W) at free dofs x; the last point's values are kept.
@@ -452,8 +466,8 @@ class _Step:
             J = float(np.sum(0.5 * du * du) / self.tau + np.sum(self.law.potential(mag, self.p)))
             if self.f is not None:
                 J -= float(np.dot(self.f, x))
-            if self.b is not None:
-                J += float(np.dot(self.b, x))
+            if self.low is not None:
+                J += float(np.sum(self.low.potential(self._nodes(x))))
             if self.F is not None:
                 J -= float(np.sum(w * self.F * eps))
             last[:] = x, (J, eps, mag)
@@ -473,14 +487,14 @@ class _Step:
         g = (x - self.x_prev) / self.tau + self.op.eps_adjoint(S)
         if self.f is not None:
             g -= self.f
-        if self.b is not None:
-            g += self.b
+        if self.low is not None:
+            g += self.low(self._nodes(x)).T.ravel()
         return J, g
 
     @property
     def quadratic(self):
-        """True when p = 2 at every masked node, where H = I/tau + B^T W B for every x."""
-        return bool(np.all(self.p == 2.0))
+        """True when b is absent and p = 2 at every masked node: then H = I/tau + B^T W B for every x."""
+        return self.low is None and bool(np.all(self.p == 2.0))
 
     def _curvature(self, x):
         """(phi, coef, W eps) at free dofs x: the blocks of D, node by node.
@@ -511,11 +525,11 @@ class _Step:
         return phi, coef, we
 
     def hessian(self, x):
-        """Hessian I/tau + B^T D B of the energy at free dofs x, as a CSC matrix.
+        """Hessian I/tau + B^T D B + L of the energy at free dofs x, as a CSC matrix.
 
-        D's blocks are `_curvature`'s; they are positive semidefinite, so H
-        is symmetric positive definite.  Only a factorization needs H as a
-        matrix: CG multiplies by `hessian_operator` instead.
+        D's blocks are `_curvature`'s, positive semidefinite, and L's the lower-order law's
+        `curvature` at each free node, so H is symmetric positive definite unless L outweighs
+        I/tau.  Only a factorization needs H as a matrix: CG multiplies by `hessian_operator`.
         """
         from scipy import sparse
 
@@ -528,15 +542,20 @@ class _Step:
         n = blocks.shape[0] * blocks.shape[1]
         D = sparse.csr_matrix((blocks.ravel(), indices, indptr), shape=(n, n))
         H = bt @ (D @ op.B)
+        if self.low is not None:
+            beta, coef, unit = self.low.curvature(self._nodes(x))
+            H = H + sparse.bmat([[sparse.diags(coef * unit[:, i] * unit[:, j] + (beta if i == j else 0.0))
+                                  for j in range(op.d)] for i in range(op.d)])
         # setdiag also inserts the diagonal entries the product dropped as exact zeros
         H.setdiag(H.diagonal() + 1.0 / self.tau)
         return H.tocsc()
 
     def hessian_operator(self, x):
-        """H(x) = I/tau + B^T D B as a LinearOperator that never forms the matrix.
+        """H(x) = I/tau + B^T D B + L as a LinearOperator that never forms the matrix.
 
-        A product v/tau + B^T y reads `_curvature`'s blocks node by node:
-        y = phi W (B v) + coef (W eps) ((W eps) . B v), laid out as B's rows.
+        A product v/tau + B^T y + L v reads `_curvature`'s blocks node by node,
+        y = phi W (B v) + coef (W eps) ((W eps) . B v) laid out as B's rows,
+        and L's at each free node a of v: beta a + coef unit (unit . a).
         """
         from scipy.sparse.linalg import LinearOperator
 
@@ -545,12 +564,18 @@ class _Step:
         phi_w = op.weights[:, None] * phi  # (m, n_masked), the layout of B v
         we = np.ascontiguousarray(we.T)
         B, bt, inv_tau = op.B, op._Bt, 1.0 / self.tau
+        low = None if self.low is None else self.low.curvature(self._nodes(x))
 
         def matvec(v):
             e = (B @ v).reshape(we.shape)
             y = phi_w * e
             y += (coef * np.einsum("an,an->n", we, e)) * we
-            return v * inv_tau + bt @ y.reshape(-1)
+            out = v * inv_tau + bt @ y.reshape(-1)
+            if low is not None:
+                beta, c, unit = low
+                a = self._nodes(v)
+                out += (beta[:, None] * a + (c * np.einsum("ni,ni->n", unit, a))[:, None] * unit).T.ravel()
+            return out
 
         n = B.shape[1]
         return LinearOperator((n, n), matvec=matvec, dtype=np.float64)
@@ -625,7 +650,7 @@ def _pcg(H, b, precond, rtol, maxiter):
 
 
 def _descend(step, x0, tol):
-    """Inexact damped Newton on the convex step energy, globalised by Armijo backtracking.
+    """Inexact damped Newton on the step energy, globalised by Armijo backtracking.
 
     Each iteration solves H dx = -g to the relative residual eta_k of an
     Eisenstat-Walker forcing term (`_Step.newton_direction`): eta_0 = 0.1,
@@ -636,7 +661,8 @@ def _descend(step, x0, tol):
     there read its energy and strain (`_Step._point`) instead of computing
     them again.  The energy trail is monotone up to float roundoff; the loop
     stops when the rms nodal residual falls below tol.  A residual that
-    does not end at or below tol, NaN included, raises RotheStepError.
+    does not end at or below tol, NaN included, raises RotheStepError, as
+    does a Newton direction with g.dx >= 0, which shows a non-convex energy.
     Returns (x, J, residual, counts), counts holding `iters`,
     `factorizations` and `cg_iters`.
     """
@@ -651,6 +677,9 @@ def _descend(step, x0, tol):
         factorizations += int(factorized)
         cg_total += cg_iters
         slope = float(np.dot(g, dx))
+        if slope >= 0.0:
+            raise RotheStepError(f"energy step is not convex: the Newton direction at iteration {it} "
+                                 f"does not descend (g.dx = {slope:.3e})", res)
         t = 1.0
         # the roundoff allowance keeps Armijo decidable once the decrease
         # drops below the float noise of the (possibly large) energy value
@@ -678,13 +707,6 @@ def _descend(step, x0, tol):
     return x, J, res, {"iters": it, "factorizations": factorizations, "cg_iters": cg_total}
 
 
-#: Picard sweeps allowed for the explicit lower-order argument of one step
-_PICARD_MAX = 50
-#: a Picard sweep whose gap exceeds this share of the previous sweep's gap has
-#: stopped shrinking: at that rate 50 sweeps shrink it by less than five orders
-_PICARD_SHRINK = 0.8
-
-
 def _tolerance(data, u_prev, k):
     """1e-8 * (1 + data magnitude): the step's rms residual target."""
     g = data.domain.grid
@@ -699,54 +721,25 @@ def _tolerance(data, u_prev, k):
 
 
 def energy_step(u_prev, k, law, low, data, op=None):
-    """One implicit step: minimize the step energy, Picard-iterating the b-term.
+    """One implicit step: minimize the step energy, lower-order potential included.
 
     Returns (u, info): the new VectorField and a dict carrying the
     converged energy and modular sum |eps(u)|_W^p over the masked nodes
     (`modular_eps`), both per unit cell volume, the residual, `iters`,
-    `factorizations` and `cg_iters` summed over the Picard sweeps, the
-    sweeps (`sweeps`, 1 without a lower-order term) and `delta`, the delta
-    the step ran at.  The minimizer runs
-    inexact damped Newton with Armijo backtracking (`_descend`): CG on the
-    held factor, a factorization only when CG stalls, and a quadratic
-    step's exact factor reused at its tau; the gradient and Hessian at an
-    accepted iterate reuse the strain its line search evaluated.  It stops
-    when the rms weak-form residual is below tol = 1e-8 * (1 + data
-    magnitude); non-convergence within 5000 Newton iterations raises
-    RotheStepError with the final residual.  A sweep minimizes with b taken
-    at v, from the previous sweep's minimizer x, and relaxes v <- (1 - theta)
-    v + theta x: theta = 1 at first, halved whenever the gap rms(x - v)
-    stops shrinking, that is whenever it keeps more than 0.8 of the previous
-    sweep's gap.  The loop stops once that gap is at most tol, and
-    raises RotheStepError when it has not after 50 sweeps.
+    `factorizations`, `cg_iters` and `delta`, the delta the step ran at.
+    `_descend` stops at an rms weak-form residual below tol = 1e-8 * (1 +
+    data magnitude); RotheStepError carries the final residual when the
+    step does not converge within 5000 Newton iterations or meets a
+    non-convex energy.
     """
     if op is None:
         op = EpsOperator(data.domain)
-    step = _Step.at(law, data, k, op, u_prev)
-    tol = _tolerance(data, u_prev, k)
-
-    # an undamped map that nearly flips the gap's sign each sweep shrinks it
-    # by a factor close to 1, which theta = 1/2 cancels; without a
-    # lower-order term the first sweep is the whole step
-    plain = low is None or low.is_zero
-    v = x = step.x_prev
-    theta, gap = 1.0, np.inf
-    counts = {}
-    for sweep in range(1, _PICARD_MAX + 1):
-        if not plain:
-            step = dataclasses.replace(step, b=op.free_values(low(op.to_field(v).values)))
-        x, J, res, swept = _descend(step, x, tol)
-        counts = {key: counts.get(key, 0) + n for key, n in swept.items()}
-        gap, gap_old = float(np.sqrt(np.sum((x - v) ** 2) / max(v.size, 1))), gap
-        if plain or gap <= tol:
-            _, _, mag = step._point(x)  # the strain the last Newton iterate evaluated
-            info = {"energy": J, "residual": res, **counts, "sweeps": sweep,
-                    "delta": step.law.delta, "modular_eps": float(np.sum(mag**step.p))}
-            return op.to_field(x), info
-        if gap > _PICARD_SHRINK * gap_old:
-            theta *= 0.5
-        v = (1.0 - theta) * v + theta * x
-    raise RotheStepError(f"Picard loop did not settle in {_PICARD_MAX} iterations", gap)
+    step = _Step.at(law, data, k, op, u_prev, low)
+    x, J, res, counts = _descend(step, step.x_prev, _tolerance(data, u_prev, k))
+    _, _, mag = step._point(x)  # the strain the last Newton iterate evaluated
+    info = {"energy": J, "residual": res, **counts, "delta": step.law.delta,
+            "modular_eps": float(np.sum(mag**step.p))}
+    return op.to_field(x), info
 
 
 def rothe_solve(data, law, low=None):
@@ -834,9 +827,7 @@ def energy_inequality_report(traj, law, low, data):
     acc_data = 0.0
     acc_floor = 0.0
     for k in range(1, data.steps + 1):
-        step = _Step.at(law, data, k, op, traj[k - 1])
-        if low is not None and not low.is_zero:
-            step = dataclasses.replace(step, b=op.free_values(low(traj[k].values)))
+        step = _Step.at(law, data, k, op, traj[k - 1], low)
         x = op.to_free(traj[k])
         _, g = step.energy_grad(x)
         _, eps, mag = step._point(x)  # the strain energy_grad evaluated

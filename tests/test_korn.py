@@ -33,6 +33,11 @@ def test_config_validation():
         WetBlanketConfig(skew=((0.0, 1.0), (1.0, 0.0)))
     with pytest.raises(ValueError):
         WetBlanketConfig(eps=0.0)
+    # the three scales must be finite and > 0, each refused by name
+    for name in ("eps", "eta_radius", "eta_moll_eps"):
+        for bad in (np.nan, np.inf, 0.0, -0.4):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got {bad!r}$"):
+                WetBlanketConfig(**{name: bad})
 
 
 def test_velocity_rigid_core_and_support():

@@ -50,12 +50,19 @@ def _close(a, b, atol=1e-12):
     return abs(a - b) <= atol + 1e-12 * abs(b)
 
 
-def _check_scalar(name, value, lo, above=False):
+def _check_scalar(name, value, lo=-math.inf, above=False):
     """`value` as a float; a ValueError naming `name` unless it is finite and >= lo (> lo with `above`)."""
     v = float(value)
     if not (math.isfinite(v) and (v > lo if above else v >= lo)):
-        raise ValueError(f"{name} must be finite and {'>' if above else '>='} {lo:g}, got {value!r}")
+        bound = f" and {'>' if above else '>='} {lo:g}" if lo > -math.inf else ""
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
     return v
+
+
+def _check_finite(magnitudes):
+    """A ValueError unless every value is finite: magnitudes are >= 0, so their max is inf or nan exactly then."""
+    if not np.isfinite(magnitudes.max()):
+        raise ValueError("field has non-finite values")
 
 
 class Grid:
@@ -435,10 +442,8 @@ def make_disc_domain(center, radius, grid):
     """
     if grid.ndim != 2:
         raise ValueError("disc domains need a 2-d grid")
-    center = np.asarray(center, dtype=float)
-    radius = float(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    center = np.array([_check_scalar("center", c) for c in center])
+    radius = _check_scalar("radius", radius, 0.0, above=True)
     for ax in range(2):
         lo, hi = grid.axis_coords(ax)[0], grid.axis_coords(ax)[-1]
         if center[ax] - radius <= lo or center[ax] + radius >= hi:
@@ -454,8 +459,8 @@ def make_disc_domain(center, radius, grid):
 
 def make_rectangle_domain(lo, hi, grid):
     """Axis-aligned box domain {lo < x < hi} with analytic distance to the faces."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    lo = np.array([_check_scalar("lo", v) for v in np.atleast_1d(lo)])
+    hi = np.array([_check_scalar("hi", v) for v in np.atleast_1d(hi)])
     if len(lo) != grid.ndim or len(hi) != grid.ndim:
         raise ValueError("box bounds do not match grid dimension")
     if np.any(hi <= lo):
@@ -501,9 +506,7 @@ def shrink(domain, eps):
     eps=0 returns an identical domain; an empty result is allowed and is
     flagged by the Domain constructor.
     """
-    eps = float(eps)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    eps = _check_scalar("eps", eps, 0.0)
     if eps == 0.0:
         return domain
     mask = domain.r > eps

@@ -37,8 +37,8 @@ import os
 import numpy as np
 
 from .calculus import gradient, sym_gradient
-from .fields import Grid, ScalarField, VectorField, _check_scalar, _shift_slices, field_abs, write_pgm
-from .fields import write_table
+from .fields import Grid, ScalarField, VectorField, _check_finite, _check_scalar, _shift_slices, field_abs
+from .fields import write_pgm, write_table
 from .modular import ExponentField, _luxembourg_root
 from .mollify import MollifierFamily, _gauss_legendre, convolve
 
@@ -290,8 +290,8 @@ def korn_ratio_sequence(cfg, domain, time_grid, n_max):
     u = build_velocity(cfg, domain)
     p = build_exponent(cfg, domain, velocity=u)
     abs_gu, abs_eu = _strains(u, domain)
-    if not (np.all(np.isfinite(abs_gu.values)) and np.all(np.isfinite(abs_eu.values))):
-        raise ValueError("field has non-finite values")
+    _check_finite(abs_gu.values)
+    _check_finite(abs_eu.values)
 
     # pure-exponent regions for the factorized bound
     ring = abs_eu.values > 1e-13 * abs_eu.max_abs()

@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .fields import ScalarField, SymTensorField, VectorField, _abs_values, _on_field_grid, _shift_slices
-from .fields import integrate, sym_weights
+from .fields import ScalarField, SymTensorField, VectorField, _abs_values, _check_finite, _on_field_grid
+from .fields import _shift_slices, integrate, sym_weights
 
 __all__ = [
     "ExponentField",
@@ -145,9 +145,7 @@ def luxembourg_norm(f, p, domain, tol=1e-8):
     """Luxembourg norm: the root lambda of modular(f/lambda) = 1, by Newton in s = log lambda
     (see `_luxembourg_root`); 0 for the zero field."""
     absf = _abs_values(f)
-    # the largest magnitude is inf or nan exactly when some value is not finite
-    if not np.isfinite(absf.max()):
-        raise ValueError("field has non-finite values")
+    _check_finite(absf)
     mask = _on_field_grid(f.grid, domain.grid, domain.mask, "domain")
     q = _on_field_grid(f.grid, p.grid, p.values.values, "exponent")[mask]
     return _luxembourg_root(absf[mask], q, None, np.log(f.grid.cell_volume), tol)

@@ -29,7 +29,8 @@ import os
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: load it here, not in the first convolve)
 
-from .fields import Grid, ScalarField, SymTensorField, VectorField, _close, _Field, _sym_part, field_abs
+from .fields import Grid, ScalarField, SymTensorField, VectorField, _check_finite, _check_scalar, _close, _Field
+from .fields import _sym_part, field_abs
 from .calculus import axis_derivative, sym_gradient
 from .modular import ExponentField
 
@@ -117,7 +118,7 @@ class MollifierFamily:
         spacing = tuple(float(s) for s in spacing)
         if len(spacing) != self.dim:
             raise ValueError(f"kernel is {self.dim}-dimensional, got {len(spacing)} spacings")
-        eps = float(eps)
+        eps = _check_scalar("mollifier scale eps", eps, 0.0, above=True)
         if any(eps < s for s in spacing):
             raise ValueError(
                 f"mollifier scale {eps} is below the grid spacing {max(spacing)}; "
@@ -227,10 +228,11 @@ def convolve(f, eps):
     in the grid and sees only ones is exactly 1, the sum the weights are
     renormalized to.  From `_LANE_MIN_NODES` padded nodes on, the worker
     lane computes the window sum while this thread transforms the
-    components.
+    components.  A field holding a NaN or inf is refused with a ValueError.
     """
     if not isinstance(f, _Field):
         raise TypeError(f"not a field: {type(f)!r}")
+    _check_finite(np.abs(f.values))
     g = f.grid
     w = MollifierFamily(g.ndim).sampled_weights(g.spacing, eps)
     pad = _PaddedFFT(g.dims, [n // 2 for n in w.shape])
@@ -328,10 +330,12 @@ def maximal(f):
     M(f) >= |f| holds exactly, as in the continuum.  With the worker lane
     the padded-shape groups are split between the two lanes, each with its
     own running maximum; the maximum does not depend on the order of the
-    rungs, so the result is the serial one.
+    rungs, so the result is the serial one.  A field holding a NaN or inf
+    is refused with a ValueError.
     """
     g = f.grid
     a = field_abs(f).values
+    _check_finite(a)
     spacing = np.asarray(g.spacing)
     h_min = float(min(spacing))
     groups = {}
@@ -490,7 +494,7 @@ def extend_exponent(p, target_grid):
 def _snap_scale(h, domain):
     """Smoothing scale snapped to a whole number of (max) spatial cells."""
     hx = max(domain.grid.spacing)
-    cells = int(round(float(h) / hx))
+    cells = int(round(_check_scalar("smoothing scale h", h, 0.0, above=True) / hx))
     if cells < 1:
         raise ValueError(f"smoothing scale {h} is below one grid cell ({hx})")
     return cells * hx

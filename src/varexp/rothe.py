@@ -10,14 +10,15 @@ lower-order term b = grad Psi, both implicit, so one Newton solve settles
 the step.  A step's data is assembled once into a `_Step`, whose energy,
 gradient and Hessian I/tau + B^T D B + L (B the exact-adjoint
 symmetric-gradient operator, L the Jacobian of b) inexact damped Newton
-reads (`_descend`).  A Newton direction that does not descend shows an
-energy that is not convex, as tau kappa >= 1 can make it, and raises
-RotheStepError.  Dirichlet boundary values are enforced by constraining
-the boundary layer of masked nodes to zero.  This
-is the package's one sparse user: scipy.sparse and its SuperLU load with
-the first `EpsOperator`, so `import varexp` needs numpy only.  The
-module also provides the discrete energy (a priori) inequality report, the
-integration-by-parts residual in time, and manufactured-solution helpers.
+reads (`_descend`), its forcing term floored at the step tolerance.  A
+Newton direction that does not descend shows an energy that is not
+convex, as tau kappa >= 1 can make it, and raises RotheStepError.
+Dirichlet boundary values are enforced by constraining the boundary
+layer of masked nodes to zero.  This is the package's one sparse user:
+scipy.sparse and its SuperLU load with the first `EpsOperator`, so
+`import varexp` needs numpy only.  The module also provides the discrete
+energy (a priori) inequality report, the integration-by-parts residual in
+time, and manufactured-solution helpers.
 """
 
 from __future__ import annotations
@@ -617,9 +618,13 @@ class _Step:
 _NEWTON_MAX = 5000
 #: CG iterations a Newton solve may take on the held factor before it refactorizes
 _PCG_MAX = 8
-#: Eisenstat-Walker forcing term: eta_0 = _ETA_MAX, then
-#: eta_k = max(min(_ETA_MAX, _EW_GAMMA (res_k/res_{k-1})^2), _ETA_MIN)
+#: Eisenstat-Walker forcing term: eta_0 = _ETA_MAX, then `_forcing`
 _ETA_MAX, _ETA_MIN, _EW_GAMMA = 0.1, 1e-6, 0.9
+
+
+def _forcing(res, res_old, tol):
+    """eta_k = min(_ETA_MAX, max(_EW_GAMMA (res/res_old)^2, _ETA_MIN, tol/(2 res))), Kelley's floor last."""
+    return min(_ETA_MAX, max(_EW_GAMMA * (res / res_old) ** 2, _ETA_MIN, 0.5 * tol / max(res, tol)))
 
 
 def _pcg(H, b, precond, rtol, maxiter):
@@ -654,8 +659,9 @@ def _descend(step, x0, tol):
 
     Each iteration solves H dx = -g to the relative residual eta_k of an
     Eisenstat-Walker forcing term (`_Step.newton_direction`): eta_0 = 0.1,
-    then eta_k = max(min(0.1, 0.9 (res_k/res_{k-1})^2), 1e-6), so the
-    solve tightens as Newton converges.  It then halves t from 1 until the
+    then eta_k = `_forcing`: min(0.1, max(0.9 (res_k/res_{k-1})^2, 1e-6,
+    tol/(2 res_k))), so the solve tightens as Newton converges, but never
+    past what res <= tol needs.  It then halves t from 1 until the
     energy meets the Armijo test along dx.  The accepted point is the last
     one the line search evaluated, so the gradient and Newton direction
     there read its energy and strain (`_Step._point`) instead of computing
@@ -695,7 +701,7 @@ def _descend(step, x0, tol):
         x = xn
         J, g = step.energy_grad(x)
         res, res_old = float(np.sqrt(np.dot(g, g) / n)), res
-        eta = max(min(_ETA_MAX, _EW_GAMMA * (res / res_old) ** 2), _ETA_MIN)
+        eta = _forcing(res, res_old, tol)
         it += 1
     # a NaN residual fails every comparison, so "converged" must be res <= tol
     if not res <= tol:

@@ -50,6 +50,25 @@ def test_disc_domain_rejects_oversize():
         vx.make_disc_domain((2.0, 0), 1.5, grid)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_domain_constructors_refuse_non_finite_scalars_by_name(bad):
+    grid, dom = disc_setup()
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        vx.make_disc_domain((0, 0), bad, grid)
+    with pytest.raises(ValueError, match="center must be finite, got"):
+        vx.make_disc_domain((bad, 0), 1.0, grid)
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        vx.shrink(dom, bad)
+    with pytest.raises(ValueError, match="lo must be finite, got"):
+        vx.make_rectangle_domain([bad, -1], [1, 1], grid)
+    with pytest.raises(ValueError, match="hi must be finite, got"):
+        vx.make_rectangle_domain([-1, -1], [1, -bad], grid)
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        vx.make_disc_domain((0, 0), 0.0, grid)
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        vx.shrink(dom, -0.1)
+
+
 def test_disc_r_at_center():
     # grid with a node exactly at the center
     grid = vx.vertex_grid_on_box([-3, -3], [3, 3], [48, 48])

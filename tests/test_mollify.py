@@ -163,6 +163,24 @@ def test_convolve_converges_in_variable_norm():
 # -- maximal operator --------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_convolve_and_maximal_refuse_non_finite_input_by_name(bad):
+    grid = vx.grid_on_box([-1, -1], [1, 1], [16, 16])
+    f = vx.ScalarField(grid, np.ones(grid.dims))
+    with pytest.raises(ValueError, match="mollifier scale eps must be finite and > 0"):
+        convolve(f, bad)
+    with pytest.raises(ValueError, match="mollifier scale eps must be finite and > 0"):
+        MollifierFamily(2).sampled_weights(grid.spacing, bad)
+    vals = np.ones(grid.dims)
+    vals[3, 5] = bad
+    for g in (vx.ScalarField(grid, vals), vx.ScalarField(grid, np.full(grid.dims, bad)),
+              vx.VectorField(grid, np.stack([np.ones(grid.dims), vals], axis=-1))):
+        with pytest.raises(ValueError, match="field has non-finite values"):
+            convolve(g, 0.3)
+        with pytest.raises(ValueError, match="field has non-finite values"):
+            maximal(g)
+
+
 def test_maximal_constant_exact():
     # at 128 nodes per axis the ladder pads to 9 shapes, from 135 to 256 nodes
     for cells in (32, 128):
@@ -409,6 +427,17 @@ def test_smooth_R_zero_and_support():
     times = out.grid.axis_coords(0)[nz.any(axis=(1, 2))]
     assert times.min() > -h - out.grid.spacing[0]
     assert times.max() < 1.0 + h + out.grid.spacing[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.125])
+def test_smoothing_refuses_a_bad_scale_by_name(bad):
+    dom, st = spacetime_setup(16, 8)
+    u = bump_spacetime_field(st)
+    for op in (smooth_R, smooth_Rstar, sym_grad_smooth_decomposition):
+        with pytest.raises(ValueError, match="smoothing scale h must be finite and > 0"):
+            op(u, dom, bad)
+    with pytest.raises(ValueError, match="smoothing scale h must be finite and > 0"):
+        CutoffFamily(dom, bad)
 
 
 def test_smooth_R_converges_monotonically():

@@ -553,7 +553,7 @@ def reference_descend(step, x0, tol):
         x = xn
         J, g = step.energy_grad(x.copy())
         res, res_old = float(np.sqrt(np.dot(g, g) / n)), res
-        eta = max(min(rothe._ETA_MAX, rothe._EW_GAMMA * (res / res_old) ** 2), rothe._ETA_MIN)
+        eta = rothe._forcing(res, res_old, tol)
         it += 1
     return x, J, res, {"iters": it, **counts}
 
@@ -738,7 +738,61 @@ def test_inexact_newton_directions_descend(monkeypatch):
     # CG multiplies by H without forming it: H is assembled only to be factorized
     assert len(assembled) == info["factorizations"]
     # the counts the assembled-H products gave: the operator's products change none
-    assert (info["iters"], info["factorizations"], info["cg_iters"]) == (13, 5, 81)
+    assert (info["iters"], info["factorizations"], info["cg_iters"]) == (13, 5, 78)
+
+
+def floored_forcing_solve(monkeypatch):
+    """A 24^2, p = 1.1 solve: (trajectory, [(info, tol)] per step, [(rtol, rms(g), tol)] per Newton solve, data)."""
+    from varexp import rothe
+
+    dom = box_domain(24)
+    T, K = 0.04, 4
+    _, f, u0 = mms_solution_p2(dom, T, K)
+    data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K, f=f)
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.1), delta=1e-3)
+    infos, solves, tols = [], [], []
+    real_step, real_descend, real_direction = rothe.energy_step, rothe._descend, rothe._Step.newton_direction
+
+    def recorded_step(*args, **kwargs):
+        u, info = real_step(*args, **kwargs)
+        infos.append(info)
+        return u, info
+
+    def recorded_descend(step, x0, tol):
+        tols.append(tol)
+        return real_descend(step, x0, tol)
+
+    def recorded_direction(self, x, g, rtol):
+        solves.append((rtol, float(np.sqrt(np.dot(g, g) / g.size)), tols[-1]))
+        return real_direction(self, x, g, rtol)
+
+    monkeypatch.setattr(rothe, "energy_step", recorded_step)
+    monkeypatch.setattr(rothe, "_descend", recorded_descend)
+    monkeypatch.setattr(rothe._Step, "newton_direction", recorded_direction)
+    traj, _ = rothe_solve(data, law)
+    monkeypatch.undo()
+    return traj, list(zip(infos, tols)), solves, data
+
+
+def test_last_newton_iterate_is_not_oversolved(monkeypatch):
+    # p = 1.1, delta = 1e-3: the unfloored rule asks the last iterate of a
+    # step for a relative residual far below what res <= tol needs
+    from varexp import rothe
+
+    traj, steps, solves, data = floored_forcing_solve(monkeypatch)
+    assert len(steps) == data.steps and len(solves) == sum(i["iters"] for i, _ in steps)
+    assert all(rtol >= min(rothe._ETA_MAX, 0.5 * tol / res) for rtol, res, tol in solves)
+    assert all(i["residual"] <= tol for i, tol in steps)
+
+    monkeypatch.setattr(rothe, "_forcing", lambda res, res_old, tol: max(
+        min(rothe._ETA_MAX, rothe._EW_GAMMA * (res / res_old) ** 2), rothe._ETA_MIN))
+    ref, ref_steps, ref_solves, _ = floored_forcing_solve(monkeypatch)
+    # the floor binds somewhere: the unfloored rule oversolves at least one iterate
+    assert any(rtol < 0.5 * tol / res for rtol, res, tol in ref_solves)
+    for k in range(1, data.steps + 1):
+        rms = float(np.sqrt(np.mean((traj[k].values - ref[k].values) ** 2)))
+        assert rms <= _tolerance(data, ref[k - 1], k)
+    assert sum(i["factorizations"] for i, _ in steps) <= sum(i["factorizations"] for i, _ in ref_steps)
 
 
 def test_energy_step_zero_data_is_zero():

@@ -1,0 +1,53 @@
+import importlib.util
+import json
+import os
+import resource
+
+import numpy as np
+
+_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+_spec = importlib.util.spec_from_file_location("scale", os.path.join(_ROOT, "tools", "scale.py"))
+scale = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scale)
+
+
+def test_usage_errors_exit_two_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"a usage error started a process: {args}")
+
+    monkeypatch.setattr(scale.subprocess, "run", no_run)
+    cases = [
+        (["no-such-config"], "unknown config no-such-config"),
+        (["--tree", str(tmp_path)], "has no src/varexp"),
+        (["--resolution", "x"], "invalid int value"),
+    ]
+    for argv, message in cases:
+        capsys.readouterr()
+        assert scale.main(argv) == 2, argv
+        assert message in capsys.readouterr().err
+
+
+def test_runs_report_their_own_status_time_and_peak(capsys, monkeypatch):
+    monkeypatch.setattr(scale, "reference_seconds", lambda: 0.125)
+    # this process holds more than a 16^2 solve's peak, so a child's RSS
+    # counted from the process that spawned it would show
+    ballast = np.ones(160 * 2**20 // 8)
+    spawner_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert scale.main(["--resolution", "16", "rothe-p2-128"]) == 0
+    ok = json.loads(capsys.readouterr().out)
+    assert ok["env"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    (run,) = ok["runs"]
+    assert (run["name"], run["experiment"], run["resolution"]) == ("rothe-p2-128", "rothe-solve", 16)
+    assert run["status"] == 0
+    assert run["wall_s"] > 0.0 and run["ref_s"] == 0.125 and run["wall_ref"] == run["wall_s"] / 0.125
+    assert "tail" not in run
+
+    # the CLI refuses resolution 8: each run records its exit status and its last words
+    assert scale.main(["--resolution", "8"]) == 1
+    failed = json.loads(capsys.readouterr().out)["runs"]
+    assert [r["name"] for r in failed] == list(scale.CONFIGS)
+    for r in failed:
+        assert r["status"] == 2 and "must be an integer >= 16" in r["tail"][-1]
+        # each run's own peak: not a running maximum over children, nor the spawner's
+        assert 0.0 < r["peak_rss_mb"] < run["peak_rss_mb"] < spawner_mb
+    del ballast

@@ -1,0 +1,130 @@
+"""Named CLI configs, each run in a fresh process: wall time, peak RSS and exit status.
+
+    python tools/scale.py [--tree TREE] [--resolution N] [NAME ...]
+
+Runs each named config of `CONFIGS` (all of them when no NAME is given)
+once, as `varexp.cli.main([EXPERIMENT, --config, CFG, --resolution, N,
+--out, DIR])` in a fresh interpreter with TREE/src first on PYTHONPATH
+(TREE defaults to this checkout), and prints one JSON document to stdout:
+
+    env         the bench's environment block (`bench/run.environment`;
+                its commit is this checkout's, whatever TREE is)
+    runs        one record per run: name, experiment, resolution, status
+                (the exit status), wall_s, peak_rss_mb, ref_s and wall_ref
+
+peak_rss_mb is the run's own peak, read inside the run from the VmHWM line
+of /proc/self/status as it exits (so on Linux only).  getrusage cannot give
+it: RUSAGE_CHILDREN is a running maximum over every child so far, and a
+child's own ru_maxrss starts from the RSS of the process that spawned it,
+whose pages it maps until its exec.  ref_s is the bench's reference kernel
+(`bench/sample.reference_seconds`) timed in this process just before and
+after the run, and wall_ref = wall_s / ref_s, so sessions on hosts of
+different speed can be compared.  Children run with one BLAS thread, as the
+bench's samples do, and write their outputs into a temporary directory that
+is removed afterwards.  One untimed import of varexp first compiles TREE's
+bytecode.
+
+Exit status: 0 when every run exited 0, 1 when any did not (its record
+holds the last lines it printed), 2 on a usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from run import THREAD_VARS, environment  # noqa: E402
+from sample import reference_seconds  # noqa: E402
+
+#: name -> (experiment, resolution, config sections)
+CONFIGS = {
+    "rothe-p2-128": ("rothe-solve", 128, {}),
+    "rothe-p1.1-delta0-128": ("rothe-solve", 128, {"rothe": {"p_constant": "1.1", "delta": "0.0"}}),
+}
+
+
+#: the child: runs the CLI, then writes its peak RSS in kB to the file named by argv[1]
+_CHILD = """\
+import sys
+from varexp.cli import main
+try:
+    code = main(sys.argv[2:])
+finally:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+    with open(sys.argv[1], "w", encoding="ascii") as fh:
+        fh.write(peak)
+sys.exit(code)
+"""
+
+
+def _config_text(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def run_one(name, resolution, env, work):
+    """The record of one fresh-process run of config `name`."""
+    experiment, default_resolution, sections = CONFIGS[name]
+    resolution = default_resolution if resolution is None else resolution
+    cfg = os.path.join(work, "config.ini")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(_config_text(sections))
+    peak_path, log_path = os.path.join(work, "peak_kb"), os.path.join(work, "log.txt")
+    cmd = [sys.executable, "-c", _CHILD, peak_path, experiment, "--config", cfg,
+           "--resolution", str(resolution), "--out", os.path.join(work, "out")]
+    ref_before = reference_seconds()
+    with open(log_path, "w", encoding="utf-8") as log:
+        start = time.perf_counter()
+        status = subprocess.run(cmd, cwd=work, env=env, stdout=log, stderr=subprocess.STDOUT).returncode
+        wall_s = time.perf_counter() - start
+    ref_s = 0.5 * (ref_before + reference_seconds())
+    with open(peak_path, encoding="ascii") as fh:
+        peak_mb = int(fh.read()) / 1024.0
+    record = {"name": name, "experiment": experiment, "resolution": resolution, "status": status,
+              "wall_s": wall_s, "peak_rss_mb": peak_mb, "ref_s": ref_s, "wall_ref": wall_s / ref_s}
+    if status != 0:
+        with open(log_path, encoding="utf-8") as fh:
+            record["tail"] = fh.read().splitlines()[-5:]
+    return record
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="run named CLI configs in fresh processes")
+    parser.add_argument("names", nargs="*", metavar="NAME", help=f"configs to run: {', '.join(CONFIGS)}")
+    parser.add_argument("--tree", default=ROOT, help="source tree whose src/varexp runs")
+    parser.add_argument("--resolution", type=int, help="[run] resolution for every config")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    tree = os.path.abspath(args.tree)
+    unknown = [n for n in args.names if n not in CONFIGS]
+    if unknown or not os.path.isdir(os.path.join(tree, "src", "varexp")):
+        why = f"unknown config {', '.join(unknown)}" if unknown else f"{tree} has no src/varexp"
+        print(f"scale: {why}", file=sys.stderr)
+        return 2
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(tree, "src"), os.environ.get("PYTHONPATH")]))
+    env.update({var: "1" for var in THREAD_VARS})
+    subprocess.run([sys.executable, "-c", "import varexp.cli, varexp.rothe"], env=env, check=True)
+    runs = []
+    for name in args.names or CONFIGS:
+        with tempfile.TemporaryDirectory() as work:
+            runs.append(run_one(name, args.resolution, env, work))
+    json.dump({"env": environment(None), "runs": runs}, sys.stdout, indent=1)
+    print()
+    return 0 if all(r["status"] == 0 for r in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,9 +15,9 @@ It reports the ratio table plus its analytic lower bound.
 
 Each ingredient is built once.  `build_velocity` keeps u per (config,
 domain object), |grad u| and |eps(u)| are kept per (velocity object, domain
-object) and p per (config, domain object, velocity object), so
-`build_exponent`, `korn_ratio_sequence` and `write_heatmaps` share one u,
-one pair of strain magnitudes and one p.  `build_phi` keeps the samples of
+object) and p per (config, domain object), so `build_exponent`,
+`korn_ratio_sequence` and `write_heatmaps` share one u, one pair of strain
+magnitudes and one p.  `build_phi` keeps the samples of
 phi_n per (n, time grid geometry).  Each cache is a bounded LRU (four
 entries per construction stage, 64 profiles) of immutable fields with
 read-only arrays, and fields and domains are immutable, so keying them by
@@ -155,7 +155,7 @@ def _dilate_mask(mask, radius, grid):
     return out
 
 
-def build_exponent(cfg, domain, velocity=None):
+def build_exponent(cfg, domain):
     """Two-valued smooth exponent: alpha on the absorbing region, beta far away.
 
     The region carrying alpha is the discrete support of eps(u); the
@@ -163,9 +163,9 @@ def build_exponent(cfg, domain, velocity=None):
         p = alpha * (omega_{eps/2} * chi) + beta * (1 - omega_{eps/2} * chi)
     with chi the indicator of the eps/2-neighborhood of that support.
     Exactly alpha on the support, exactly beta at distance > eps from it,
-    and alpha <= p <= beta everywhere.  Built once per (cfg, domain, u).
+    and alpha <= p <= beta everywhere.  Built once per (cfg, domain).
     """
-    return _exponent(cfg, domain, build_velocity(cfg, domain) if velocity is None else velocity)
+    return _exponent(cfg, domain)
 
 
 @functools.lru_cache(maxsize=_CONSTRUCTIONS_KEPT)
@@ -175,8 +175,8 @@ def _strains(u, domain):
 
 
 @functools.lru_cache(maxsize=_CONSTRUCTIONS_KEPT)
-def _exponent(cfg, domain, u):
-    grad_abs, eps_abs = _strains(u, domain)
+def _exponent(cfg, domain):
+    grad_abs, eps_abs = _strains(build_velocity(cfg, domain), domain)
     supp = eps_abs.values > 1e-13 * eps_abs.max_abs()
     g = domain.grid
     grown = _dilate_mask(supp, cfg.eps, g)
@@ -288,7 +288,7 @@ def korn_ratio_sequence(cfg, domain, time_grid, n_max):
     computed independently of the Luxembourg root finder.
     """
     u = build_velocity(cfg, domain)
-    p = build_exponent(cfg, domain, velocity=u)
+    p = build_exponent(cfg, domain)
     abs_gu, abs_eu = _strains(u, domain)
     _check_finite(abs_gu.values)
     _check_finite(abs_eu.values)
@@ -333,7 +333,7 @@ def write_ratio_csv(path, rows, comment=None):
 def write_heatmaps(outdir, cfg, domain, comment=None):
     """Graymap rasters of |grad u|, |eps(u)|, and the exponent, with sidecars."""
     u = build_velocity(cfg, domain)
-    p = build_exponent(cfg, domain, velocity=u)
+    p = build_exponent(cfg, domain)
     grad_abs, eps_abs = _strains(u, domain)
     panels = {"grad_u_abs.pgm": grad_abs, "sym_grad_abs.pgm": eps_abs, "exponent.pgm": p.values}
     paths = []

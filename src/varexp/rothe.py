@@ -10,11 +10,13 @@ lower-order term b = grad Psi, both implicit, so one Newton solve settles
 the step.  A step's data is assembled once into a `_Step`, whose energy,
 gradient and Hessian I/tau + B^T D B + L (B the exact-adjoint
 symmetric-gradient operator, L the Jacobian of b) inexact damped Newton
-reads (`_descend`), its forcing term floored at the step tolerance.  A
-Newton direction that does not descend shows an energy that is not
-convex, as tau kappa >= 1 can make it, and raises RotheStepError.
-Dirichlet boundary values are enforced by constraining the boundary
-layer of masked nodes to zero.  This is the package's one sparse user:
+reads (`_descend`), its forcing term floored at the step tolerance.  D
+and L are built once per point as per-node block arrays (`_Step._blocks`),
+which `hessian` assembles for SuperLU and `hessian_operator` applies for
+conjugate gradients.  A Newton direction that does not descend shows an
+energy that is not convex, as tau kappa >= 1 can make it, and raises
+RotheStepError.  Dirichlet boundary values are enforced by constraining
+the boundary layer of masked nodes to zero.  This is the package's one sparse user:
 scipy.sparse and its SuperLU load with the first `EpsOperator`, so
 `import varexp` needs numpy only.  The module also provides the discrete
 energy (a priori) inequality report, the integration-by-parts residual in
@@ -26,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+import os
 
 import numpy as np
 
@@ -83,19 +86,15 @@ def flux_potential(s, p, delta):
 
 @dataclasses.dataclass(frozen=True)
 class ConstitutiveLaw:
-    """Flux S(t,x,A) = (delta+|A|)^(p(t,x)-2) A with its structure constants.
+    """Flux S(t,x,A) = (delta+|A|)^(p(t,x)-2) A.
 
-    The canonical instance has growth constant alpha=1, coercivity constant
-    c0=1, and vanishing offsets beta, c1; those values make the growth,
-    coercivity, and monotonicity conditions hold with equality slack.
+    Its structure constants are the canonical ones: growth constant 1,
+    coercivity constant c0 = 1 and vanishing offsets, with which the growth,
+    coercivity and monotonicity conditions hold with equality slack.
     """
 
     exponent: ExponentField
     delta: float = 0.0
-    alpha: float = 1.0
-    c0: float = 1.0
-    beta_offset: float = 0.0
-    c1_offset: float = 0.0
 
     def __post_init__(self):
         _check_scalar("delta", self.delta, 0.0)
@@ -229,6 +228,12 @@ class ProblemData:
             raise ValueError(f"tau={self.tau} does not divide T={self.T}")
         if self.u0.grid != self.domain.grid:
             raise ValueError("u0 must live on the domain grid")
+        # rothe_solve keeps steps + 1 fields like u0: refuse a trajectory physical memory cannot hold
+        size = (self.steps + 1) * self.u0.values.nbytes
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else np.inf
+        if size > memory:
+            raise ValueError(f"{self.steps} steps need a trajectory of {size / 2**30:.1f} GiB, more than the "
+                             f"{memory / 2**30:.1f} GiB of physical memory")
         # a NaN or inf would reach the solver as a residual no tolerance test can decide
         for name in ("u0", "f", "F"):
             fld = getattr(self, name)
@@ -326,31 +331,17 @@ class EpsOperator:
         D = [_axis_operator(domain.mask, ax, g.spacing[ax]) for ax in range(d)]
         D = [Da[self.masked_idx][:, self.free_idx] for Da in D]
 
-        blocks = []
-        for i, j in sym_pairs(d):
-            row = [None] * d
-            if i == j:
-                row[i] = D[i]
-            else:
-                row[i] = 0.5 * D[j]
-                row[j] = 0.5 * D[i]
-            zero = sparse.csr_matrix((self.n_masked, self.n_free))
-            blocks.append([blk if blk is not None else zero for blk in row])
-        self.B = sparse.bmat(blocks, format="csr")
+        # component c = (i, j) of eps is 0.5 (d_j u_i + d_i u_j), at rows c*n_masked + node
+        rows, cols, vals = [], [], []
+        for c, (i, j) in enumerate(sym_pairs(d)):
+            for comp, ax in {(i, j), (j, i)}:
+                Dc = D[ax].tocoo()
+                rows.append(c * self.n_masked + Dc.row)
+                cols.append(comp * self.n_free + Dc.col)
+                vals.append(Dc.data if i == j else 0.5 * Dc.data)
+        self.B = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                                   shape=(self.m * self.n_masked, d * self.n_free))
         self._lu = None  # (tau, exact_quadratic, LU) of the last factor, see _Step.newton_direction
-
-    @functools.cached_property
-    def _hessian_parts(self):
-        """(B^T as CSR, indptr and indices of D as CSR), built on the first Hessian.
-
-        Row a*n_masked + node of D holds the node's m block entries, at
-        columns b*n_masked + node for b = 0..m-1.
-        """
-        nm, m = self.n_masked, self.m
-        indptr = np.arange(0, m * nm * m + 1, m, dtype=np.int32)
-        cols = np.arange(m, dtype=np.int32) * nm + np.arange(nm, dtype=np.int32)[:, None]
-        indices = np.broadcast_to(cols, (m, nm, m)).ravel()
-        return self._Bt.tocsr(), indptr, indices
 
     @functools.cached_property
     def _Bt(self):
@@ -411,6 +402,30 @@ def _step_law(law, data, k, op):
     if law.delta == 0.0 and float(np.min(p)) < 2.0:
         law = dataclasses.replace(law, delta=1e-8)
     return p, law
+
+
+def _outer_blocks(diag, weights, coef, vec):
+    """Node blocks diag weights_a delta_ab + (coef vec_a) vec_b, contiguous (k, n, k), of vec (n, k)."""
+    blocks = (coef * vec.T)[:, :, None] * vec
+    for a, w in enumerate(weights):
+        blocks[a, :, a] += diag * w
+    return blocks
+
+
+def _block_csr(blocks):
+    """Block-diagonal CSR matrix of (k, n, k) blocks: [a, node, b] at row a*n + node, column b*n + node."""
+    from scipy import sparse
+
+    k, n, _ = blocks.shape
+    indptr = np.arange(0, k * n * k + 1, k, dtype=np.int32)
+    cols = np.arange(k, dtype=np.int32) * n + np.arange(n, dtype=np.int32)[:, None]
+    indices = np.broadcast_to(cols, (k, n, k)).ravel()
+    return sparse.csr_matrix((blocks.ravel(), indices, indptr), shape=(k * n, k * n))
+
+
+def _block_apply(blocks, v):
+    """`_block_csr(blocks) @ v` node by node, without the matrix."""
+    return np.einsum("anb,bn->an", blocks, v.reshape(blocks.shape[:2])).ravel()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -497,20 +512,20 @@ class _Step:
         """True when b is absent and p = 2 at every masked node: then H = I/tau + B^T W B for every x."""
         return self.low is None and bool(np.all(self.p == 2.0))
 
-    def _curvature(self, x):
-        """(phi, coef, W eps) at free dofs x: the blocks of D, node by node.
+    def _blocks(self, x):
+        """(D, L) at free dofs x as per-node block arrays, laid out as `_block_csr` reads them.
 
-        D is block-diagonal over masked nodes; with s = |eps|_W and W =
-        diag(sym_weights) the block of a node is
-        (delta+s)^(p-2) [W + (p-2)/(s(delta+s)) (W eps)(W eps)^T] =
-        phi W + coef (W eps)(W eps)^T, the second term taken as 0 at s = 0.
-        Where s(delta+s) would under- or overflow, W eps is returned divided
-        by s and coef multiplied by s^2, which leaves the block as it is.
-        Every block is positive semidefinite for p > 1.
+        D is (m, n_masked, m): with s = |eps|_W and W = diag(sym_weights) a
+        node's block is (delta+s)^(p-2) [W + (p-2)/(s(delta+s)) (W eps)(W eps)^T]
+        = phi W + coef (W eps)(W eps)^T, the second term 0 at s = 0.  Where
+        s(delta+s) would under- or overflow, W eps is divided by s and coef
+        multiplied by s^2, which leaves the block as it is.  Every block is
+        positive semidefinite for p > 1.  L is (d, n_free, d), the lower-order
+        law's `curvature` at each free node, or None without a law.
         """
-        p_nodes = self.p
+        op, p_nodes = self.op, self.p
         _, eps, s = self._point(x)
-        we = self.op.weights * eps
+        we = op.weights * eps
         base = self.law.delta + s
         # base > 0 wherever p < 2 (see _step_law); 0^0 = 1 keeps p = 2 exact
         phi = base ** (p_nodes - 2.0)
@@ -523,30 +538,25 @@ class _Step:
         if far.any():
             we[far] /= s[far, None]
             coef[far] = phi[far] * (p_nodes[far] - 2.0) * (s[far] / base[far])
-        return phi, coef, we
+        D = _outer_blocks(phi, op.weights, coef, we)
+        if self.low is None:
+            return D, None
+        beta, coef, unit = self.low.curvature(self._nodes(x))
+        return D, _outer_blocks(beta, np.ones(op.d), coef, unit)
 
     def hessian(self, x):
         """Hessian I/tau + B^T D B + L of the energy at free dofs x, as a CSC matrix.
 
-        D's blocks are `_curvature`'s, positive semidefinite, and L's the lower-order law's
-        `curvature` at each free node, so H is symmetric positive definite unless L outweighs
-        I/tau.  Only a factorization needs H as a matrix: CG multiplies by `hessian_operator`.
+        D's and L's blocks are `_blocks`'; D's are positive semidefinite, so H is symmetric
+        positive definite unless L outweighs I/tau.  Only a factorization needs H as a
+        matrix: CG multiplies by `hessian_operator`.
         """
-        from scipy import sparse
-
         op = self.op
-        phi, coef, we = self._curvature(x)
-        # blocks[a, node, b] is the entry of D at row a*nm + node, column b*nm + node
-        blocks = coef[None, :, None] * we.T[:, :, None] * we[None, :, :]
-        blocks += phi[None, :, None] * np.diag(op.weights)[:, None, :]
-        bt, indptr, indices = op._hessian_parts
-        n = blocks.shape[0] * blocks.shape[1]
-        D = sparse.csr_matrix((blocks.ravel(), indices, indptr), shape=(n, n))
-        H = bt @ (D @ op.B)
-        if self.low is not None:
-            beta, coef, unit = self.low.curvature(self._nodes(x))
-            H = H + sparse.bmat([[sparse.diags(coef * unit[:, i] * unit[:, j] + (beta if i == j else 0.0))
-                                  for j in range(op.d)] for i in range(op.d)])
+        D, L = self._blocks(x)
+        # B^T is converted per assembly, so an operator that never factorizes holds no copy of it
+        H = op._Bt.tocsr() @ (_block_csr(D) @ op.B)
+        if L is not None:
+            H = H + _block_csr(L)
         # setdiag also inserts the diagonal entries the product dropped as exact zeros
         H.setdiag(H.diagonal() + 1.0 / self.tau)
         return H.tocsc()
@@ -554,28 +564,17 @@ class _Step:
     def hessian_operator(self, x):
         """H(x) = I/tau + B^T D B + L as a LinearOperator that never forms the matrix.
 
-        A product v/tau + B^T y + L v reads `_curvature`'s blocks node by node,
-        y = phi W (B v) + coef (W eps) ((W eps) . B v) laid out as B's rows,
-        and L's at each free node a of v: beta a + coef unit (unit . a).
+        A product v/tau + B^T (D (B v)) + L v applies `_blocks`' arrays node by node.
         """
         from scipy.sparse.linalg import LinearOperator
 
-        op = self.op
-        phi, coef, we = self._curvature(x)
-        phi_w = op.weights[:, None] * phi  # (m, n_masked), the layout of B v
-        we = np.ascontiguousarray(we.T)
-        B, bt, inv_tau = op.B, op._Bt, 1.0 / self.tau
-        low = None if self.low is None else self.low.curvature(self._nodes(x))
+        D, L = self._blocks(x)
+        B, bt, inv_tau = self.op.B, self.op._Bt, 1.0 / self.tau
 
         def matvec(v):
-            e = (B @ v).reshape(we.shape)
-            y = phi_w * e
-            y += (coef * np.einsum("an,an->n", we, e)) * we
-            out = v * inv_tau + bt @ y.reshape(-1)
-            if low is not None:
-                beta, c, unit = low
-                a = self._nodes(v)
-                out += (beta[:, None] * a + (c * np.einsum("ni,ni->n", unit, a))[:, None] * unit).T.ravel()
+            out = v * inv_tau + bt @ _block_apply(D, B @ v)
+            if L is not None:
+                out += _block_apply(L, v)
             return out
 
         n = B.shape[1]
@@ -817,11 +816,12 @@ def energy_inequality_report(traj, law, low, data):
 
     Tested with the solution itself, the step equations telescope into
 
-        1/2 ||u^K||^2 + (c0/2) sum tau rho_p(eps u^k)
+        1/2 ||u^K||^2 + 1/2 sum tau rho_p(eps u^k)
             <= 1/2 ||u^0||^2 + sum tau [ (f,u^k) + (F,eps u^k) + g_k ]
-               + sum tau [ c0 rho_p(delta) + ||c1||_1 + ||c2||_1 ],
+               + sum tau [ rho_p(delta) + ||c2||_1 ],
 
-    where g_k is the measured weak-form defect of step k (zero for exact
+    the flux's coercivity constant being c0 = 1 with no offset c1, where
+    g_k is the measured weak-form defect of step k (zero for exact
     minimizers).  Returns a list of (lhs, rhs) pairs for K = 1..steps.
     """
     op = EpsOperator(data.domain)
@@ -846,10 +846,9 @@ def energy_inequality_report(traj, law, low, data):
         delta = step.law.delta
         rho_delta = float(np.sum(delta**step.p)) * vol if delta > 0 else 0.0
         c2_mass = (low.c2 if low is not None else 0.0) * data.domain.measure()
-        c1_mass = law.c1_offset * data.domain.measure()
-        acc_floor += data.tau * (law.c0 * rho_delta + c1_mass + c2_mass)
+        acc_floor += data.tau * (rho_delta + c2_mass)
 
-        lhs = 0.5 * float(np.sum(traj[k].values**2)) * vol + 0.5 * law.c0 * acc_eps
+        lhs = 0.5 * float(np.sum(traj[k].values**2)) * vol + 0.5 * acc_eps
         rhs = half_u0 + acc_data + acc_floor
         lhs_rhs.append((lhs, rhs))
     return lhs_rhs

@@ -72,7 +72,7 @@ def test_exponent_pure_regions_and_sandwich():
     dom = figure_domain()
     cfg = WetBlanketConfig()
     u = build_velocity(cfg, dom)
-    p = build_exponent(cfg, dom, velocity=u)
+    p = build_exponent(cfg, dom)
     vals = p.values.values
     assert p.p_minus >= cfg.alpha - 1e-12
     assert p.p_plus <= cfg.beta + 1e-12
@@ -175,7 +175,7 @@ def test_separable_factorization():
     dom = figure_domain(64)
     cfg = WetBlanketConfig()
     u = build_velocity(cfg, dom)
-    p = build_exponent(cfg, dom, velocity=u)
+    p = build_exponent(cfg, dom)
     F = vx.field_abs(sym_gradient(u, dom))
     tg = vx.grid_on_box([-1.5], [1.5], [64])
     psi = np.cos(0.7 * tg.axis_coords(0)) + 1.2
@@ -195,7 +195,7 @@ def test_ratio_sequence_matches_full_spacetime_norms(alpha, beta):
     tg = vx.grid_on_box([-1.5], [1.5], [64])
     cfg = WetBlanketConfig(alpha=alpha, beta=beta)
     u = build_velocity(cfg, dom)
-    p = build_exponent(cfg, dom, velocity=u)
+    p = build_exponent(cfg, dom)
     st = vx.Grid((64,) + dom.grid.dims, (tg.spacing[0],) + dom.grid.spacing, (tg.origin[0],) + dom.grid.origin)
     pst = p.extend_constant_in_time(st)
     spatial = [vx.field_abs(gradient(u, dom)).values, vx.field_abs(sym_gradient(u, dom)).values]
@@ -213,12 +213,12 @@ def test_ratio_sequence_rejects_non_finite_magnitudes(monkeypatch):
     tg = vx.grid_on_box([-1.5], [1.5], [64])
     cfg = WetBlanketConfig()
     u = build_velocity(cfg, dom)
-    p = build_exponent(cfg, dom, velocity=u)
+    p = build_exponent(cfg, dom)
     vals = u.values.copy()
     vals[24, 24, 0] = np.nan
     assert dom.mask[24, 24]
     monkeypatch.setattr(korn, "build_velocity", lambda cfg, domain: vx.VectorField(dom.grid, vals))
-    monkeypatch.setattr(korn, "build_exponent", lambda cfg, domain, velocity=None: p)
+    monkeypatch.setattr(korn, "build_exponent", lambda cfg, domain: p)
     with pytest.raises(ValueError, match="non-finite"):
         korn_ratio_sequence(cfg, dom, tg, 1)
 
@@ -321,8 +321,9 @@ def test_cached_construction_is_bit_equal_to_an_uncached_build():
     assert u.values.tobytes() == fresh_u.values.tobytes()
 
     p = build_exponent(cfg, dom)
-    assert build_exponent(cfg, dom, velocity=u) is p
-    fresh_p = korn._exponent.__wrapped__(cfg, dom, fresh_u)
+    assert build_exponent(cfg, dom) is p
+    _clear_caches()  # the uncached exponent builds its velocity and strains afresh too
+    fresh_p = korn._exponent.__wrapped__(cfg, dom)
     assert p.values.values.tobytes() == fresh_p.values.values.tobytes()
     assert (p.p_minus, p.p_plus) == (fresh_p.p_minus, fresh_p.p_plus)
 
@@ -356,7 +357,7 @@ def test_cache_keeps_configs_and_domains_apart():
     for other in (WetBlanketConfig(alpha=1.5), doubled):
         p, p_other = build_exponent(cfg, dom), build_exponent(other, dom)
         assert p_other is not p
-        fresh = korn._exponent.__wrapped__(other, dom, korn._velocity.__wrapped__(other, dom))
+        fresh = korn._exponent.__wrapped__(other, dom)
         assert p_other.values.values.tobytes() == fresh.values.values.tobytes()
     assert build_exponent(WetBlanketConfig(alpha=1.5), dom).p_minus == 1.5
     assert np.array_equal(build_velocity(doubled, dom).values, 2.0 * build_velocity(cfg, dom).values)

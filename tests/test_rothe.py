@@ -83,11 +83,12 @@ def test_constitutive_conditions_random_tuples():
     SA = law.flux(A, p, 2)
     magA = np.sqrt(np.sum(w * A**2, axis=-1))
     magSA = np.sqrt(np.sum(w * SA**2, axis=-1))
-    growth = magSA - (law.alpha * (law.delta + magA) ** (p - 2.0) * magA + law.beta_offset)
+    # the canonical constants: growth 1, coercivity c0 = 1, offsets 0
+    growth = magSA - (1.0 * (law.delta + magA) ** (p - 2.0) * magA + 0.0)
     assert growth.max() <= 1e-10
 
     coer = np.sum(w * SA * A, axis=-1) - (
-        law.c0 * (law.delta + magA) ** (p - 2.0) * magA**2 - law.c1_offset
+        1.0 * (law.delta + magA) ** (p - 2.0) * magA**2 - 0.0
     )
     assert coer.min() >= -1e-10
 
@@ -376,13 +377,18 @@ def test_step_hessian_matches_coo_assembly_bitwise(shape, p, delta):
 @pytest.mark.parametrize(("p", "delta"), [(1.1, 1e-8), (1.1, 1e-3), (1.5, 1e-8), (1.5, 1e-3),
                                           ("p(x)", 1e-8), ("p(x)", 1e-3), (2.0, 0.0), (2.0, 1e-8),
                                           (2.0, 1e-3), (3.0, 0.0), (3.0, 1e-8), (3.0, 1e-3)])
-@pytest.mark.parametrize("shape", ["box", "disc"])
+@pytest.mark.parametrize("shape", ["box", "disc", "box3"])
 def test_hessian_operator_matches_the_assembled_hessian(shape, p, delta):
     # strains at scale 1 and at 1e-160, where s (delta + s) underflows and the
-    # blocks take their far-range scaling; without and with a lower-order term
+    # blocks take their far-range scaling; without and with a lower-order term.
+    # The 3-d box has m = 6 blocks of D and d = 3 of L per node
     rng = np.random.default_rng(17)
     if shape == "box":
         dom = box_domain(24)
+    elif shape == "box3":
+        pad = 0.01 / 8
+        g3 = vx.vertex_grid_on_box([0] * 3, [1] * 3, [8, 9, 10])
+        dom = vx.make_rectangle_domain([-pad] * 3, [1 + pad] * 3, g3)
     else:
         dom = vx.make_disc_domain((0, 0), 0.8, vx.grid_on_box([-1, -1], [1, 1], [17, 19]))
     g = dom.grid
@@ -394,9 +400,9 @@ def test_hessian_operator_matches_the_assembled_hessian(shape, p, delta):
     law = ConstitutiveLaw(exponent=exponent, delta=delta)
     p_nodes = exponent.values.values.reshape(-1)[op.masked_idx]
     for low in (None, LowerOrderLaw.damped(0.5, 1.2, 0.6)):
-        step = _Step(op, np.zeros(2 * op.n_free), 0.05, p_nodes, law, low=low)
+        step = _Step(op, np.zeros(op.d * op.n_free), 0.05, p_nodes, law, low=low)
         for scale in (1.0, 1e-160):
-            x = scale * rng.normal(size=2 * op.n_free)
+            x = scale * rng.normal(size=op.d * op.n_free)
             H, A = step.hessian(x), step.hessian_operator(x)
             assert A.shape == H.shape
             for _ in range(3):
@@ -887,6 +893,17 @@ def test_problem_data_validation():
     for delta in (np.nan, np.inf, -0.1):
         with pytest.raises(ValueError, match=rf"^delta must be finite and >= 0, got {delta!r}$"):
             ConstitutiveLaw(exponent=vx.constant_exponent(g, 1.8), delta=delta)
+
+
+def test_problem_data_refuses_a_trajectory_larger_than_physical_memory():
+    # T = 1, tau = 1e-9 asks for 10^9 + 1 fields of 17^2 x 2 floats, 4306.4 GiB
+    dom = box_domain(16)
+    u0 = vx.VectorField(dom.grid, np.zeros(dom.grid.dims + (2,)))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^1000000000 steps need a trajectory of 4306\.4 GiB, more than the "):
+        ProblemData(domain=dom, u0=u0, T=1.0, tau=1e-9)
+    assert time.perf_counter() - start < 1.0
+    assert ProblemData(domain=dom, u0=u0, T=1.0, tau=1e-3).steps == 1000
 
 
 @pytest.mark.parametrize(("name", "bad"), [("u0", np.nan), ("f", np.inf), ("F", np.nan)])

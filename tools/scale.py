@@ -16,12 +16,14 @@ peak_rss_mb is the run's own peak, read inside the run from the VmHWM line
 of /proc/self/status as it exits (so on Linux only).  getrusage cannot give
 it: RUSAGE_CHILDREN is a running maximum over every child so far, and a
 child's own ru_maxrss starts from the RSS of the process that spawned it,
-whose pages it maps until its exec.  ref_s is the bench's reference kernel
-(`bench/sample.reference_seconds`) timed in this process just before and
-after the run, and wall_ref = wall_s / ref_s, so sessions on hosts of
-different speed can be compared.  Children run with one BLAS thread, as the
-bench's samples do, and write their outputs into a temporary directory that
-is removed afterwards.  One untimed import of varexp first compiles TREE's
+whose pages it maps until its exec.  ref_s is the median of six timings of
+the bench's reference kernel (`bench/sample.reference_seconds`) in this
+process, three just before the run and three just after, and wall_ref =
+wall_s / ref_s, so runs on hosts of different speed can be compared;
+one kernel on each side of a long run follows the host's drift too
+loosely.  Children run with one BLAS thread, as the bench's samples do,
+and write their outputs into a temporary directory that is removed
+afterwards.  One untimed import of varexp first compiles TREE's
 bytecode.
 
 Exit status: 0 when every run exited 0, 1 when any did not (its record
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -50,6 +53,8 @@ CONFIGS = {
     "rothe-p1.1-delta0-128": ("rothe-solve", 128, {"rothe": {"p_constant": "1.1", "delta": "0.0"}}),
 }
 
+#: reference kernels timed before a run, and as many after it
+_REF_RUNS = 3
 
 #: the child: runs the CLI, then writes its peak RSS in kB to the file named by argv[1]
 _CHILD = """\
@@ -81,12 +86,12 @@ def run_one(name, resolution, env, work):
     peak_path, log_path = os.path.join(work, "peak_kb"), os.path.join(work, "log.txt")
     cmd = [sys.executable, "-c", _CHILD, peak_path, experiment, "--config", cfg,
            "--resolution", str(resolution), "--out", os.path.join(work, "out")]
-    ref_before = reference_seconds()
+    refs = [reference_seconds() for _ in range(_REF_RUNS)]
     with open(log_path, "w", encoding="utf-8") as log:
         start = time.perf_counter()
         status = subprocess.run(cmd, cwd=work, env=env, stdout=log, stderr=subprocess.STDOUT).returncode
         wall_s = time.perf_counter() - start
-    ref_s = 0.5 * (ref_before + reference_seconds())
+    ref_s = statistics.median(refs + [reference_seconds() for _ in range(_REF_RUNS)])
     with open(peak_path, encoding="ascii") as fh:
         peak_mb = int(fh.read()) / 1024.0
     record = {"name": name, "experiment": experiment, "resolution": resolution, "status": status,

@@ -230,7 +230,11 @@ class ProblemData:
             raise ValueError("u0 must live on the domain grid")
         # rothe_solve keeps steps + 1 fields like u0: refuse a trajectory physical memory cannot hold
         size = (self.steps + 1) * self.u0.values.nbytes
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else np.inf
+        try:  # where the platform cannot tell, the check is skipped
+            page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):
+            page = pages = -1
+        memory = page * pages if page > 0 and pages > 0 else np.inf
         if size > memory:
             raise ValueError(f"{self.steps} steps need a trajectory of {size / 2**30:.1f} GiB, more than the "
                              f"{memory / 2**30:.1f} GiB of physical memory")
@@ -265,14 +269,10 @@ class ProblemData:
             )
 
     def f_at(self, k):
-        if self.f is None:
-            return None
-        return self.f.values[k]
+        return None if self.f is None else self.f.values[k]
 
     def F_at(self, k):
-        if self.F is None:
-            return None
-        return self.F.values[k]
+        return None if self.F is None else self.F.values[k]
 
 
 # ---------------------------------------------------------------------------

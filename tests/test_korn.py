@@ -357,6 +357,7 @@ def test_cache_keeps_configs_and_domains_apart():
     for other in (WetBlanketConfig(alpha=1.5), doubled):
         p, p_other = build_exponent(cfg, dom), build_exponent(other, dom)
         assert p_other is not p
+        _clear_caches()  # the reference builds its velocity and strains afresh, apart from the caches under test
         fresh = korn._exponent.__wrapped__(other, dom)
         assert p_other.values.values.tobytes() == fresh.values.values.tobytes()
     assert build_exponent(WetBlanketConfig(alpha=1.5), dom).p_minus == 1.5

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import os
 import re
 import time
 
@@ -904,6 +905,21 @@ def test_problem_data_refuses_a_trajectory_larger_than_physical_memory():
         ProblemData(domain=dom, u0=u0, T=1.0, tau=1e-9)
     assert time.perf_counter() - start < 1.0
     assert ProblemData(domain=dom, u0=u0, T=1.0, tau=1e-3).steps == 1000
+
+
+@pytest.mark.parametrize("sysconf", ["missing", "refused", "unknown"])
+def test_problem_data_skips_the_memory_check_where_the_platform_cannot_tell(monkeypatch, sysconf):
+    # no sysconf, a name sysconf refuses, and sysconf's -1 for a value it cannot determine
+    def refused(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    if sysconf == "missing":
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        monkeypatch.setattr(os, "sysconf", refused if sysconf == "refused" else lambda name: -1)
+    dom = box_domain(16)
+    u0 = vx.VectorField(dom.grid, np.zeros(dom.grid.dims + (2,)))
+    assert ProblemData(domain=dom, u0=u0, T=1.0, tau=1e-9).steps == 10**9
 
 
 @pytest.mark.parametrize(("name", "bad"), [("u0", np.nan), ("f", np.inf), ("F", np.nan)])

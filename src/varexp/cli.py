@@ -347,7 +347,7 @@ def _exp_korn_figure(cfg, outdir, log):
     vx.write_table(
         os.path.join(outdir, "phi_profiles.csv"),
         ["t", "phi_raw"] + [f"phi_{n}" for n in range(1, n_max + 1)],
-        zip(tt, *profiles),
+        np.column_stack([tt, *profiles]),
         cfg.stamp(),
     )
 

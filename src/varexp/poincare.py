@@ -376,14 +376,14 @@ def poincare_verify(u, domain, samples, cone=None, c0_budget=10.0):
 
 
 def write_report_csv(path, report, domain, comment=None):
-    """Per-sample rows x1..xd,r,lhs,rhs,ratio plus a summary line."""
+    """Per-sample rows x1..xd,r,lhs,rhs,ratio, then a `# c0_empirical` summary line."""
     g = domain.grid
     header = [f"x{a + 1}" for a in range(g.ndim)] + ["r", "lhs", "rhs", "ratio"]
     idx = np.asarray(report.nodes, dtype=np.intp).reshape(-1, g.ndim)
     x = np.asarray(g.origin) + idx * np.asarray(g.spacing)
     ratio = np.divide(report.lhs, report.rhs, out=np.zeros_like(report.rhs), where=report.rhs > 0)
-    rows = np.column_stack([x, report.r, report.lhs, report.rhs, ratio]).tolist()
+    write_table(path, header, np.column_stack([x, report.r, report.lhs, report.rhs, ratio]), comment)
     verdict = "PASS" if report.passed else "FAIL"
     c0, budget = fmt_float(report.c0_empirical), fmt_float(report.budget)
-    rows.append([f"# c0_empirical {c0} budget {budget} {verdict}"])  # summary as a comment row
-    write_table(path, header, rows, comment)
+    with open(path, "a", encoding="ascii", newline="\n") as fh:
+        fh.write(f"# c0_empirical {c0} budget {budget} {verdict}\n")

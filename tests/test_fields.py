@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import varexp as vx
-from varexp.fields import _shift, domain_from_mask, fmt_float
+from varexp.fields import _FIELD_CHUNK_ROWS, _shift, domain_from_mask, fmt_float
 
 
 def disc_setup(res=64):
@@ -317,6 +321,85 @@ def test_write_table_cell_formatting(tmp_path):
     assert path.read_bytes() == b"# probe\nname,x,n\na,1.0,3\nb,0.1,7\nc,inf,-2\n"
     vx.write_table(path, ["x"], [[np.float64(2.0) / 3.0]])
     assert path.read_bytes() == f"x\n{float(2.0 / 3.0)!r}\n".encode()
+
+
+def _table_per_cell(header, rows, comment=None):
+    """The table a per-cell writer gives: repr(float(v)) for a float cell, str for any other."""
+    def cell(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    head = (f"# {comment}\n" if comment else "") + ",".join(header) + "\n"
+    return (head + "".join(",".join(map(cell, row)) + "\n" for row in rows)).encode("ascii")
+
+
+_MAX = 1.7976931348623157e308
+#: signed zeros side by side, nan, infinities, subnormals, the largest finite floats
+_EDGE_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+                _MAX, -_MAX, 0.1, 1.0]
+_FLOAT_CELLS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_TABLE_CELLS = st.one_of(
+    _FLOAT_CELLS,
+    _FLOAT_CELLS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(alphabet="ab_-. %,", max_size=5),
+)
+
+
+@st.composite
+def _tables(draw):
+    """Rows drawn from a small pool of cells that holds -0.0 and 0.0, so values repeat; the
+    rows are ragged lists of any cells, or a 2-d float array, and may span several chunks."""
+    repeat = draw(st.sampled_from([1, 2, 1 + _FIELD_CHUNK_ROWS // 6]))
+    if draw(st.booleans()):
+        pool = draw(st.lists(_FLOAT_CELLS, min_size=1, max_size=8)) + [-0.0, 0.0]
+        n, width = draw(st.integers(0, 12)), draw(st.integers(1, 6))
+        cells = draw(st.lists(st.sampled_from(pool), min_size=n * width, max_size=n * width))
+        return np.tile(np.array(cells, dtype=np.float64).reshape(n, width), (repeat, 1))
+    pool = draw(st.lists(_TABLE_CELLS, min_size=1, max_size=8)) + [-0.0, 0.0]
+    return draw(st.lists(st.lists(st.sampled_from(pool), max_size=6), max_size=12)) * repeat
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=_tables(), comment=st.sampled_from([None, "", "probe"]))
+@example(rows=[[-0.0, 0.0, math.nan, True, np.int64(3), "a"], [0.0, -0.0], []] * _FIELD_CHUNK_ROWS, comment=None)
+def test_write_table_matches_a_per_cell_writer_bytewise(tmp_path_factory, rows, comment):
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    vx.write_table(path, ["a", "b"], rows, comment)
+    assert path.read_bytes() == _table_per_cell(["a", "b"], rows, comment)
+
+
+def test_multi_line_comments_stay_comments(tmp_path):
+    grid = vx.grid_on_box([0, 0], [1, 1], [3, 2])
+    f = vx.ScalarField(grid, grid.coords()[0])
+    comment = "probe\nlayout matrix"
+    table, field, pgm = tmp_path / "t.csv", tmp_path / "f.field", tmp_path / "f.pgm"
+    vx.write_table(table, ["x"], [[1.5]], comment)
+    assert table.read_bytes() == b"# probe\n# layout matrix\nx\n1.5\n"
+    vx.write_field(field, f, comment)
+    assert field.read_text().splitlines()[:4] == ["# varexp field v1", "# probe", "# layout matrix", "dims 3 2"]
+    back = vx.read_field(field)
+    assert type(back) is vx.ScalarField and back.grid == grid and np.array_equal(back.values, f.values)
+    vx.write_pgm(pgm, f, comment)
+    assert pgm.read_text().splitlines()[:4] == ["P2", "# probe", "# layout matrix", "2 3"]
+    # a single-line comment's bytes do not change
+    vx.write_table(table, ["x"], [[1.5]], "probe")
+    assert table.read_bytes() == b"# probe\nx\n1.5\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pgm_refuses_non_finite_values_before_writing(tmp_path, bad):
+    grid = vx.grid_on_box([0, 0], [1, 1], [3, 3])
+    values = np.arange(9.0).reshape(3, 3)
+    values[1, 1] = bad
+    path = tmp_path / "f.pgm"
+    with pytest.raises(ValueError, match="field has non-finite values"):
+        vx.write_pgm(path, vx.ScalarField(grid, values))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_and_pgm_outputs(tmp_path):

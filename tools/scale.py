@@ -51,6 +51,8 @@ from sample import reference_seconds  # noqa: E402
 CONFIGS = {
     "rothe-p2-128": ("rothe-solve", 128, {}),
     "rothe-p1.1-delta0-128": ("rothe-solve", 128, {"rothe": {"p_constant": "1.1", "delta": "0.0"}}),
+    # more samples than near-boundary nodes, so every one is taken: 27 164 rows per report
+    "poincare-512-all": ("poincare-verify", 512, {"poincare": {"samples": "1000000"}}),
 }
 
 #: reference kernels timed before a run, and as many after it

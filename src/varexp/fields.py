@@ -555,8 +555,10 @@ def fmt_float(v):
 
 
 def _comment_lines(comment):
-    """`# ` before each line of `comment`, so every line stays a comment; nothing without one."""
-    return "".join(f"# {line}\n" for line in comment.splitlines()) if comment else ""
+    """`# ` before each line of `comment` (split at \\n, \\r\\n and \\r), so every line stays a comment."""
+    if not comment:
+        return ""
+    return "".join(f"# {line}\n" for line in comment.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
 
 
 def _float_text(values):
@@ -566,10 +568,14 @@ def _float_text(values):
     own text), and the result holds references to those shared strings.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
-    # return_index makes np.unique sort stably, as poincare's window keys do; its quicksort
-    # would fault in more of numpy's sort code, 0.2-0.5 MB of peak RSS in a short run
-    distinct, _, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    return np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)[inverse]
+    # stable: the int64 sort poincare's window keys already run, so no other sort code is paged in
+    order = np.argsort(bits, kind="stable")
+    sorted_bits = bits[order]
+    first = np.ones(len(bits), dtype=bool)
+    first[1:] = sorted_bits[1:] != sorted_bits[:-1]
+    inverse = np.empty(len(bits), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return np.array(list(map(repr, sorted_bits[first].view(np.float64).tolist())), dtype=object)[inverse]
 
 
 def _cell_texts(rows):

@@ -389,6 +389,9 @@ def test_multi_line_comments_stay_comments(tmp_path):
     # a single-line comment's bytes do not change
     vx.write_table(table, ["x"], [[1.5]], "probe")
     assert table.read_bytes() == b"# probe\nx\n1.5\n"
+    # only \n, \r\n and \r end a line; a form feed stays inside its line
+    vx.write_table(table, ["x"], [[1.5]], "a\fb\r\nc\rd")
+    assert table.read_bytes() == b"# a\fb\n# c\n# d\nx\n1.5\n"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -7,11 +7,11 @@ zero-extension convention (fields vanish outside the mask, so errors
 concentrate in a boundary layer).  `_stencil` holds its one definition,
 the node groups and their coefficients.  The operators here apply it by
 numpy indexing, reading only masked values and computing only the nodes
-of a group; every other node reports 0.  `rothe` assembles the same
-definition into sparse matrices, and both sum a node's two terms in the
-same order, so they agree bit for bit.  On space-time grids the operators
-act along the spatial axes only, on all time slices and components at
-once, so the result equals the slice-by-slice one exactly.
+of a group; every other node reports 0.  `rothe` builds the solver's
+operator B straight from the same node groups, and both sum a node's two
+terms in the same order, so they agree bit for bit.  On space-time grids
+the operators act along the spatial axes only, on all time slices and
+components at once, so the result equals the slice-by-slice one exactly.
 """
 
 from __future__ import annotations

@@ -366,7 +366,7 @@ def _exp_poincare(cfg, outdir, log):
     budget = cfg.get("poincare", "budget")
     n_samples = cfg.get("poincare", "samples")
     cand = np.argwhere(dom.mask & (dom.r > 0) & (dom.r <= cone.h0))  # C order
-    samples = [tuple(nd) for nd in cand[:: max(1, len(cand) // n_samples)][:n_samples]]
+    samples = cand[:: max(1, len(cand) // n_samples)][:n_samples]
 
     with _blame(f"[run] resolution = {cfg.resolution} and the [domain] keys"):
         reps = {name: pc.poincare_verify(u, dom, samples, cone=cone, c0_budget=budget)

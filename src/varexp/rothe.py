@@ -287,20 +287,6 @@ def splu(A, **options):
     return splu(A, **options)
 
 
-def _axis_operator(mask, axis, h):
-    """Sparse d/dx_axis on the nodes of `mask` (C order), spacing h, as CSR."""
-    from scipy import sparse
-
-    rows, cols, vals = [], [], []
-    for nodes, *terms in _stencil(mask, axis, h):
-        for shift, coeff in terms:
-            rows.append(nodes)
-            cols.append(nodes + shift)
-            vals.append(np.full(len(nodes), coeff))
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(mask.size, mask.size)).tocsr()
-
-
 class EpsOperator:
     """Sparse map from free velocity dofs to symmetric-gradient components.
 
@@ -327,18 +313,26 @@ class EpsOperator:
         self.n_free = len(self.free_idx)
         self.weights = sym_weights(d)
 
-        # d/dx_ax with rows at the masked nodes and columns at the free ones
-        D = [_axis_operator(domain.mask, ax, g.spacing[ax]) for ax in range(d)]
-        D = [Da[self.masked_idx][:, self.free_idx] for Da in D]
+        # d/dx_ax at the masked rows and the free columns, straight from the
+        # stencil's node groups: a neighbor with no free column is a Dirichlet
+        # zero.  The index maps are int32, B's own index dtype, until B's rows outgrow it.
+        idx = np.int32 if self.m * self.n_masked <= np.iinfo(np.int32).max else np.int64
+        row, col = np.full((2, mask_flat.size), -1, dtype=idx)
+        row[self.masked_idx] = np.arange(self.n_masked)
+        col[self.free_idx] = np.arange(self.n_free)
+        stencils = [_stencil(domain.mask, ax, g.spacing[ax]) for ax in range(d)]
 
         # component c = (i, j) of eps is 0.5 (d_j u_i + d_i u_j), at rows c*n_masked + node
         rows, cols, vals = [], [], []
         for c, (i, j) in enumerate(sym_pairs(d)):
             for comp, ax in {(i, j), (j, i)}:
-                Dc = D[ax].tocoo()
-                rows.append(c * self.n_masked + Dc.row)
-                cols.append(comp * self.n_free + Dc.col)
-                vals.append(Dc.data if i == j else 0.5 * Dc.data)
+                for nodes, *terms in stencils[ax]:
+                    for shift, coeff in terms:
+                        k = col[nodes + shift]
+                        keep = k >= 0
+                        rows.append(c * self.n_masked + row[nodes[keep]])
+                        cols.append(comp * self.n_free + k[keep])
+                        vals.append(np.full(np.count_nonzero(keep), coeff if i == j else 0.5 * coeff))
         self.B = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                                    shape=(self.m * self.n_masked, d * self.n_free))
         self._lu = None  # (tau, exact_quadratic, LU) of the last factor, see _Step.newton_direction

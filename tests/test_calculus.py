@@ -288,7 +288,6 @@ def _parity_masks():
 @pytest.mark.parametrize("time_nodes", [None, 7])
 def test_slicing_stencil_matches_sparse_product_bitwise(case, time_nodes):
     from varexp.calculus import _derivative
-    from varexp.rothe import _axis_operator
 
     mask, spacing = list(_parity_masks())[case]
     rng = np.random.default_rng(case)
@@ -305,7 +304,32 @@ def test_slicing_stencil_matches_sparse_product_bitwise(case, time_nodes):
             want = (A @ cols).reshape(n, -1, *comps or (1,)).transpose(1, 0, 2).reshape(v.shape)
             got = _derivative(v, len(lead), mask, ax, h)
             assert got.tobytes() == want.tobytes()
-            # the solver's operator is the same matrix
-            B = _axis_operator(mask, ax, h)
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(B, part), getattr(A, part))
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_eps_operator_is_the_stencil_matrix_bitwise(case):
+    """The solver's B is the oracle's matrices at masked rows and free columns, bit for bit."""
+    from scipy import sparse
+
+    from varexp.fields import sym_pairs
+    from varexp.rothe import EpsOperator
+
+    mask, spacing = list(_parity_masks())[case]
+    d = mask.ndim
+    dom = vx.Domain(vx.Grid(mask.shape, spacing, (0.0,) * d), mask, np.zeros(mask.shape), "parity")
+    rows, cols = np.flatnonzero(mask), np.flatnonzero(dom.interior_mask())
+    D = [_csr_axis_operator(mask, ax, h)[rows][:, cols] for ax, h in enumerate(spacing)]
+    # the block row of component (i, j) = 0.5 (d_j u_i + d_i u_j) holds 0.5 D[j] at column i, 0.5 D[i] at j
+    blocks = []
+    for i, j in sym_pairs(d):
+        blocks.append([None] * d)
+        if i == j:
+            blocks[-1][i] = D[i]
+        else:
+            blocks[-1][i], blocks[-1][j] = 0.5 * D[j], 0.5 * D[i]
+    want = sparse.bmat(blocks, format="csr")
+    got = EpsOperator(dom).B
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -379,3 +379,14 @@ def test_poincare_report_csv(tmp_path):
     assert lines[1] == "x1,x2,r,lhs,rhs,ratio"
     assert lines[-1].startswith("# c0_empirical")
     assert lines[-1].endswith("PASS")
+    # the same samples as an (n, d) array give the same report and the same bytes
+    rep_arr = poincare_verify(u, dom, np.array(samples), cone=cone)
+    for name in ("nodes", "r", "lhs", "rhs"):
+        assert np.array_equal(getattr(rep_arr, name), getattr(rep, name))
+    for name in ("c0_empirical", "passed", "budget"):
+        assert getattr(rep_arr, name) == getattr(rep, name)
+    write_report_csv(tmp_path / "report_arr.csv", rep_arr, dom, comment="probe")
+    assert (tmp_path / "report_arr.csv").read_bytes() == path.read_bytes()
+    for r in (rep, rep_arr):
+        assert r.nodes.dtype == np.intp and r.nodes.shape == (len(samples), 2)
+        assert not r.nodes.flags.writeable

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import resource
+import subprocess
 
 import numpy as np
 
@@ -28,7 +29,7 @@ def test_usage_errors_exit_two_before_any_run(tmp_path, capsys, monkeypatch):
         assert message in capsys.readouterr().err
 
 
-def test_runs_report_their_own_status_time_and_peak(capsys, monkeypatch):
+def test_runs_report_their_own_status_time_and_peak(tmp_path, capsys, monkeypatch):
     # ref_s is the median of three kernels before the run and three after, which outliers leave alone
     kernels = itertools.chain([0.5, 0.125, 0.1, 0.125, 0.125, 9.0], itertools.repeat(0.125))
     monkeypatch.setattr(scale, "reference_seconds", lambda: next(kernels))
@@ -39,18 +40,37 @@ def test_runs_report_their_own_status_time_and_peak(capsys, monkeypatch):
     assert scale.main(["--resolution", "16", "rothe-p2-128"]) == 0
     ok = json.loads(capsys.readouterr().out)
     assert ok["env"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert ok["env"]["tree"] == scale.ROOT and ok["env"]["commit"] == scale.tree_commit(scale.ROOT)
     (run,) = ok["runs"]
     assert (run["name"], run["experiment"], run["resolution"]) == ("rothe-p2-128", "rothe-solve", 16)
     assert run["status"] == 0
     assert run["wall_s"] > 0.0 and run["ref_s"] == 0.125 and run["wall_ref"] == run["wall_s"] / 0.125
     assert "tail" not in run
 
-    # the CLI refuses resolution 8: each run records its exit status and its last words
-    assert scale.main(["--resolution", "8"]) == 1
-    failed = json.loads(capsys.readouterr().out)["runs"]
+    # the CLI refuses resolution 8: each run records its exit status and its last words;
+    # the tree run is a copy without .git, as `git archive` makes, so it has no commit
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "src").symlink_to(os.path.abspath(os.path.join(_ROOT, "src")))
+    assert scale.main(["--tree", str(tree), "--resolution", "8"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["env"]["tree"] == str(tree) and doc["env"]["commit"] is None
+    failed = doc["runs"]
     assert [r["name"] for r in failed] == list(scale.CONFIGS)
     for r in failed:
         assert r["status"] == 2 and "must be an integer >= 16" in r["tail"][-1]
         # each run's own peak: not a running maximum over children, nor the spawner's
         assert 0.0 < r["peak_rss_mb"] < run["peak_rss_mb"] < spawner_mb
     del ballast
+
+
+def test_tree_commit_reads_the_tree_not_the_checkout_around_it(tmp_path):
+    repo = tmp_path / "repo"
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "one"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True, check=True).stdout
+    assert scale.tree_commit(str(repo)) == head.strip()
+    # a `git archive` tree has no .git of its own, even inside a checkout
+    (repo / "archive").mkdir()
+    assert scale.tree_commit(str(repo / "archive")) is None

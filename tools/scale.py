@@ -7,8 +7,9 @@ once, as `varexp.cli.main([EXPERIMENT, --config, CFG, --resolution, N,
 --out, DIR])` in a fresh interpreter with TREE/src first on PYTHONPATH
 (TREE defaults to this checkout), and prints one JSON document to stdout:
 
-    env         the bench's environment block (`bench/run.environment`;
-                its commit is this checkout's, whatever TREE is)
+    env         the bench's environment block (`bench/run.environment`),
+                with `tree`, the TREE path, and `commit`, TREE's commit
+                (null when TREE has no .git, as in a `git archive` tree)
     runs        one record per run: name, experiment, resolution, status
                 (the exit status), wall_s, peak_rss_mb, ref_s and wall_ref
 
@@ -73,6 +74,14 @@ sys.exit(code)
 """
 
 
+def tree_commit(tree):
+    """The commit checked out at `tree`, or None when it has no .git or git cannot read it."""
+    if not os.path.exists(os.path.join(tree, ".git")):
+        return None
+    out = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"], capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def _config_text(sections):
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                    for name, keys in sections.items())
@@ -128,7 +137,8 @@ def main(argv=None):
     for name in args.names or CONFIGS:
         with tempfile.TemporaryDirectory() as work:
             runs.append(run_one(name, args.resolution, env, work))
-    json.dump({"env": environment(None), "runs": runs}, sys.stdout, indent=1)
+    measured = {**environment(None), "tree": tree, "commit": tree_commit(tree)}
+    json.dump({"env": measured, "runs": runs}, sys.stdout, indent=1)
     print()
     return 0 if all(r["status"] == 0 for r in runs) else 1
 

@@ -6,8 +6,19 @@ spatial grid together with the distance-to-boundary function r(x).  Fields
 follow the zero-extension convention: nodes outside a domain's mask carry
 the value 0, which keeps convolution and extension operators total.
 
-All objects are immutable after construction and all operations are pure,
-so everything here is safe to evaluate concurrently.
+Every value type (grids, domains, fields, and the exponents, mollifiers
+and cutoffs of the other modules) derives from `_Frozen`: its attributes
+are set once, in the constructor, and assigning or deleting one raises
+AttributeError.  Together with read-only arrays and pure operations this
+makes everything here safe to evaluate concurrently.
+
+The four field kinds differ only in their component layout, which each
+kind states in three class attributes of `_Field`: the number of component
+axes after the grid axes (0 for `ScalarField`, 1 for `VectorField` and
+`SymTensorField`, 2 for `TensorField`), the layout name in a field file
+(none for `TensorField`), and the weights of the Frobenius product (2 on
+the off-diagonals of the compact symmetric storage, else 1).  Magnitudes,
+the Hoelder pairing's contraction and the field files read that layout.
 """
 
 from __future__ import annotations
@@ -66,7 +77,22 @@ def _check_finite(magnitudes):
         raise ValueError("field has non-finite values")
 
 
-class Grid:
+class _Frozen:
+    """Base of the immutable value types: constructors set attributes with `_set`, nothing else can."""
+
+    __slots__ = ()
+
+    def _set(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Grid(_Frozen):
     """Uniform tensor-product grid.
 
     Node ``(i0, ..., ik)`` sits at ``origin + i * spacing``, exactly
@@ -91,12 +117,7 @@ class Grid:
             raise ValueError(f"spacing and origin must be finite, got spacing={spacing}, origin={origin}")
         if any(s <= 0 for s in spacing):
             raise ValueError(f"every spacing must be > 0, got spacing={spacing}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Grid is immutable")
+        self._set(dims=dims, spacing=spacing, origin=origin)
 
     @property
     def ndim(self):
@@ -182,15 +203,32 @@ def _freeze(a):
     return a
 
 
-class _Field:
+class _Field(_Frozen):
+    """Nodal values on a grid: the grid axes, then `_COMP_AXES` component axes."""
+
     __slots__ = ("grid", "values")
+    #: component axes after the grid axes
+    _COMP_AXES = 0
+    #: layout name in a field file; None for a kind that has no file layout
+    _LAYOUT = None
+    #: weights of the Frobenius product over the components
+    _weights = 1.0
 
     def __init__(self, grid, values):
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _freeze(values))
+        values = np.asarray(values, dtype=float)
+        if values.ndim != grid.ndim + self._COMP_AXES or values.shape[: grid.ndim] != grid.dims:
+            kind = type(self).__name__
+            raise ValueError(f"{kind} values shape {values.shape} incompatible with grid {grid.dims}")
+        self._set(grid=grid, values=_freeze(values))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    @property
+    def ncomp(self):
+        return math.prod(self.values.shape[self.grid.ndim :])
+
+    @property
+    def _comp_axes(self):
+        """The component axes of `values`, last first: () for a scalar field."""
+        return tuple(range(-1, -1 - self._COMP_AXES, -1))
 
     def _like(self, values):
         return type(self)(self.grid, values)
@@ -224,15 +262,7 @@ class _Field:
 class ScalarField(_Field):
     """One value per node; values.shape == grid.dims."""
 
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.dims:
-            raise ValueError(f"scalar values shape {values.shape} != grid dims {grid.dims}")
-        super().__init__(grid, values)
-
-    @property
-    def ncomp(self):
-        return 1
+    _LAYOUT = "scalar"
 
 
 class VectorField(_Field):
@@ -242,33 +272,19 @@ class VectorField(_Field):
     so it must be passed explicitly via the trailing axis of `values`.
     """
 
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != grid.ndim + 1 or values.shape[: grid.ndim] != grid.dims:
-            raise ValueError(f"vector values shape {values.shape} incompatible with grid {grid.dims}")
-        super().__init__(grid, values)
-
-    @property
-    def ncomp(self):
-        return self.values.shape[-1]
+    _COMP_AXES = 1
+    _LAYOUT = "vector"
 
 
 class TensorField(_Field):
-    """Full d x d tensor per node, row-major components; shape dims + (d, d)."""
+    """Full d x d tensor per node, row-major components; shape dims + (d, d).  No field-file layout."""
+
+    _COMP_AXES = 2
 
     def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if (
-            values.ndim != grid.ndim + 2
-            or values.shape[: grid.ndim] != grid.dims
-            or values.shape[-1] != values.shape[-2]
-        ):
-            raise ValueError(f"tensor values shape {values.shape} incompatible with grid {grid.dims}")
         super().__init__(grid, values)
-
-    @property
-    def ncomp(self):
-        return self.values.shape[-1] * self.values.shape[-2]
+        if self.values.shape[-1] != self.values.shape[-2]:
+            raise ValueError(f"TensorField values shape {self.values.shape} is not square in its components")
 
     @property
     def d(self):
@@ -291,10 +307,10 @@ class SymTensorField(_Field):
     Frobenius norms and contractions weight off-diagonals by 2.
     """
 
+    _COMP_AXES = 1
+    _LAYOUT = "sym"
+
     def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != grid.ndim + 1 or values.shape[: grid.ndim] != grid.dims:
-            raise ValueError(f"sym tensor values shape {values.shape} incompatible with grid {grid.dims}")
         super().__init__(grid, values)
         if self.d * (self.d + 1) // 2 != self.ncomp:
             raise ValueError(f"{self.ncomp} components is not a d(d+1)/2 count")
@@ -305,8 +321,8 @@ class SymTensorField(_Field):
         return int(round((np.sqrt(8 * m + 1) - 1) / 2))
 
     @property
-    def ncomp(self):
-        return self.values.shape[-1]
+    def _weights(self):
+        return sym_weights(self.d)
 
     def to_full(self):
         d = self.d
@@ -360,21 +376,19 @@ def field_abs(f):
 
 
 def _abs_values(f):
-    """The values of `field_abs(f)`, as a plain array."""
-    if isinstance(f, ScalarField):
-        return np.abs(f.values)
-    if not isinstance(f, (VectorField, SymTensorField, TensorField)):
+    """The values of `field_abs(f)`, as a plain array: |f| of a scalar, else the norm over the components."""
+    if not isinstance(f, _Field):
         raise TypeError(f"not a field: {type(f)!r}")
-    axes = (-1, -2) if isinstance(f, TensorField) else (-1,)
-    w = sym_weights(f.d) if isinstance(f, SymTensorField) else 1.0
-    return _magnitude(f.values, w, axes)
+    if not f._COMP_AXES:
+        return np.abs(f.values)
+    return _magnitude(f.values, f._weights, f._comp_axes)
 
 
 # ---------------------------------------------------------------------------
 # domains
 
 
-class Domain:
+class Domain(_Frozen):
     """Masked region of a spatial grid with distance-to-boundary function r.
 
     r(x) approximates dist(x, boundary) and vanishes outside the mask; it is
@@ -392,15 +406,9 @@ class Domain:
             raise ValueError("r shape does not match grid")
         mask = mask.copy()
         mask.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "r", _freeze(r))
-        object.__setattr__(self, "kind", str(kind))
+        self._set(grid=grid, mask=mask, r=_freeze(r), kind=str(kind))
         if self.is_empty:
             log.warning("domain of kind %r has an empty mask", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Domain is immutable")
 
     @property
     def is_empty(self):
@@ -611,16 +619,16 @@ def write_table(path, header, rows, comment=None):
             fh.write(line % tuple(texts[bounds[start] : bounds[stop]].tolist()))
 
 
-_FIELD_KINDS = {"scalar": ScalarField, "vector": VectorField, "sym": SymTensorField}
+_FIELD_KINDS = {cls._LAYOUT: cls for cls in (ScalarField, VectorField, SymTensorField)}
 #: rows that `write_field` and `write_table` format with one % operation
 _FIELD_CHUNK_ROWS = 4096
 
 
 def _field_kind(f):
-    for name, cls in _FIELD_KINDS.items():
-        if type(f) is cls:
-            return name
-    raise TypeError(f"cannot serialize field of type {type(f).__name__}")
+    """The layout name of f in a field file; a TypeError for a kind that has none."""
+    if getattr(f, "_LAYOUT", None) is None:
+        raise TypeError(f"cannot serialize field of type {type(f).__name__}")
+    return f._LAYOUT
 
 
 def write_field(path, f, comment=None):
@@ -665,16 +673,18 @@ def read_field(path):
         origin = [float(o) for o in header["origin"]]
         ncomp = int(header["ncomp"][0])
         layout = header["layout"][0]
+        if layout not in _FIELD_KINDS:
+            raise ValueError(f"{path}: unknown layout {layout!r}")
+        cls = _FIELD_KINDS[layout]
+        if not cls._COMP_AXES and ncomp != 1:
+            raise ValueError(f"{path}: layout {layout} has 1 component per node, got ncomp {ncomp}")
         values = np.array(fh.read().split(), dtype=float)
         expected = int(np.prod(dims)) * ncomp
         if values.size != expected:
             raise ValueError(
                 f"{path}: {values.size} values for dims {dims} x ncomp {ncomp} (needs {expected})"
             )
-        values = values.reshape(dims + ([ncomp] if ncomp > 1 else []))
-    if layout not in _FIELD_KINDS:
-        raise ValueError(f"{path}: unknown layout {layout!r}")
-    return _FIELD_KINDS[layout](Grid(dims, spacing, origin), values)
+    return cls(Grid(dims, spacing, origin), values.reshape(dims + [ncomp] * cls._COMP_AXES))
 
 
 def export_csv(path, f, comment=None):

@@ -16,8 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .fields import ScalarField, SymTensorField, VectorField, _abs_values, _check_finite, _on_field_grid
-from .fields import _shift_slices, integrate, sym_weights
+from .fields import ScalarField, _abs_values, _check_finite, _Frozen, _on_field_grid, _shift_slices, integrate
 
 __all__ = [
     "ExponentField",
@@ -32,7 +31,7 @@ __all__ = [
 CLOG_RADIUS_CELLS = 8
 
 
-class ExponentField:
+class ExponentField(_Frozen):
     """A sampled variable exponent with recorded bounds and log-Hoelder estimate.
 
     Requires 1 < min p at every node.  The estimate
@@ -40,8 +39,9 @@ class ExponentField:
         clog = max over node pairs within a radius of |p(x)-p(y)| * log(e + 1/|x-y|)
 
     is a local modulus, so only pairs within ``CLOG_RADIUS_CELLS`` cells are
-    scanned; long-range pairs would only loosen it.  It is computed lazily
-    and cached.
+    scanned; long-range pairs would only loosen it.  It is computed on first
+    use and kept in the `_clog` slot, which is set only by the constructor
+    and that first use.
     """
 
     __slots__ = ("values", "p_minus", "p_plus", "_clog")
@@ -55,13 +55,7 @@ class ExponentField:
             raise ValueError(f"exponent must satisfy p > 1 everywhere, got min {p_minus}")
         if not np.isfinite(p_plus):
             raise ValueError("exponent must be finite")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "p_minus", p_minus)
-        object.__setattr__(self, "p_plus", p_plus)
-        object.__setattr__(self, "_clog", [_clog])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExponentField is immutable")
+        self._set(values=values, p_minus=p_minus, p_plus=p_plus, _clog=_clog)
 
     @property
     def grid(self):
@@ -69,9 +63,9 @@ class ExponentField:
 
     @property
     def clog_estimate(self):
-        if self._clog[0] is None:
-            self._clog[0] = log_holder_estimate(self.values, CLOG_RADIUS_CELLS)
-        return self._clog[0]
+        if self._clog is None:
+            self._set(_clog=log_holder_estimate(self.values, CLOG_RADIUS_CELLS))
+        return self._clog
 
     def extend_constant_in_time(self, spacetime_grid):
         """Exponent on a space-time grid, constant along the time axis.
@@ -133,12 +127,14 @@ def modular(f, p, domain):
 
     |f| is the Euclidean / Frobenius magnitude for vector / tensor fields.
     A spatial exponent on a space-time field is extended constantly in time.
+    A field holding a NaN or inf is refused with a ValueError, as in
+    `luxembourg_norm`.
     """
     pv = _on_field_grid(f.grid, p.grid, p.values.values, "exponent")
     mask = _on_field_grid(f.grid, domain.grid, domain.mask, "domain")
-    a = _abs_values(f)[mask]
-    q = pv[mask]
-    return float(np.sum(a**q) * f.grid.cell_volume)
+    absf = _abs_values(f)
+    _check_finite(absf)
+    return float(np.sum(absf[mask] ** pv[mask]) * f.grid.cell_volume)
 
 
 def luxembourg_norm(f, p, domain, tol=1e-8):
@@ -189,17 +185,19 @@ def _luxembourg_root(a, q, log_c, log_w, tol):
 
 
 def _contract(f, g):
-    """Pointwise product / dot / Frobenius contraction as a ScalarField."""
+    """Pointwise Frobenius contraction of two fields of one kind, as a ScalarField.
+
+    The plain product for scalars; for the other kinds the product (w f) g,
+    with the kind's weights w (1, or 2 on the compact off-diagonals of a
+    symmetric tensor), summed over the component axes: the dot product for
+    vectors and the Frobenius product of the full matrices for either
+    tensor kind.
+    """
     if type(f) is not type(g):
         raise TypeError("holder_pairing needs fields of the same kind")
-    if isinstance(f, ScalarField):
+    if not f._COMP_AXES:
         return ScalarField(f.grid, f.values * g.values)
-    if isinstance(f, VectorField):
-        return ScalarField(f.grid, np.sum(f.values * g.values, axis=-1))
-    if isinstance(f, SymTensorField):
-        w = sym_weights(f.d)
-        return ScalarField(f.grid, np.sum(w * f.values * g.values, axis=-1))
-    raise TypeError(f"unsupported field type {type(f).__name__}")
+    return ScalarField(f.grid, np.sum(f._weights * f.values * g.values, axis=f._comp_axes))
 
 
 def holder_pairing(f, g, p=None, domain=None):

@@ -23,6 +23,7 @@ keeps mollify serial.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -30,7 +31,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: load it here, not in the first convolve)
 
 from .fields import Grid, ScalarField, SymTensorField, VectorField, _check_finite, _check_scalar, _close, _Field
-from .fields import _sym_part, field_abs
+from .fields import _Frozen, _sym_part, field_abs
 from .calculus import axis_derivative, sym_gradient
 from .modular import ExponentField
 
@@ -47,8 +48,6 @@ __all__ = [
     "smooth_Rstar",
     "sym_grad_smooth_decomposition",
 ]
-
-_CNORM_CACHE = {}
 
 #: padded transform nodes from which `convolve` hands its window sum to the
 #: worker lane; below it the hand-off costs more than the overlap saves
@@ -68,6 +67,7 @@ def _gauss_legendre(f, lo, hi):
     return half * (f((0.5 * (hi + lo))[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS)
 
 
+@functools.cache
 def _unit_ball_mass(dim):
     """Integral of exp(-1/(1-|x|^2)) over the unit ball in R^dim, by the radial rule."""
     surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
@@ -75,7 +75,7 @@ def _unit_ball_mass(dim):
     return surf * float(radial)
 
 
-class MollifierFamily:
+class MollifierFamily(_Frozen):
     """The standard mollifier profile and its grid samplings in one dimension count.
 
     profile(x) = c_norm * exp(-1/(1-|x|^2)) inside the unit ball, 0 outside;
@@ -89,13 +89,7 @@ class MollifierFamily:
         dim = int(dim)
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if dim not in _CNORM_CACHE:
-            _CNORM_CACHE[dim] = 1.0 / _unit_ball_mass(dim)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "c_norm", _CNORM_CACHE[dim])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MollifierFamily is immutable")
+        self._set(dim=dim, c_norm=1.0 / _unit_ball_mass(dim))
 
     def profile(self, x):
         """Unscaled profile omega(x) for points with |x| measured per row."""
@@ -455,7 +449,7 @@ def reflect_extend(u):
     """
     if isinstance(u, ExponentField):
         ext = reflect_extend(u.values)
-        return ExponentField(ext, _clog=u._clog[0])
+        return ExponentField(ext, _clog=u._clog)
     g = u.grid
     if g.ndim < 2:
         raise ValueError("reflect_extend expects a space-time field")
@@ -471,20 +465,15 @@ def reflect_extend(u):
 
 
 def extend_exponent(p, target_grid):
-    """Exponent extension by nearest-node clamping.
+    """Exponent extension by nearest-node clamping: numpy's edge padding.
 
     Preserves p- and p+ exactly; the log-Hoelder constant is only
     approximately preserved (clamping flattens the modulus off the source
     block), so the cached estimate is dropped and recomputed on demand.
     """
     offs = _alignment_offsets(p.grid, target_grid)
-    src = p.values.values
-    idx = []
-    for ax in range(target_grid.ndim):
-        j = np.arange(target_grid.dims[ax]) - offs[ax]
-        idx.append(np.clip(j, 0, p.grid.dims[ax] - 1))
-    mesh = np.meshgrid(*idx, indexing="ij")
-    return ExponentField(ScalarField(target_grid, src[tuple(mesh)]))
+    pads = [(k, N - k - n) for k, N, n in zip(offs, target_grid.dims, p.grid.dims)]
+    return ExponentField(ScalarField(target_grid, np.pad(p.values.values, pads, mode="edge")))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +489,7 @@ def _snap_scale(h, domain):
     return cells * hx
 
 
-class CutoffFamily:
+class CutoffFamily(_Frozen):
     """Smooth plateau eta_h: mollification of the indicator of the 5h/2 shrinkage.
 
     eta_h equals 1 on the 3h shrinkage, is supported in the 2h shrinkage
@@ -522,13 +511,8 @@ class CutoffFamily:
         # kernel scale floors at 1.5 cells so the sampled kernel keeps
         # off-center weights even when h/2 dips below one spacing
         eps = max(0.5 * h, 1.5 * hx)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "eta", convolve(chi, eps))
-        object.__setattr__(self, "c_eta", float(np.max(np.abs(self.grad_eta().values))) * h)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CutoffFamily is immutable")
+        self._set(domain=domain, h=h, eta=convolve(chi, eps))
+        self._set(c_eta=float(np.max(np.abs(self.grad_eta().values))) * h)
 
     def grad_eta(self):
         """Spatial gradient of the cutoff as a VectorField (unmasked stencils)."""

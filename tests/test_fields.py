@@ -33,6 +33,9 @@ def test_grid_immutable():
     g = vx.Grid([4, 4], [0.1, 0.1], [0, 0])
     with pytest.raises(AttributeError):
         g.dims = (5, 5)
+    with pytest.raises(AttributeError, match="Grid is immutable"):
+        del g.dims
+    assert g.dims == (4, 4)
 
 
 def test_disc_domain_figure_setup():
@@ -234,21 +237,42 @@ def test_fields_immutable():
     f = vx.ScalarField(grid, np.ones(grid.dims))
     with pytest.raises(ValueError):
         f.values[0, 0] = 2.0
+    dom = vx.make_rectangle_domain([0.1, 0.1], [0.9, 0.9], grid)
+    p = vx.ExponentField(vx.ScalarField(grid, 1.5 + grid.coords()[0]))
+    for obj, name in ((f, "values"), (f, "grid"), (dom, "mask"), (dom, "r"), (p, "values"), (p, "_clog")):
+        with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
+            delattr(obj, name)
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(obj, name, None)
+    # the log-Hoelder estimate is kept once, where nothing can overwrite it
+    clog = p.clog_estimate
+    assert clog > 0.0
+    with pytest.raises(AttributeError, match="ExponentField is immutable"):
+        p._clog = 123.0
+    assert p.clog_estimate == clog
 
 
 def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     grid = vx.grid_on_box([0, -1], [2, 1], [12, 10])
+    # one-component vector and symmetric fields keep their component axis
+    line = vx.grid_on_box([0], [1], [5])
+    spacetime = vx.grid_on_box([0, 0], [1, 1], [3, 5])
     for make in (
         lambda: vx.ScalarField(grid, rng.normal(size=grid.dims)),
         lambda: vx.VectorField(grid, rng.normal(size=grid.dims + (2,))),
         lambda: vx.SymTensorField(grid, rng.normal(size=grid.dims + (3,))),
+        lambda: vx.VectorField(line, rng.normal(size=(5, 1))),
+        lambda: vx.SymTensorField(line, rng.normal(size=(5, 1))),
+        lambda: vx.VectorField(spacetime, rng.normal(size=(3, 5, 1))),
     ):
         f = make()
         path = tmp_path / "field.txt"
         vx.write_field(path, f)
         back = vx.read_field(path)
+        assert type(back) is type(f)
         assert back.grid == f.grid
+        assert back.values.shape == f.values.shape
         assert np.array_equal(back.values, f.values)
 
 
@@ -297,6 +321,15 @@ def test_read_field_unknown_layout_raises(tmp_path):
     vx.write_field(path, vx.ScalarField(grid, np.ones(grid.dims)))
     path.write_text(path.read_text().replace("layout scalar", "layout matrix"))
     with pytest.raises(ValueError, match="unknown layout 'matrix'"):
+        vx.read_field(path)
+
+
+def test_read_field_scalar_layout_with_components_raises(tmp_path):
+    grid = vx.grid_on_box([0, 0], [1, 1], [4, 3])
+    path = tmp_path / "field.txt"
+    vx.write_field(path, vx.VectorField(grid, np.ones(grid.dims + (2,))))
+    path.write_text(path.read_text().replace("layout vector", "layout scalar"))
+    with pytest.raises(ValueError, match="layout scalar has 1 component per node, got ncomp 2"):
         vx.read_field(path)
 
 

@@ -125,6 +125,17 @@ def test_luxembourg_zero_field_and_nonfinite():
         vx.luxembourg_norm(vx.ScalarField(grid, bad), p, dom)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_modular_refuses_non_finite_fields(bad):
+    grid, dom = unit_square(16)
+    p = vx.constant_exponent(grid, 2.0)
+    vals = np.zeros(grid.dims + (2,))
+    vals[3, 3, 1] = bad
+    for f in (vx.ScalarField(grid, vals[..., 1]), vx.VectorField(grid, vals)):
+        with pytest.raises(ValueError, match="field has non-finite values"):
+            vx.modular(f, p, dom)
+
+
 @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
 def test_luxembourg_constant_exponent_oracle(q):
     grid, dom = unit_square(48)
@@ -284,6 +295,17 @@ def test_pairing_vector_and_tensor_contraction():
     full = np.sum(S.to_full().values * T.to_full().values, axis=(-1, -2))
     direct = vx.integrate(vx.ScalarField(grid, full), dom)
     assert vx.holder_pairing(S, T, domain=dom) == pytest.approx(direct, rel=1e-12)
+
+
+def test_pairing_of_full_tensors_is_the_frobenius_pairing():
+    rng = np.random.default_rng(7)
+    grid, dom = unit_square(24)
+    A, B = (rng.normal(size=grid.dims + (2, 2)) for _ in range(2))
+    A, B = (vx.TensorField(grid, M + np.swapaxes(M, -1, -2)) for M in (A, B))
+    compact = vx.holder_pairing(vx.SymTensorField.from_full(A), vx.SymTensorField.from_full(B), domain=dom)
+    assert vx.holder_pairing(A, B, domain=dom) == pytest.approx(compact, rel=1e-13)
+    with pytest.raises(TypeError, match="same kind"):
+        vx.holder_pairing(A, vx.SymTensorField.from_full(B), domain=dom)
 
 
 def test_pairing_with_p_is_deprecated_and_unchanged():

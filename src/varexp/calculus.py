@@ -118,12 +118,12 @@ def gradient(u, domain):
     out = np.empty(u.grid.dims + (d, d))
     for j in range(d):
         out[..., j] = _derivative(u.values, off, mask, j, u.grid.spacing[off + j])
-    return TensorField(u.grid, out)
+    return TensorField._own(u.grid, out)
 
 
 def sym_gradient(u, domain):
     """Symmetric part of the gradient in compact storage; symmetric by construction."""
-    return SymTensorField(u.grid, _sym_part(gradient(u, domain).values))
+    return SymTensorField._own(u.grid, _sym_part(gradient(u, domain).values))
 
 
 def divergence(T, domain):

@@ -19,6 +19,13 @@ axes after the grid axes (0 for `ScalarField`, 1 for `VectorField` and
 (none for `TensorField`), and the weights of the Frobenius product (2 on
 the off-diagonals of the compact symmetric storage, else 1).  Magnitudes,
 the Hoelder pairing's contraction and the field files read that layout.
+
+A field constructor keeps a read-only copy of the values it is given, so
+later writes to the caller's array never reach the field.  The package's
+own results (field arithmetic, `field_abs`, the gradients, `convolve`, the
+smoothing operators, `maximal` and `zero_extend`) keep the array they have
+just made, which nothing else holds: `_Field._own` runs the same checks
+and makes that array read-only instead of copying it.
 """
 
 from __future__ import annotations
@@ -204,7 +211,11 @@ def _freeze(a):
 
 
 class _Field(_Frozen):
-    """Nodal values on a grid: the grid axes, then `_COMP_AXES` component axes."""
+    """Nodal values on a grid: the grid axes, then `_COMP_AXES` component axes.
+
+    The constructor keeps a read-only copy of what it is given; `_own`
+    keeps a float array the package has just made, with the same checks.
+    """
 
     __slots__ = ("grid", "values")
     #: component axes after the grid axes
@@ -215,11 +226,22 @@ class _Field(_Frozen):
     _weights = 1.0
 
     def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
+        self._place(grid, _freeze(values))
+
+    @classmethod
+    def _own(cls, grid, values):
+        """A field on `values` itself: a fresh float array that no one else holds, made read-only here."""
+        values.flags.writeable = False
+        field = object.__new__(cls)
+        field._place(grid, values)
+        return field
+
+    def _place(self, grid, values):
+        """Check the read-only float `values` against the grid and the kind's layout, then keep them."""
         if values.ndim != grid.ndim + self._COMP_AXES or values.shape[: grid.ndim] != grid.dims:
             kind = type(self).__name__
             raise ValueError(f"{kind} values shape {values.shape} incompatible with grid {grid.dims}")
-        self._set(grid=grid, values=_freeze(values))
+        self._set(grid=grid, values=values)
 
     @property
     def ncomp(self):
@@ -231,7 +253,7 @@ class _Field(_Frozen):
         return tuple(range(-1, -1 - self._COMP_AXES, -1))
 
     def _like(self, values):
-        return type(self)(self.grid, values)
+        return self._own(self.grid, values)
 
     def __add__(self, other):
         self._check_same(other)
@@ -281,10 +303,10 @@ class TensorField(_Field):
 
     _COMP_AXES = 2
 
-    def __init__(self, grid, values):
-        super().__init__(grid, values)
-        if self.values.shape[-1] != self.values.shape[-2]:
-            raise ValueError(f"TensorField values shape {self.values.shape} is not square in its components")
+    def _place(self, grid, values):
+        super()._place(grid, values)
+        if values.shape[-1] != values.shape[-2]:
+            raise ValueError(f"TensorField values shape {values.shape} is not square in its components")
 
     @property
     def d(self):
@@ -310,8 +332,8 @@ class SymTensorField(_Field):
     _COMP_AXES = 1
     _LAYOUT = "sym"
 
-    def __init__(self, grid, values):
-        super().__init__(grid, values)
+    def _place(self, grid, values):
+        super()._place(grid, values)
         if self.d * (self.d + 1) // 2 != self.ncomp:
             raise ValueError(f"{self.ncomp} components is not a d(d+1)/2 count")
 
@@ -372,7 +394,7 @@ def field_abs(f):
     Euclidean norm for vectors, Frobenius norm for tensors (compact
     symmetric storage is weighted so that |A| matches the full matrix).
     """
-    return ScalarField(f.grid, _abs_values(f))
+    return ScalarField._own(f.grid, _abs_values(f))
 
 
 def _abs_values(f):

@@ -49,6 +49,10 @@ log = logging.getLogger(__name__)
 _CONSTRUCTIONS_KEPT = 4
 #: phi_n samples kept, by n and the time grid's geometry
 _PROFILES_KEPT = 64
+#: time nodes per block of phi_n's quadrature integrand: 64 KB temporaries, where
+#: whole-grid ones (2 MB a call at 256 nodes) can let glibc trim the heap after
+#: each call and fault the pages in again on the next
+_PHI_ROWS = 64
 
 __all__ = [
     "WetBlanketConfig",
@@ -232,11 +236,18 @@ def _phi_samples(n, dims, spacing, origin):
     omega = MollifierFamily(1).scaled
     t = Grid(dims, spacing, origin).axis_coords(0)
     vals = np.zeros_like(t)
+
+    def integrand(u, sign):
+        out = np.empty_like(u)
+        for start in range(0, t.size, _PHI_ROWS):
+            rows = slice(start, start + _PHI_ROWS)
+            ur = u[rows]
+            out[rows] = (2.0 - 2.0 * ur) * omega((t[rows, None] - sign * ur * ur)[..., None], delta)
+        return out
+
     for sign in (1.0, -1.0):  # an empty side has lo == hi and adds 0
         lo, hi = (np.sqrt(np.clip(sign * t + d, 0.0, 1.0)) for d in (-delta, delta))
-        vals += _gauss_legendre(
-            lambda u: (2.0 - 2.0 * u) * omega((t[:, None] - sign * u * u)[..., None], delta), lo, hi
-        )
+        vals += _gauss_legendre(functools.partial(integrand, sign=sign), lo, hi)
     vals.flags.writeable = False
     return vals
 

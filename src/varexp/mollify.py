@@ -8,8 +8,12 @@ window sum restores the exact zeros and exact constants that the support
 statements need; the maximal operator is one correlation per ladder
 radius, each padded only as far as its ball reaches.  The smoothing
 operator cuts off, zero-extends, then mollifies; its quasi adjoint
-mollifies first and cuts off afterwards.  Smoothing scales are snapped to
-whole grid cells so support statements stay cell-exact.
+mollifies first and cuts off afterwards.  Neither builds the zero-extended
+field or the cutoff product: the padded transform takes the field's own
+values a few rows into its time axis, and the cutoff multiplies each
+component on its way into the transform's buffer, with the same values,
+bit for bit.  Smoothing scales are snapped to whole grid cells so support
+statements stay cell-exact.
 
 The FFT work runs on two lanes where the process may use two or more CPUs
 and VAREXP_THREADS is not 1: the calling thread and one worker thread,
@@ -31,7 +35,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: load it here, not in the first convolve)
 
 from .fields import Grid, ScalarField, SymTensorField, VectorField, _check_finite, _check_scalar, _close, _Field
-from .fields import _Frozen, _sym_part, field_abs
+from .fields import _Frozen, field_abs, sym_pairs
 from .calculus import axis_derivative, sym_gradient
 from .modular import ExponentField
 
@@ -173,10 +177,14 @@ class _PaddedFFT:
     to keep the circular product acyclic on the n output nodes, which sit
     k nodes into the transform; each axis is then padded on to a fast
     length.  Transforms of data and kernel take the same padded shape, so
-    their spectra multiply.  Both directions write into arrays the caller
-    passes and skip the lines that hold only padding or only off-grid
-    output; every line they transform is the line `np.fft.rfftn` and
-    `np.fft.irfftn` transform, so the values are theirs, bit for bit.
+    their spectra multiply.  The forward transform places its data at the
+    corner, or a given number of nodes into the first axis, which lets a
+    field stand for its zero-extension in time without being copied onto
+    the extended grid.  Both directions write into arrays the caller passes,
+    zero only what lies outside the data box, and skip the lines that hold
+    only padding or only off-grid output; every line they transform is the
+    line `np.fft.rfftn` and `np.fft.irfftn` transform, so the values are
+    theirs, bit for bit.
     """
 
     __slots__ = ("shape", "half", "rows", "inside")
@@ -188,14 +196,21 @@ class _PaddedFFT:
         self.rows = tuple(dims[:-1]) + self.shape[-1:]
         self.inside = tuple(slice(k, k + n) for n, k in zip(dims, reach))
 
-    def rfft(self, a, out):
-        """Spectrum of `a`, zero-padded (or cropped) from its corner to the padded shape, into `out`."""
-        a = a[tuple(slice(0, n) for n in self.shape[:-1])]
-        out[...] = 0.0
-        np.fft.rfft(a, self.shape[-1], axis=-1, out=out[tuple(slice(0, n) for n in a.shape[:-1])])
-        # rfftn's order; the axes before `ax` are still zero past `a`
+    def rfft(self, a, out, lead=0):
+        """Spectrum of `a`, placed `lead` nodes into the first axis and zero-padded (or cropped), into `out`.
+
+        `lead` is 0 unless the transform has two or more axes.
+        """
+        starts = [lead if ax == 0 else 0 for ax in range(len(self.shape) - 1)]
+        a = a[tuple(slice(0, n - s) for n, s in zip(self.shape, starts))]
+        box = tuple(slice(s, s + n) for s, n in zip(starts, a.shape))
+        for ax, rows in enumerate(box):
+            out[box[:ax] + (slice(0, rows.start),)] = 0.0
+            out[box[:ax] + (slice(rows.stop, None),)] = 0.0
+        np.fft.rfft(a, self.shape[-1], axis=-1, out=out[box])
+        # rfftn's order; the axes before `ax` are still zero outside the box
         for ax in range(len(self.shape) - 2, -1, -1):
-            lines = out[tuple(slice(0, n) for n in a.shape[:ax])]
+            lines = out[box[:ax]]
             np.fft.fft(lines, axis=ax, out=lines)
         return out
 
@@ -226,54 +241,96 @@ def convolve(f, eps):
     """
     if not isinstance(f, _Field):
         raise TypeError(f"not a field: {type(f)!r}")
-    _check_finite(np.abs(f.values))
-    g = f.grid
-    w = MollifierFamily(g.ndim).sampled_weights(g.spacing, eps)
-    pad = _PaddedFFT(g.dims, [n // 2 for n in w.shape])
-    comps = f.values.reshape(g.dims + (-1,))
+    _check_values_finite(f.values)
+    out = _mollified(_parts(f.values, f.grid.ndim), f.grid, eps)
+    return f._own(f.grid, out.reshape(f.values.shape))
+
+
+def _check_values_finite(values):
+    """A ValueError unless every value is finite: the min is nan or -inf, or the max inf, for any that is not."""
+    _check_finite(np.abs([values.min(), values.max()]))
+
+
+def _parts(values, axes, eta=None):
+    """Writers of the components of eta * values over its first `axes` axes: parts[c](out) fills `out`.
+
+    `eta` is a nodal array over the last axes of those, broadcast along
+    the first (a spatial cutoff along time); None stands for 1.
+    """
+    comps = values.reshape(values.shape[:axes] + (-1,))
+    if eta is None:
+        return [functools.partial(np.copyto, src=comps[..., c]) for c in range(comps.shape[-1])]
+    return [functools.partial(np.multiply, comps[..., c], eta) for c in range(comps.shape[-1])]
+
+
+def _mollified(parts, grid, eps, lead=0):
+    """The values of `convolve(F, eps)` on `grid`, where `parts` write the components of F's data.
+
+    The data are the nodes of `grid` but the first and last `lead` along
+    its first axis, and F is 0 on those: F is the zero-extension in time
+    of the data, which is never built.  parts[c](out) writes component c
+    into a buffer of the data's shape, on its way into the transform and
+    again on the worker lane for the window sum, so a product such as
+    cutoff times field is never held whole.  Returns an array of shape
+    grid.dims + (components,).
+    """
+    w = MollifierFamily(grid.ndim).sampled_weights(grid.spacing, eps)
+    pad = _PaddedFFT(grid.dims, [n // 2 for n in w.shape])
     footprint = w != 0.0
-    window = np.empty((2,) + pad.half, complex), np.empty(pad.rows)
+    box = (grid.dims[0] - 2 * lead,) + grid.dims[1:]
+    window = np.empty((2,) + pad.half, complex), np.empty(pad.rows), np.empty(box)
     lane = _lane() if math.prod(pad.shape) >= _LANE_MIN_NODES else None
     if lane is not None:
-        sums = lane.submit(_window_sums, comps, footprint, pad, *window)
+        sums = lane.submit(_window_sums, parts, lead, footprint, pad, *window)
 
     kspec, spec = np.empty((2,) + pad.half, complex)
     pad.rfft(w, kspec)
     rows = np.empty(pad.rows)
-    out = np.empty(comps.shape)
+    data = np.empty(box)
+    out = np.empty(grid.dims + (len(parts),))
     # one contiguous component at a time: strided transforms of the whole
     # field are slower and hold every component's spectrum at once
-    for c in range(comps.shape[-1]):
-        pad.rfft(np.ascontiguousarray(comps[..., c]), spec)
+    for c, part in enumerate(parts):
+        part(data)
+        pad.rfft(data, spec, lead)
         out[..., c] = pad.irfft(np.multiply(spec, kspec, out=spec), rows)
+    del kspec, spec, rows, data
 
-    sums = _window_sums(comps, footprint, pad, *window) if lane is None else sums.result()
+    sums = _window_sums(parts, lead, footprint, pad, *window) if lane is None else sums.result()
     if sums is not None:
-        out[sums == 0.0] = 0.0
-        out[sums == 2 * footprint.sum()] = 1.0
-    return type(f)(g, out.reshape(f.values.shape))
+        zero, one = sums == 0.0, sums == 2 * footprint.sum()
+        # per component, the masks have the shape of what they select: about
+        # five times faster than one boolean index over all components
+        for c in range(out.shape[-1]):
+            np.copyto(out[..., c], 0.0, where=zero)
+            np.copyto(out[..., c], 1.0, where=one)
+    return out
 
 
-def _window_sums(comps, footprint, pad, spectra, rows):
+def _window_sums(parts, lead, footprint, pad, spectra, rows, data):
     """Sums of the node levels over each kernel footprint, or None where no node is all 0 or all 1.
 
     A node's level is 0 where every component is 0, 2 where every one is
-    1, else 1, and 0 off the grid.  A window's level sum is 0 exactly when
-    it sees only zeros, and twice its node count exactly when it lies in
-    the grid and sees only ones.  The sums are small integers, so rounding
-    recovers them exactly.  The work lands in `spectra` and `rows`.
+    1, else 1, and 0 off the data: in the padding, and on the `lead` rows
+    of the time extension at each end.  A window's level sum is 0 exactly
+    when it sees only zeros, and twice its node count exactly when it lies
+    in the grid and sees only ones.  The sums are small integers, so
+    rounding recovers them exactly.  The components are written into
+    `data`, and the rest of the work lands in `spectra` and `rows`.
     """
-    zero = ~comps.any(axis=-1)
-    one = comps[..., 0] == 1.0
-    for c in range(1, comps.shape[-1]):
-        one &= comps[..., c] == 1.0
-    if not (zero.any() or one.any()):
+    zero, one = np.ones((2,) + data.shape, dtype=bool)
+    for part in parts:
+        part(data)
+        zero &= data == 0.0
+        one &= data == 1.0
+    # the extension's rows are zeros
+    if not (lead or zero.any() or one.any()):
         return None
-    levels = rows[..., : zero.shape[-1]]
+    levels = rows[tuple(slice(0, n) for n in data.shape)]
     np.logical_not(zero, out=levels)
     np.add(levels, one, out=levels)
     fl, ff = spectra
-    pad.rfft(levels, fl)
+    pad.rfft(levels, fl, lead)
     pad.rfft(footprint, ff)
     sums = pad.irfft(np.multiply(fl, ff, out=fl), rows)
     return np.rint(sums, out=sums)
@@ -357,7 +414,7 @@ def maximal(f):
     if lanes[1]:
         done.result()
         np.maximum(best, other, out=best)
-    return ScalarField(g, best)
+    return ScalarField._own(g, best)
 
 
 def _group_cost(rungs):
@@ -427,8 +484,7 @@ def zero_extend(u, target_grid):
     out = np.zeros(target_grid.dims + comp_shape)
     sl = tuple(slice(k, k + n) for k, n in zip(offs, u.grid.dims))
     out[sl] = u.values
-    cls = type(u)
-    return cls(target_grid, out)
+    return u._own(target_grid, out)
 
 
 def restrict(u, target_grid):
@@ -522,21 +578,17 @@ class CutoffFamily(_Frozen):
 
 
 def _spacetime_setup(u, domain, h):
-    """Common plumbing: snap h, build cutoff, zero-extend in time by the kernel radius."""
+    """Common plumbing: snap h, build the cutoff, and extend the grid in time by the kernel radius.
+
+    Returns the snapped scale, the cutoff, the extension kt (nodes before
+    and after u's time nodes) and the extended grid.
+    """
     if not u.grid.matches_spatial(domain.grid):
         raise ValueError("u must live on a space-time grid over the domain's grid")
+    _check_values_finite(u.values)
     h_eff = _snap_scale(h, domain)
-    cutoff = CutoffFamily(domain, h_eff)
     kt = int(np.ceil(h_eff / u.grid.spacing[0] - 1e-12))
-    target = u.grid.extended(0, kt, kt)
-    return h_eff, cutoff, zero_extend(u, target)
-
-
-def _mul_spatial(field, spatial_values):
-    """Multiply a space-time field by a spatial nodal function (broadcast in time)."""
-    shape = spatial_values.shape + (1,) * (field.values.ndim - 1 - spatial_values.ndim)
-    vals = field.values * spatial_values.reshape((1,) + shape)
-    return type(field)(field.grid, vals)
+    return h_eff, CutoffFamily(domain, h_eff), kt, u.grid.extended(0, kt, kt)
 
 
 def smooth_R(u, domain, h):
@@ -544,10 +596,12 @@ def smooth_R(u, domain, h):
 
     Support is contained in (-h, T+h) x Omega_h up to one cell, the result
     is dominated pointwise by twice the maximal function of the
-    zero-extension, and it converges to u as h -> 0.
+    zero-extension, and it converges to u as h -> 0.  The result is
+    convolve(zero_extend(eta_h u), h), computed without building either.
     """
-    h_eff, cutoff, fu = _spacetime_setup(u, domain, h)
-    return convolve(_mul_spatial(fu, cutoff.eta.values), h_eff)
+    h_eff, cutoff, kt, target = _spacetime_setup(u, domain, h)
+    out = _mollified(_parts(u.values, u.grid.ndim, cutoff.eta.values), target, h_eff, kt)
+    return u._own(target, out.reshape(target.dims + u.values.shape[u.grid.ndim :]))
 
 
 def smooth_Rstar(u, domain, h):
@@ -556,8 +610,10 @@ def smooth_Rstar(u, domain, h):
     (Rstar u, v) = (u, R v) holds exactly on the discrete pairing; support
     is contained in (-h, T+h) x Omega_2h up to one cell.
     """
-    h_eff, cutoff, fu = _spacetime_setup(u, domain, h)
-    return _mul_spatial(convolve(fu, h_eff), cutoff.eta.values)
+    h_eff, cutoff, kt, target = _spacetime_setup(u, domain, h)
+    out = _mollified(_parts(u.values, u.grid.ndim), target, h_eff, kt)
+    out *= cutoff.eta.values[..., None]
+    return u._own(target, out.reshape(target.dims + u.values.shape[u.grid.ndim :]))
 
 
 def sym_grad_smooth_decomposition(u, domain, h):
@@ -567,17 +623,32 @@ def sym_grad_smooth_decomposition(u, domain, h):
     symmetrized tensor product of the zero-extension with grad eta_h.
     termB vanishes identically on Omega_4h (up to kernel snapping cells),
     and termA + termB reproduces eps(smooth_R(u)) to O(spacing^2) nodewise.
+    Neither term's input is extended in time: the FFT places it.
     """
     if not isinstance(u, VectorField):
         raise TypeError("decomposition expects a VectorField")
-    h_eff, cutoff, fu = _spacetime_setup(u, domain, h)
-    # the intermediate fields are dropped as soon as they are used, so each
-    # convolution holds only its own input and result
-    eta = cutoff.eta.values
-    termA = convolve(_mul_spatial(zero_extend(sym_gradient(u, domain), fu.grid), eta), h_eff)
+    h_eff, cutoff, kt, target = _spacetime_setup(u, domain, h)
+    eps_u = sym_gradient(u, domain).values
+    termA = _mollified(_parts(eps_u, u.grid.ndim, cutoff.eta.values), target, h_eff, kt)
+    del eps_u
 
-    # u (x) grad eta_h, broadcast along time, then symmetrized
-    outer = fu.values[..., :, None] * cutoff.grad_eta().values[np.newaxis, ..., None, :]
-    product = SymTensorField(fu.grid, _sym_part(outer))
-    del fu, outer
-    return termA, convolve(product, h_eff)
+    # u (x) grad eta_h, broadcast along time and symmetrized, one component
+    # at a time: the entries (A + A^T)/2 of `_sym_part`
+    uv, grad = u.values, cutoff.grad_eta().values
+    parts = [functools.partial(np.multiply, uv[..., i], grad[..., i]) if i == j
+             else functools.partial(_sym_entry, uv[..., i], grad[..., j], uv[..., j], grad[..., i])
+             for i, j in sym_pairs(u.ncomp)]
+    termB = _mollified(parts, target, h_eff, kt)
+    return SymTensorField._own(target, termA), SymTensorField._own(target, termB)
+
+
+def _sym_entry(a, b, c, d, out):
+    """(a b + c d) / 2 into `out`: the entry (A_ij + A_ji)/2 of `_sym_part` where A_ij = a b, A_ji = c d.
+
+    a, c and `out` are space-time arrays and b, d spatial ones; c d is
+    formed one time slice at a time, so the only temporary is one slice.
+    """
+    np.multiply(a, b, out=out)
+    for row, c_row in zip(out, c):
+        row += c_row * d
+    out *= 0.5

@@ -252,6 +252,38 @@ def test_fields_immutable():
     assert p.clog_estimate == clog
 
 
+def test_fields_own_their_values():
+    grid = vx.grid_on_box([0, 0], [1, 1], [12, 12])
+    dom = vx.make_rectangle_domain([0.05, 0.05], [0.95, 0.95], grid)
+    st = vx.Grid((6,) + grid.dims, (1 / 6,) + grid.spacing, (1 / 12,) + grid.origin)
+    # a public constructor keeps a copy: writes to the caller's array do not reach the field
+    a = np.random.default_rng(34).normal(size=st.dims + (2,))
+    f = vx.VectorField(st, a)
+    kept = f.values.copy()
+    a[...] = 7.0
+    assert np.array_equal(f.values, kept)
+    # the package's own results keep the array they made, read-only and shared with no input
+    g = vx.VectorField(st, np.ones(st.dims + (2,)))
+    s = vx.ScalarField(grid, a[0, ..., 0])
+    results = {
+        "f + g": ((f + g).values, (f, g)),
+        "convolve": (vx.mollify.convolve(s, 2 * grid.spacing[0]).values, (s,)),
+        "smooth_R": (vx.mollify.smooth_R(f, dom, 2 * grid.spacing[0]).values, (f,)),
+        "field_abs": (vx.field_abs(f).values, (f,)),
+    }
+    for name, (out, inputs) in results.items():
+        assert not out.flags.writeable, name
+        with pytest.raises(ValueError):
+            out[(0,) * out.ndim] = 1.0
+        for field in inputs:
+            assert not np.shares_memory(out, field.values), name
+    # the shape checks still run on the package's own arrays
+    with pytest.raises(ValueError, match="incompatible with grid"):
+        vx.ScalarField._own(grid, np.zeros(3))
+    with pytest.raises(ValueError, match="not a d\\(d\\+1\\)/2 count"):
+        vx.SymTensorField._own(grid, np.zeros(grid.dims + (2,)))
+
+
 def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     grid = vx.grid_on_box([0, -1], [2, 1], [12, 10])

@@ -170,6 +170,26 @@ def test_build_phi_matches_tight_quadrature(n, cells, picks):
     assert np.abs(phi[idx] - ref).max() <= 1e-12 * np.abs(phi).max()
 
 
+@pytest.mark.parametrize("cells", [63, 64, 128, 257, 300, 1025])
+def test_blocked_phi_integrand_is_the_whole_grid_rule_bit_for_bit(cells):
+    # the whole-grid evaluation phi_n had before its integrand was filled in blocks of nodes
+    tg = vx.grid_on_box([-1.5], [1.5], [cells])
+    t = tg.axis_coords(0)
+    omega = MollifierFamily(1).scaled
+    for n in range(1, 6):
+        delta = 2.0 ** (-n)
+        if tg.spacing[0] > delta:
+            continue
+        whole = np.zeros_like(t)
+        for sign in (1.0, -1.0):
+            lo, hi = (np.sqrt(np.clip(sign * t + d, 0.0, 1.0)) for d in (-delta, delta))
+            whole += korn._gauss_legendre(
+                lambda u: (2.0 - 2.0 * u) * omega((t[:, None] - sign * u * u)[..., None], delta), lo, hi
+            )
+        blocked = korn._phi_samples.__wrapped__(n, tg.dims, tg.spacing, tg.origin)
+        assert np.array_equal(blocked, whole) and np.array_equal(np.signbit(blocked), np.signbit(whole))
+
+
 def test_separable_factorization():
     # ||psi F||_{p(.)} = ||psi||_alpha ||F||_alpha when F sits in the alpha region
     dom = figure_domain(64)

@@ -10,6 +10,8 @@ from scipy import ndimage
 
 import varexp as vx
 from varexp import mollify
+from varexp.calculus import sym_gradient
+from varexp.fields import _sym_part
 from varexp.mollify import (
     CutoffFamily,
     MollifierFamily,
@@ -562,6 +564,116 @@ def test_uniform_boundedness_over_dyadic_scales():
         )
         worst = max(worst, vx.luxembourg_norm(Ru, pe, dom_all) / base)
     assert worst <= 2.0
+
+
+# -- smoothing without the extended copies ----------------------------------
+#
+# The smoothing operators no longer build the zero-extension in time or the
+# cutoff product; these are the operators as they were, built from them.
+
+
+def _extended_setup(u, domain, h):
+    h_eff = mollify._snap_scale(h, domain)
+    cutoff = CutoffFamily(domain, h_eff)
+    kt = int(np.ceil(h_eff / u.grid.spacing[0] - 1e-12))
+    return h_eff, cutoff, zero_extend(u, u.grid.extended(0, kt, kt))
+
+
+def _times_eta(f, eta):
+    shape = eta.shape + (1,) * (f.values.ndim - 1 - eta.ndim)
+    return type(f)(f.grid, f.values * eta.reshape((1,) + shape))
+
+
+def _extended_R(u, domain, h):
+    h_eff, cutoff, fu = _extended_setup(u, domain, h)
+    return convolve(_times_eta(fu, cutoff.eta.values), h_eff)
+
+
+def _extended_Rstar(u, domain, h):
+    h_eff, cutoff, fu = _extended_setup(u, domain, h)
+    return _times_eta(convolve(fu, h_eff), cutoff.eta.values)
+
+
+def _extended_decomposition(u, domain, h):
+    h_eff, cutoff, fu = _extended_setup(u, domain, h)
+    termA = convolve(_times_eta(zero_extend(sym_gradient(u, domain), fu.grid), cutoff.eta.values), h_eff)
+    outer = fu.values[..., :, None] * cutoff.grad_eta().values[np.newaxis, ..., None, :]
+    return termA, convolve(vx.SymTensorField(fu.grid, _sym_part(outer)), h_eff)
+
+
+def _smoothing_case(name):
+    """(space-time grid, (domain, smoothing scale) pairs) on the bench's and criteria 5's and 6's grids."""
+    if name in ("bench", "criterion05"):
+        spatial = vx.grid_on_box([0.0, 0.0], [1.0, 1.0], [48, 48])
+        box = vx.make_rectangle_domain([-0.05, -0.05], [1.05, 1.05], spatial)
+        disc = vx.make_disc_domain((0.55, 0.45), 0.38, spatial)
+        st = vx.Grid((24,) + spatial.dims, (1 / 24,) + spatial.spacing, (0.5 / 24,) + spatial.origin)
+        cells = max(spatial.spacing)
+        if name == "criterion05":
+            return st, [(box, 0.125)]
+        return st, [(box, 2 * cells), (box, 4 * cells), (box, 8 * cells), (disc, 4 * cells)]
+    if name == "criterion05-1d":
+        spatial = vx.grid_on_box([0.0], [2.0], [256])
+        st = vx.Grid((128,) + spatial.dims, (1 / 128,) + spatial.spacing, (0.5 / 128,) + spatial.origin)
+        box = vx.make_rectangle_domain([-0.01], [2.01], spatial)
+        return st, [(box, 2.0**-2), (box, 2.0**-6)]
+    res = {"criterion06-40": 40, "criterion06-80": 80}[name]
+    spatial = vx.grid_on_box([-2.2, -2.2], [2.2, 2.2], [res, res])
+    disc = vx.make_disc_domain((0, 0), 2.0, spatial) if res == 40 else vx.make_disc_domain((0.4, -0.3), 1.5, spatial)
+    st = vx.Grid((16,) + spatial.dims, (1 / 16,) + spatial.spacing, (1 / 32,) + spatial.origin)
+    return st, [(disc, 3 * 4.4 / 40)]
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+@pytest.mark.parametrize("name", ["bench", "criterion05", "criterion05-1d", "criterion06-40", "criterion06-80"])
+def test_smoothing_equals_the_extended_path_bit_for_bit(name, threads, monkeypatch):
+    if threads is None:
+        monkeypatch.delenv("VAREXP_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("VAREXP_THREADS", threads)
+    st, cases = _smoothing_case(name)
+    rng = np.random.default_rng(32)
+    d = st.ndim - 1
+    bump = np.sin(np.pi * (st.axis_coords(0) + 0.1))[(...,) + (None,) * d] * np.prod(
+        np.meshgrid(*[np.clip(1 - (2 * ax - ax[0] - ax[-1]) ** 2 / (ax[-1] - ax[0]) ** 2, 0, 1) ** 3
+                      for ax in (st.axis_coords(a) for a in range(1, st.ndim))], indexing="ij"), axis=0)
+    fields = [
+        # zero near the boundary and at the time ends
+        vx.VectorField(st, bump[..., None] * (1.0 + np.arange(d))),
+        # no node is 0 or 1: only the time extension's rows are zero levels
+        vx.VectorField(st, rng.normal(size=st.dims + (d,))),
+        vx.ScalarField(st, rng.normal(size=st.dims)),
+        # nodes of all ones, where the cutoff's plateau leaves eta * u = 1
+        vx.VectorField(st, np.where(rng.random(st.dims + (d,)) < 0.2, 0.0, 1.0)),
+    ]
+    assert not np.any(fields[1].values == 0.0) and not np.any(fields[2].values == 1.0)
+    for dom, h in cases:
+        for u in fields:
+            pairs = [(smooth_R(u, dom, h), _extended_R(u, dom, h)),
+                     (smooth_Rstar(u, dom, h), _extended_Rstar(u, dom, h))]
+            if isinstance(u, vx.VectorField):
+                pairs += zip(sym_grad_smooth_decomposition(u, dom, h), _extended_decomposition(u, dom, h))
+            for new, old in pairs:
+                assert type(new) is type(old) and new.grid == old.grid
+                assert _bitwise_equal(new.values, old.values), (dom.kind, h, type(u).__name__)
+
+
+def test_padded_transform_places_data_at_a_time_offset():
+    # the spectrum of data placed `lead` rows in is the spectrum of the data zero-extended by `lead` rows
+    rng = np.random.default_rng(33)
+    a = rng.normal(size=(7, 9, 5))
+    pad = mollify._PaddedFFT((13, 9, 5), (4, 2, 1))
+    ext = np.zeros((13, 9, 5))
+    ext[3:10] = a
+    want = np.fft.rfftn(ext, pad.shape, axes=(0, 1, 2)).view(float)
+    # whatever the buffer held before, only the transform is left in it
+    got = np.full(pad.half, np.nan, complex)
+    assert _bitwise_equal(pad.rfft(a, got, 3).view(float), want)
+    assert _bitwise_equal(pad.rfft(ext, got).view(float), want)
 
 
 # -- the worker lane ---------------------------------------------------------

@@ -47,8 +47,9 @@ def test_runs_report_their_own_status_time_and_peak(tmp_path, capsys, monkeypatc
     assert run["wall_s"] > 0.0 and run["ref_s"] == 0.125 and run["wall_ref"] == run["wall_s"] / 0.125
     assert "tail" not in run
 
-    # the CLI refuses resolution 8: each run records its exit status and its last words;
-    # the tree run is a copy without .git, as `git archive` makes, so it has no commit
+    # the CLI refuses resolution 8, and a smoothing run fails there because h is below one
+    # cell: each run records its exit status and its last words; the tree run is a copy
+    # without .git, as `git archive` makes, so it has no commit
     tree = tmp_path / "tree"
     tree.mkdir()
     (tree / "src").symlink_to(os.path.abspath(os.path.join(_ROOT, "src")))
@@ -58,10 +59,26 @@ def test_runs_report_their_own_status_time_and_peak(tmp_path, capsys, monkeypatc
     failed = doc["runs"]
     assert [r["name"] for r in failed] == list(scale.CONFIGS)
     for r in failed:
-        assert r["status"] == 2 and "must be an integer >= 16" in r["tail"][-1]
+        if scale.CONFIGS[r["name"]][2] is None:
+            assert r["status"] == 1 and "smoothing scale 0.1375 is below one grid cell" in r["tail"][-1]
+        else:
+            assert r["status"] == 2 and "must be an integer >= 16" in r["tail"][-1]
         # each run's own peak: not a running maximum over children, nor the spawner's
         assert 0.0 < r["peak_rss_mb"] < run["peak_rss_mb"] < spawner_mb
     del ballast
+
+
+def test_smoothing_runs_at_a_tiny_size(capsys, monkeypatch):
+    # 24^2 cells and 64 time nodes: h = 0.1375 snaps to one cell
+    monkeypatch.setattr(scale, "reference_seconds", lambda: 0.125)
+    names = ["smooth_R-256x96", "smooth_Rstar-256x96", "decomposition-256x96"]
+    assert scale.main(["--resolution", "24", *names]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [r["name"] for r in runs] == names
+    assert [r["experiment"] for r in runs] == ["smooth_R", "smooth_Rstar", "sym_grad_smooth_decomposition"]
+    for r in runs:
+        assert r["resolution"] == 24 and r["status"] == 0 and "tail" not in r
+        assert r["wall_s"] > 0.0 and r["peak_rss_mb"] > 0.0 and r["wall_ref"] == r["wall_s"] / 0.125
 
 
 def test_tree_commit_reads_the_tree_not_the_checkout_around_it(tmp_path):

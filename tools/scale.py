@@ -1,11 +1,17 @@
-"""Named CLI configs, each run in a fresh process: wall time, peak RSS and exit status.
+"""Named CLI configs and smoothing runs, each in a fresh process: wall time, peak RSS and exit status.
 
     python tools/scale.py [--tree TREE] [--resolution N] [NAME ...]
 
 Runs each named config of `CONFIGS` (all of them when no NAME is given)
-once, as `varexp.cli.main([EXPERIMENT, --config, CFG, --resolution, N,
---out, DIR])` in a fresh interpreter with TREE/src first on PYTHONPATH
-(TREE defaults to this checkout), and prints one JSON document to stdout:
+once, in a fresh interpreter with TREE/src first on PYTHONPATH (TREE
+defaults to this checkout).  A CLI config runs
+`varexp.cli.main([EXPERIMENT, --config, CFG, --resolution, N, --out,
+DIR])`.  A smoothing run, a config whose sections are None, calls its
+experiment, an operator of `varexp.mollify`, once with h = 0.1375 on a
+two-component space-time field over the disc of radius 2.5 in [-3, 3]^2, with N cells
+per spatial axis and 256 N / 96 time nodes on [0, 1] (256 x 96^2 at the
+default N = 96, 36 MiB of input).  The script prints one JSON document to
+stdout:
 
     env         the bench's environment block (`bench/run.environment`),
                 with `tree`, the TREE path, and `commit`, TREE's commit
@@ -48,23 +54,52 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 from run import THREAD_VARS, environment  # noqa: E402
 from sample import reference_seconds  # noqa: E402
 
-#: name -> (experiment, resolution, config sections)
+#: name -> (experiment, resolution, config sections); sections None marks a smoothing run,
+#: whose experiment is an operator of varexp.mollify
 CONFIGS = {
     "rothe-p2-128": ("rothe-solve", 128, {}),
     "rothe-p1.1-delta0-128": ("rothe-solve", 128, {"rothe": {"p_constant": "1.1", "delta": "0.0"}}),
     # more samples than near-boundary nodes, so every one is taken: 27 164 rows per report
     "poincare-512-all": ("poincare-verify", 512, {"poincare": {"samples": "1000000"}}),
+    "smooth_R-256x96": ("smooth_R", 96, None),
+    "smooth_Rstar-256x96": ("smooth_Rstar", 96, None),
+    "decomposition-256x96": ("sym_grad_smooth_decomposition", 96, None),
 }
 
 #: reference kernels timed before a run, and as many after it
 _REF_RUNS = 3
 
-#: the child: runs the CLI, then writes its peak RSS in kB to the file named by argv[1]
+#: the child: runs the CLI or one smoothing operator, then writes its peak RSS in kB to the
+#: file named by argv[1]
 _CHILD = """\
 import sys
-from varexp.cli import main
+
+
+def smoothing(op, n):
+    import numpy as np
+    import varexp as vx
+
+    grid = vx.grid_on_box([-3.0, -3.0], [3.0, 3.0], [n, n])
+    disc = vx.make_disc_domain((0.0, 0.0), 2.5, grid)
+    t = round(256 * n / 96)
+    st = vx.Grid((t,) + grid.dims, (1.0 / t,) + grid.spacing, (0.5 / t,) + grid.origin)
+    x, y = grid.coords()
+    bump = np.clip(1.0 - (x * x + y * y) / 6.25, 0.0, None) ** 3
+    wobble = 1.0 + 0.5 * np.sin(2.0 * np.pi * st.axis_coords(0))
+    u = vx.VectorField(st, wobble[:, None, None, None] * np.stack([bump * y, -0.5 * bump * x], axis=-1))
+    op(u, disc, 0.1375)
+    return 0
+
+
 try:
-    code = main(sys.argv[2:])
+    from varexp import mollify
+
+    if hasattr(mollify, sys.argv[2]):
+        code = smoothing(getattr(mollify, sys.argv[2]), int(sys.argv[3]))
+    else:
+        from varexp.cli import main
+
+        code = main(sys.argv[2:])
 finally:
     with open("/proc/self/status", encoding="ascii") as fh:
         peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
@@ -91,12 +126,15 @@ def run_one(name, resolution, env, work):
     """The record of one fresh-process run of config `name`."""
     experiment, default_resolution, sections = CONFIGS[name]
     resolution = default_resolution if resolution is None else resolution
-    cfg = os.path.join(work, "config.ini")
-    with open(cfg, "w", encoding="utf-8") as fh:
-        fh.write(_config_text(sections))
     peak_path, log_path = os.path.join(work, "peak_kb"), os.path.join(work, "log.txt")
-    cmd = [sys.executable, "-c", _CHILD, peak_path, experiment, "--config", cfg,
-           "--resolution", str(resolution), "--out", os.path.join(work, "out")]
+    if sections is None:
+        args = [experiment, str(resolution)]
+    else:
+        cfg = os.path.join(work, "config.ini")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(_config_text(sections))
+        args = [experiment, "--config", cfg, "--resolution", str(resolution), "--out", os.path.join(work, "out")]
+    cmd = [sys.executable, "-c", _CHILD, peak_path, *args]
     refs = [reference_seconds() for _ in range(_REF_RUNS)]
     with open(log_path, "w", encoding="utf-8") as log:
         start = time.perf_counter()

@@ -121,9 +121,15 @@ def gradient(u, domain):
     return TensorField._own(u.grid, out)
 
 
+def _grad_sym(u, domain):
+    """(grad u, eps(u)) from one `gradient` pass, eps(u) the symmetric part of that gradient."""
+    grad = gradient(u, domain)
+    return grad, SymTensorField._own(u.grid, _sym_part(grad.values))
+
+
 def sym_gradient(u, domain):
     """Symmetric part of the gradient in compact storage; symmetric by construction."""
-    return SymTensorField._own(u.grid, _sym_part(gradient(u, domain).values))
+    return _grad_sym(u, domain)[1]
 
 
 def divergence(T, domain):
@@ -162,8 +168,7 @@ def korn_steady_check(u, p, domain):
     motions (eps(u) = 0 with grad u != 0) are flagged: the ratio is
     reported as inf and must not be read as a Korn constant.
     """
-    num = luxembourg_norm(field_abs(gradient(u, domain)), p, domain)
-    den = luxembourg_norm(field_abs(sym_gradient(u, domain)), p, domain)
+    num, den = (luxembourg_norm(field_abs(f), p, domain) for f in _grad_sym(u, domain))
     floor = 1e-14 * max(num, 1.0)
     if den <= floor:
         return KornReport(num, den, float("inf"), True)

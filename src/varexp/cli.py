@@ -33,8 +33,8 @@ import varexp as vx
 from varexp import korn as kn
 from varexp import poincare as pc
 from varexp import rothe as rt
-from varexp.calculus import gradient, sym_gradient
-from varexp.mollify import MollifierFamily, convolve, extend_exponent, maximal, reflect_extend, zero_extend
+from varexp.calculus import _grad_sym
+from varexp.mollify import MollifierFamily, _env_threads, convolve, extend_exponent, maximal, reflect_extend, zero_extend
 
 
 class ConfigError(Exception):
@@ -436,12 +436,12 @@ def _exp_property_suite(cfg, outdir, log):
 
     # calculus: trace identity and |eps| <= |grad| pointwise
     u = vx.VectorField(g, np.stack([f1.values, f2.values], axis=-1))
-    eps = sym_gradient(u, dom)
+    grad, eps = _grad_sym(u, dom)
     div_u = eps.values[..., 0] + eps.values[..., 1]
-    gv = gradient(u, dom).values
+    gv = grad.values
     tr = float(np.abs(div_u - gv[..., 0, 0] - gv[..., 1, 1]).max())
     log.record("calculus.trace_eps_equals_div", tr, 1e-12, tr <= 1e-12)
-    gap = float(np.max(vx.field_abs(eps).values - vx.field_abs(gradient(u, dom)).values))
+    gap = float(np.max(vx.field_abs(eps).values - vx.field_abs(grad).values))
     log.record("calculus.eps_below_gradient", gap, 1e-12, gap <= 1e-12)
 
     # mollify: kernel normalization, extension exactness, reflection modular
@@ -542,19 +542,20 @@ def main(argv=None):
     # numpy is loaded by now, so its OpenBLAS pool is capped through its own
     # setter; scipy loads later (with the Rothe solver) and reads the
     # environment, as child processes do
-    threads = os.environ.get("VAREXP_THREADS")
+    try:
+        threads = _env_threads()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if threads is not None:
-        if not threads.isdigit() or int(threads) < 1:
-            print(f"VAREXP_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-            return 2
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+            os.environ.setdefault(var, str(threads))
         set_threads = _openblas_threads("set")
         if set_threads is None:
             logging.getLogger(__name__).warning(
                 "numpy's BLAS has no OpenBLAS thread setter; VAREXP_THREADS does not cap it")
         else:
-            set_threads(int(threads))
+            set_threads(threads)
 
     parser = argparse.ArgumentParser(
         prog="varexp", description="variable-exponent norm, smoothing, and parabolic-solver experiments")

@@ -84,6 +84,16 @@ def _check_finite(magnitudes):
         raise ValueError("field has non-finite values")
 
 
+def _check_values_finite(values):
+    """(min, max) of `values` as floats; a ValueError unless every value is finite.
+
+    The min is nan or -inf, or the max inf, for any value that is not.
+    """
+    lo, hi = float(values.min()), float(values.max())
+    _check_finite(np.abs([lo, hi]))
+    return lo, hi
+
+
 class _Frozen:
     """Base of the immutable value types: constructors set attributes with `_set`, nothing else can."""
 
@@ -729,8 +739,7 @@ def write_pgm(path, f, comment=None):
     if not isinstance(f, ScalarField) or f.grid.ndim != 2:
         raise TypeError("write_pgm expects a ScalarField on a 2-d grid")
     v = f.values
-    vmin, vmax = float(v.min()), float(v.max())
-    _check_finite(np.abs([vmin, vmax]))  # the min is nan or -inf, or the max inf, for any non-finite value
+    vmin, vmax = _check_values_finite(v)
     span = vmax - vmin
     levels = np.zeros_like(v, dtype=int) if span == 0 else np.rint((v - vmin) / span * 255).astype(int)
     with open(path, "w", encoding="ascii", newline="\n") as fh:

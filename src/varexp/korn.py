@@ -13,16 +13,16 @@ The mollified profile phi_n is sampled with one fixed Gauss-Legendre rule,
 after a substitution that removes the profile's singularity at t = 0.
 It reports the ratio table plus its analytic lower bound.
 
-Each ingredient is built once.  `build_velocity` keeps u per (config,
-domain object), |grad u| and |eps(u)| are kept per (velocity object, domain
-object) and p per (config, domain object), so `build_exponent`,
-`korn_ratio_sequence` and `write_heatmaps` share one u, one pair of strain
-magnitudes and one p.  `build_phi` keeps the samples of
-phi_n per (n, time grid geometry).  Each cache is a bounded LRU (four
-entries per construction stage, 64 profiles) of immutable fields with
-read-only arrays, and fields and domains are immutable, so keying them by
-identity is exact.  A cached result has the bits of a fresh build: no
-output depends on the caches.
+Each ingredient is built once.  `build_velocity` keeps u, and one
+construction keeps |grad u|, |eps(u)| and p, each per (config, domain
+object): both magnitudes come from one gradient pass over u, eps(u) being
+its symmetric part, and `build_exponent`, `korn_ratio_sequence` and
+`write_heatmaps` all read that construction.  `build_phi` keeps the
+samples of phi_n per (n, time grid geometry).  Each cache is a bounded LRU
+(four velocities, four constructions, 64 profiles) of immutable fields
+with read-only arrays; configs are frozen and domains immutable, so keying
+by them is exact.  A cached result has the bits of a fresh build: no output
+depends on the caches.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import os
 
 import numpy as np
 
-from .calculus import gradient, sym_gradient
+from .calculus import _grad_sym
 from .fields import Grid, ScalarField, VectorField, _check_finite, _check_scalar, _shift_slices, field_abs
 from .fields import write_pgm, write_table
 from .modular import ExponentField, _luxembourg_root
@@ -44,8 +44,8 @@ from .mollify import MollifierFamily, _gauss_legendre, convolve
 
 log = logging.getLogger(__name__)
 
-#: velocities, strain magnitudes and exponents kept, each by its key; at the
-#: CLI's 512^2 cap one of each holds about 10 MB together
+#: velocities and constructions kept, each by (config, domain); at the CLI's
+#: 512^2 cap one of each holds about 10 MB together
 _CONSTRUCTIONS_KEPT = 4
 #: phi_n samples kept, by n and the time grid's geometry
 _PROFILES_KEPT = 64
@@ -99,6 +99,7 @@ class WetBlanketConfig:
         object.__setattr__(self, "skew", tuple(map(tuple, A.tolist())))
 
 
+@functools.lru_cache(maxsize=_CONSTRUCTIONS_KEPT)
 def build_velocity(cfg, domain):
     """Velocity u(x) = eta(x) A x with eta the mollified ball indicator.
 
@@ -106,11 +107,6 @@ def build_velocity(cfg, domain):
     grad u = A exactly while eps(u) = 0; outside the eta_radius +
     eta_moll_eps ball u vanishes.  Built once per (cfg, domain).
     """
-    return _velocity(cfg, domain)
-
-
-@functools.lru_cache(maxsize=_CONSTRUCTIONS_KEPT)
-def _velocity(cfg, domain):
     g = domain.grid
     if g.ndim != 2:
         raise ValueError("the construction is two-dimensional")
@@ -169,18 +165,13 @@ def build_exponent(cfg, domain):
     Exactly alpha on the support, exactly beta at distance > eps from it,
     and alpha <= p <= beta everywhere.  Built once per (cfg, domain).
     """
-    return _exponent(cfg, domain)
+    return _construction(cfg, domain)[2]
 
 
 @functools.lru_cache(maxsize=_CONSTRUCTIONS_KEPT)
-def _strains(u, domain):
-    """|grad u| and |eps(u)|, once per velocity and domain."""
-    return field_abs(gradient(u, domain)), field_abs(sym_gradient(u, domain))
-
-
-@functools.lru_cache(maxsize=_CONSTRUCTIONS_KEPT)
-def _exponent(cfg, domain):
-    grad_abs, eps_abs = _strains(build_velocity(cfg, domain), domain)
+def _construction(cfg, domain):
+    """(|grad u|, |eps(u)|, p) of the velocity and the exponent, once per (cfg, domain)."""
+    grad_abs, eps_abs = (field_abs(f) for f in _grad_sym(build_velocity(cfg, domain), domain))
     supp = eps_abs.values > 1e-13 * eps_abs.max_abs()
     g = domain.grid
     grown = _dilate_mask(supp, cfg.eps, g)
@@ -195,7 +186,7 @@ def _exponent(cfg, domain):
     # the FFT convolution leaves roundoff just outside [0, 1] in the transition ring
     mix = np.clip(convolve(chi, cfg.eps / 2.0).values, 0.0, 1.0)
     p = cfg.alpha * mix + cfg.beta * (1.0 - mix)
-    return ExponentField(ScalarField(g, p))
+    return grad_abs, eps_abs, ExponentField(ScalarField(g, p))
 
 
 def phi_raw(t):
@@ -298,9 +289,7 @@ def korn_ratio_sequence(cfg, domain, time_grid, n_max):
         (||phi_n||_alpha ||eps u||_{alpha, ring}),
     computed independently of the Luxembourg root finder.
     """
-    u = build_velocity(cfg, domain)
-    p = build_exponent(cfg, domain)
-    abs_gu, abs_eu = _strains(u, domain)
+    abs_gu, abs_eu, p = _construction(cfg, domain)
     _check_finite(abs_gu.values)
     _check_finite(abs_eu.values)
 
@@ -343,9 +332,7 @@ def write_ratio_csv(path, rows, comment=None):
 
 def write_heatmaps(outdir, cfg, domain, comment=None):
     """Graymap rasters of |grad u|, |eps(u)|, and the exponent, with sidecars."""
-    u = build_velocity(cfg, domain)
-    p = build_exponent(cfg, domain)
-    grad_abs, eps_abs = _strains(u, domain)
+    grad_abs, eps_abs, p = _construction(cfg, domain)
     panels = {"grad_u_abs.pgm": grad_abs, "sym_grad_abs.pgm": eps_abs, "exponent.pgm": p.values}
     paths = []
     for name, fld in panels.items():

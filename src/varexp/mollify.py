@@ -22,7 +22,8 @@ between them, and `convolve` computes its window sum on the worker while
 the caller transforms the components, once the padded transform holds
 `_LANE_MIN_NODES` nodes.  Each lane computes the same values the serial
 path does, so the outputs do not depend on the lanes; VAREXP_THREADS=1
-keeps mollify serial.
+keeps mollify serial, and a value that is not a positive integer is
+refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import os
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily: load it here, not in the first convolve)
 
-from .fields import Grid, ScalarField, SymTensorField, VectorField, _check_finite, _check_scalar, _close, _Field
-from .fields import _Frozen, field_abs, sym_pairs
+from .fields import Grid, ScalarField, SymTensorField, VectorField, _check_finite, _check_scalar, _check_values_finite
+from .fields import _close, _Field, _Frozen, field_abs, sym_pairs
 from .calculus import axis_derivative, sym_gradient
 from .modular import ExponentField
 
@@ -149,6 +150,17 @@ def _fast_length(n):
         m += 1
 
 
+def _env_threads():
+    """VAREXP_THREADS as a positive int, read at each call; None when it is unset.
+
+    Anything but a positive decimal integer is refused with a ValueError.
+    """
+    threads = os.environ.get("VAREXP_THREADS")
+    if threads is not None and not (threads.isdecimal() and int(threads) >= 1):
+        raise ValueError(f"VAREXP_THREADS must be a positive integer, got {threads!r}")
+    return None if threads is None else int(threads)
+
+
 def _lane():
     """The worker lane, started on first use; None where mollify runs serial.
 
@@ -158,9 +170,9 @@ def _lane():
     malloc arena stays small.
     """
     global _WORKER
-    threads = os.environ.get("VAREXP_THREADS", "")
+    threads = _env_threads()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if (threads.isdigit() and int(threads) == 1) or cpus < 2:
+    if threads == 1 or cpus < 2:
         return None
     # a forked child inherits the executor but not its thread: it starts its own
     if _WORKER is None or _WORKER[0] != os.getpid():
@@ -244,11 +256,6 @@ def convolve(f, eps):
     _check_values_finite(f.values)
     out = _mollified(_parts(f.values, f.grid.ndim), f.grid, eps)
     return f._own(f.grid, out.reshape(f.values.shape))
-
-
-def _check_values_finite(values):
-    """A ValueError unless every value is finite: the min is nan or -inf, or the max inf, for any that is not."""
-    _check_finite(np.abs([values.min(), values.max()]))
 
 
 def _parts(values, axes, eta=None):

@@ -67,11 +67,12 @@ __all__ = [
 
 
 def flux_factor(s, p, delta):
-    """(delta + s)^(p-2) with the s = delta = 0 limit resolved to 0."""
-    s = np.asarray(s, dtype=float)
-    base = delta + s
-    pexp = np.broadcast_to(np.asarray(p, dtype=float), base.shape)
-    out = np.zeros_like(base)
+    """(delta + s)^(p-2), with 0^0 = 1 at p = 2 and 0 at any other p where delta + s = 0.
+
+    At delta + s = 0 the flux phi A vanishes whatever phi is, since A = 0 there.
+    """
+    base, pexp = np.broadcast_arrays(delta + np.asarray(s, dtype=float), np.asarray(p, dtype=float))
+    out = (pexp == 2.0).astype(float)
     pos = base > 0.0
     out[pos] = base[pos] ** (pexp[pos] - 2.0)
     return out
@@ -109,11 +110,8 @@ class ConstitutiveLaw:
 
     def flux(self, eps_comps, p_nodes, d):
         """S applied to compact symmetric components at a set of nodes."""
-        return self._flux(eps_comps, _magnitude(eps_comps, sym_weights(d), (-1,)), p_nodes)
-
-    def _flux(self, eps_comps, eps_mag, p_nodes):
-        """`flux` given the components' magnitudes |eps|_W."""
-        return flux_factor(eps_mag, p_nodes, self.delta)[..., None] * eps_comps
+        mag = _magnitude(eps_comps, sym_weights(d), (-1,))
+        return flux_factor(mag, p_nodes, self.delta)[..., None] * eps_comps
 
     def potential(self, eps_mag, p_nodes):
         return flux_potential(eps_mag, p_nodes, self.delta)
@@ -144,19 +142,23 @@ class LowerOrderLaw:
     r: float
     kappa: float = 0.0
 
+    def __post_init__(self):
+        # c is refused as gamma, the growth constant that `power` and `damped` take it as
+        for field, name, lo in (("c", "gamma", 0.0), ("r", "r", 1.0), ("kappa", "kappa", 0.0)):
+            object.__setattr__(self, field, _check_scalar(name, getattr(self, field), lo))
+
     @classmethod
     def zero(cls):
         return cls(0.0, 1.0)
 
     @classmethod
     def power(cls, gamma, r):
-        return cls(_check_scalar("gamma", gamma, 0.0), _check_scalar("r", r, 1.0))
+        return cls(gamma, r)
 
     @classmethod
     def damped(cls, gamma, r, kappa):
         """Power law minus the bounded perturbation kappa a/(1+|a|^2)."""
-        return cls(_check_scalar("gamma", gamma, 0.0), _check_scalar("r", r, 1.0),
-                   _check_scalar("kappa", kappa, 0.0))
+        return cls(gamma, r, kappa)
 
     @property
     def gamma(self):
@@ -491,7 +493,7 @@ class _Step:
     def energy_grad(self, x):
         """Energy value and gradient at free dofs x."""
         J, eps, mag = self._point(x)
-        S = self.law._flux(eps, mag, self.p)
+        S = flux_factor(mag, self.p, self.law.delta)[..., None] * eps
         if self.F is not None:
             S = S - self.F
         g = (x - self.x_prev) / self.tau + self.op.eps_adjoint(S)
@@ -521,8 +523,8 @@ class _Step:
         _, eps, s = self._point(x)
         we = op.weights * eps
         base = self.law.delta + s
-        # base > 0 wherever p < 2 (see _step_law); 0^0 = 1 keeps p = 2 exact
-        phi = base ** (p_nodes - 2.0)
+        # base > 0 wherever p < 2 (see _step_law); phi = 1 at base = 0 keeps p = 2 exact
+        phi = flux_factor(s, p_nodes, self.law.delta)
         coef = np.zeros_like(s)
         # s * base leaves the float range where s lies outside [1e-150, 1e150]
         # (see _magnitude); there the second term is (p-2) s/base (W eps/s)(W eps/s)^T

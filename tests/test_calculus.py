@@ -225,6 +225,57 @@ def test_three_dimensional_stencils():
     assert np.abs(divergence(eps, dom).values[interior(dom, 3)]).max() < 1e-9
 
 
+def _grad_sym_case(name):
+    """(u, domain): a 2-d disc, a space-time grid over a disc, a 3-d box, and a grid with no domain."""
+    rng = np.random.default_rng(33)
+    grid = vx.grid_on_box([-1, -1], [1, 1], [24, 24])
+    disc = vx.make_disc_domain((0.1, 0.0), 0.8, grid)
+    if name == "disc":
+        return vx.VectorField(grid, rng.normal(size=grid.dims + (2,))), disc
+    if name == "spacetime":
+        st = vx.Grid((5,) + grid.dims, (0.2,) + grid.spacing, (0.1,) + grid.origin)
+        return vx.VectorField(st, rng.normal(size=st.dims + (2,))), disc
+    if name == "box3d":
+        g3 = vx.grid_on_box([0, 0, 0], [1, 1, 1], [10, 11, 12])
+        box = vx.make_rectangle_domain([0.15] * 3, [0.85] * 3, g3)
+        return vx.VectorField(g3, rng.normal(size=g3.dims + (3,))), box
+    return vx.VectorField(grid, rng.normal(size=grid.dims + (2,))), None
+
+
+@pytest.mark.parametrize("name", ["disc", "spacetime", "box3d", "none"])
+def test_grad_sym_is_gradient_and_sym_gradient_bitwise(name):
+    from varexp.calculus import _grad_sym
+    from varexp.fields import sym_pairs
+
+    u, dom = _grad_sym_case(name)
+    vals = u.values.copy()
+    vals[np.random.default_rng(1).random(vals.shape) < 0.2] = -0.0  # signed zeros must survive
+    u = vx.VectorField(u.grid, vals)
+    grad, eps = _grad_sym(u, dom)
+    for got, want in ((grad, gradient(u, dom)), (eps, sym_gradient(u, dom))):
+        assert type(got) is type(want) and got.grid is u.grid
+        assert got.values.tobytes() == want.values.tobytes()
+    # eps(u) written out from a gradient pass of its own: G_ii, then (G_ij + G_ji)/2
+    G = gradient(u, dom).values
+    pairs = sym_pairs(u.ncomp)
+    want = np.stack([G[..., i, j] if i == j else 0.5 * (G[..., i, j] + G[..., j, i]) for i, j in pairs], axis=-1)
+    assert eps.values.tobytes() == want.tobytes()
+
+
+def test_korn_steady_check_makes_one_gradient_pass(monkeypatch):
+    from varexp import calculus
+
+    grid, dom = square(24)
+    xx = grid.coords()
+    u = vx.VectorField(grid, np.stack([xx[0] * xx[1], -xx[0] ** 2], axis=-1))
+    want = korn_steady_check(u, vx.constant_exponent(grid, 1.5), dom)
+    axes = []
+    derivative = calculus._derivative
+    monkeypatch.setattr(calculus, "_derivative", lambda *args: axes.append(args[3]) or derivative(*args))
+    assert korn_steady_check(u, vx.constant_exponent(grid, 1.5), dom) == want
+    assert axes == [0, 1]  # d/dx_0 and d/dx_1 once each: grad u and eps(u) share them
+
+
 def test_korn_steady_bounded_on_bump_corpus():
     from varexp.rothe import mms_bump
 

@@ -231,9 +231,12 @@ def keep_blas_threads():
         _openblas_threads("set")(before)
 
 
-def test_cli_threads_env_validation(monkeypatch, tmp_path, keep_blas_threads):
-    monkeypatch.setenv("VAREXP_THREADS", "zero")
-    assert main(["property-suite", "--out", str(tmp_path / "t")]) == 2
+def test_cli_threads_env_validation(monkeypatch, tmp_path, keep_blas_threads, capsys):
+    # the CLI refuses what the library refuses, with mollify's message
+    for bad in ("zero", "0", "abc", "", "-1", "1.5"):
+        monkeypatch.setenv("VAREXP_THREADS", bad)
+        assert main(["property-suite", "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err == f"VAREXP_THREADS must be a positive integer, got {bad!r}\n"
     monkeypatch.setenv("VAREXP_THREADS", "1")
     assert main(["property-suite", "--out", str(tmp_path / "t"), "--seed", "0"]) == 0
 

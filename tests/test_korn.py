@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate as sciint
 
 import varexp as vx
-from varexp import korn
+from varexp import calculus, korn
 from varexp.calculus import gradient, sym_gradient
 from varexp.korn import (
     KornRatioRow,
@@ -237,8 +237,8 @@ def test_ratio_sequence_rejects_non_finite_magnitudes(monkeypatch):
     vals = u.values.copy()
     vals[24, 24, 0] = np.nan
     assert dom.mask[24, 24]
-    monkeypatch.setattr(korn, "build_velocity", lambda cfg, domain: vx.VectorField(dom.grid, vals))
-    monkeypatch.setattr(korn, "build_exponent", lambda cfg, domain: p)
+    strains = [vx.field_abs(f) for f in calculus._grad_sym(vx.VectorField(dom.grid, vals), dom)]
+    monkeypatch.setattr(korn, "_construction", lambda cfg, domain: (*strains, p))
     with pytest.raises(ValueError, match="non-finite"):
         korn_ratio_sequence(cfg, dom, tg, 1)
 
@@ -327,7 +327,7 @@ def test_log_sum_exp_matches_scipy_bitwise():
 
 
 def _clear_caches():
-    for cached in (korn._velocity, korn._strains, korn._exponent, korn._phi_samples):
+    for cached in (korn.build_velocity, korn._construction, korn._phi_samples):
         cached.cache_clear()
 
 
@@ -337,17 +337,19 @@ def test_cached_construction_is_bit_equal_to_an_uncached_build():
     cfg = WetBlanketConfig()
     u = build_velocity(cfg, dom)
     assert build_velocity(cfg, dom) is u
-    fresh_u = korn._velocity.__wrapped__(cfg, dom)
+    fresh_u = korn.build_velocity.__wrapped__(cfg, dom)
     assert u.values.tobytes() == fresh_u.values.tobytes()
 
     p = build_exponent(cfg, dom)
     assert build_exponent(cfg, dom) is p
-    _clear_caches()  # the uncached exponent builds its velocity and strains afresh too
-    fresh_p = korn._exponent.__wrapped__(cfg, dom)
+    grad_abs, eps_abs, p_read = korn._construction(cfg, dom)
+    assert p_read is p and korn._construction(cfg, dom)[0] is grad_abs
+    _clear_caches()  # the uncached construction builds its velocity afresh too
+    fresh_p = korn._construction.__wrapped__(cfg, dom)[2]
     assert p.values.values.tobytes() == fresh_p.values.values.tobytes()
     assert (p.p_minus, p.p_plus) == (fresh_p.p_minus, fresh_p.p_plus)
 
-    grad_abs, eps_abs = korn._strains(u, dom)
+    # the reference forms the gradient twice, once inside sym_gradient
     assert grad_abs.values.tobytes() == vx.field_abs(gradient(fresh_u, dom)).values.tobytes()
     assert eps_abs.values.tobytes() == vx.field_abs(sym_gradient(fresh_u, dom)).values.tobytes()
 
@@ -377,8 +379,8 @@ def test_cache_keeps_configs_and_domains_apart():
     for other in (WetBlanketConfig(alpha=1.5), doubled):
         p, p_other = build_exponent(cfg, dom), build_exponent(other, dom)
         assert p_other is not p
-        _clear_caches()  # the reference builds its velocity and strains afresh, apart from the caches under test
-        fresh = korn._exponent.__wrapped__(other, dom)
+        _clear_caches()  # the reference builds its velocity afresh, apart from the caches under test
+        fresh = korn._construction.__wrapped__(other, dom)[2]
         assert p_other.values.values.tobytes() == fresh.values.values.tobytes()
     assert build_exponent(WetBlanketConfig(alpha=1.5), dom).p_minus == 1.5
     assert np.array_equal(build_velocity(doubled, dom).values, 2.0 * build_velocity(cfg, dom).values)
@@ -395,7 +397,8 @@ def test_cached_arrays_are_read_only():
     cfg = WetBlanketConfig()
     tg = vx.grid_on_box([-1.5], [1.5], [64])
     u = build_velocity(cfg, dom)
-    arrays = [u.values, build_exponent(cfg, dom).values.values, *(f.values for f in korn._strains(u, dom))]
+    grad_abs, eps_abs, _ = korn._construction(cfg, dom)
+    arrays = [u.values, grad_abs.values, eps_abs.values, build_exponent(cfg, dom).values.values]
     arrays += [korn._phi_samples(2, tg.dims, tg.spacing, tg.origin), build_phi(2, tg).values]
     for a in arrays:
         assert not a.flags.writeable
@@ -406,7 +409,7 @@ def test_cached_arrays_are_read_only():
 def test_korn_pass_builds_each_ingredient_once(monkeypatch, tmp_path):
     # korn-figure's calls: the ratio table, the heatmaps, then the sampled profiles
     _clear_caches()
-    calls = {"convolve": [], "gradient": 0, "sym_gradient": 0, "quadrature": 0}
+    calls = {"convolve": [], "gradient": 0, "sym_gradient": 0, "_derivative": 0, "quadrature": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -422,8 +425,9 @@ def test_korn_pass_builds_each_ingredient_once(monkeypatch, tmp_path):
         return korn_convolve(f, eps)
 
     monkeypatch.setattr(korn, "convolve", convolve)
-    monkeypatch.setattr(korn, "gradient", counted("gradient", korn.gradient))
-    monkeypatch.setattr(korn, "sym_gradient", counted("sym_gradient", korn.sym_gradient))
+    monkeypatch.setattr(calculus, "gradient", counted("gradient", calculus.gradient))
+    monkeypatch.setattr(calculus, "sym_gradient", counted("sym_gradient", calculus.sym_gradient))
+    monkeypatch.setattr(calculus, "_derivative", counted("_derivative", calculus._derivative))
     monkeypatch.setattr(korn, "_gauss_legendre", counted("quadrature", korn._gauss_legendre))
 
     dom = figure_domain(48)
@@ -434,5 +438,6 @@ def test_korn_pass_builds_each_ingredient_once(monkeypatch, tmp_path):
     profiles = [build_phi(n, tg) for n in range(1, 6)]
     # one mollification for the velocity's cutoff, one for the exponent's mix
     assert calls["convolve"] == [cfg.eta_moll_eps, cfg.eps / 2.0]
-    assert (calls["gradient"], calls["sym_gradient"]) == (1, 1)
+    # one stencil pass, one derivative per axis, gives both |grad u| and |eps(u)|
+    assert (calls["gradient"], calls["sym_gradient"], calls["_derivative"]) == (1, 0, 2)
     assert calls["quadrature"] == 2 * len(profiles)  # both sides of t = 0, once per n

@@ -1,4 +1,5 @@
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -750,6 +751,18 @@ def test_worker_lane_gives_the_serial_arrays_bit_for_bit(name, counting_lane, mo
     for a, b in zip(serial, laned):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "abc", "", "-1", "1.5"])
+def test_bad_thread_count_is_refused(threads, monkeypatch):
+    # maximal asks for the worker lane here, and the lane reads VAREXP_THREADS at each call
+    f, _ = _lane_case("rect40x31")
+    monkeypatch.setenv("VAREXP_THREADS", threads)
+    refusal = f"VAREXP_THREADS must be a positive integer, got {threads!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        maximal(f)
+    monkeypatch.setenv("VAREXP_THREADS", "1")
+    assert mollify._lane() is None
 
 
 def test_small_convolve_stays_on_the_calling_thread(counting_lane, monkeypatch):

@@ -71,6 +71,13 @@ def test_flux_potential_derivative():
     assert flux_potential(np.array([1.7]), 2.0, 0.0)[0] == pytest.approx(1.7**2 / 2)
 
 
+def test_flux_factor_at_zero_base():
+    # 0^0 = 1 at p = 2, as the step Hessian reads it; 0 at any other p
+    assert flux_factor(0.0, [1.5, 2.0, 3.0], 0.0).tolist() == [0.0, 1.0, 0.0]
+    assert flux_factor(np.zeros(3), [1.5, 2.0, 3.0], 0.0).tolist() == [0.0, 1.0, 0.0]
+    assert flux_factor(np.array([0.0, 1.0]), 2.0, 0.0).tolist() == [1.0, 1.0]
+
+
 def test_constitutive_conditions_random_tuples():
     rng = np.random.default_rng(1)
     g = vx.vertex_grid_on_box([0, 0], [1, 1], [4, 4])
@@ -164,6 +171,19 @@ def test_supercritical_lower_order_rejected():
         LowerOrderLaw.power(1.0, 0.5)
     with pytest.raises(ValueError, match=r"^kappa must be finite and >= 0, got -0.1$"):
         LowerOrderLaw.damped(1.0, 1.2, -0.1)
+
+
+def test_lower_order_law_checked_on_direct_construction():
+    # c is refused as gamma, then r, then kappa, as the two named constructors refuse them
+    for args, name, bad in (((np.nan, 1.2), "gamma", np.nan), ((-0.5, 1.2), "gamma", -0.5),
+                            ((0.5, np.inf), "r", np.inf), ((0.5, 0.9), "r", 0.9),
+                            ((0.5, 1.2, np.nan), "kappa", np.nan), ((0.5, 1.2, -1.0), "kappa", -1.0),
+                            ((np.nan, 0.5, np.nan), "gamma", np.nan), ((0.5, 0.5, np.nan), "r", 0.5)):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= \S+, got {bad!r}$"):
+            LowerOrderLaw(*args)
+    law = LowerOrderLaw(np.float64(0.5), 2, 0)
+    assert (law.c, law.r, law.kappa) == (0.5, 2.0, 0.0) and type(law.r) is float
+    assert LowerOrderLaw.power(0.5, 2) == law and LowerOrderLaw.zero().is_zero
 
 
 # -- operator and energy -----------------------------------------------------

@@ -61,6 +61,7 @@ CONFIGS = {
     "rothe-p1.1-delta0-128": ("rothe-solve", 128, {"rothe": {"p_constant": "1.1", "delta": "0.0"}}),
     # more samples than near-boundary nodes, so every one is taken: 27 164 rows per report
     "poincare-512-all": ("poincare-verify", 512, {"poincare": {"samples": "1000000"}}),
+    "korn-figure-512": ("korn-figure", 512, {}),
     "smooth_R-256x96": ("smooth_R", 96, None),
     "smooth_Rstar-256x96": ("smooth_Rstar", 96, None),
     "decomposition-256x96": ("sym_grad_smooth_decomposition", 96, None),

@@ -391,6 +391,7 @@ def _magnitude(v, w, axes):
     """
     comps = np.abs(v).reshape(v.shape[: v.ndim - len(axes)] + (-1,))
     m = np.max(np.moveaxis(comps, -1, 0).copy(), axis=0)
+    del comps
     m = np.where(((m > 1e150) & (m < np.inf)) | ((m < 1e-150) & (m > 0.0)), m, 1.0)
     v = v / m[(...,) + (None,) * len(axes)]
     v *= v  # w v^2 in place, in v's new array

@@ -29,18 +29,16 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import logging
-import math
 import os
 
 import numpy as np
 
 from .calculus import _grad_sym
-from .fields import Grid, ScalarField, VectorField, _check_finite, _check_scalar, _shift_slices, field_abs
+from .fields import Grid, ScalarField, VectorField, _check_finite, _check_scalar, field_abs
 from .fields import write_pgm, write_table
 from .modular import ExponentField, _luxembourg_root
-from .mollify import MollifierFamily, _gauss_legendre, convolve
+from .mollify import MollifierFamily, _gauss_legendre, _PaddedFFT, convolve
 
 log = logging.getLogger(__name__)
 
@@ -126,33 +124,20 @@ def build_velocity(cfg, domain):
 def _dilate_mask(mask, radius, grid):
     """Nodes at physical distance < radius from the mask (Euclidean dilation).
 
-    The union of the mask shifted by every lattice offset k with
+    The mask correlated with the open lattice ball of offsets k with
     sqrt(sum_i (k_i h_i)^2) < radius, the squares summed in axis order as a
-    Euclidean distance transform sums them.  For each offset of the leading
-    axes the admissible last-axis offsets form an interval |k_last| <= w,
-    so the mask is dilated along the last axis once per width w.
+    Euclidean distance transform sums them, in one zero-padded FFT product:
+    a node is kept where its count of mask nodes in the ball exceeds 0.5.
+    The ball reaches int(radius/h) + 1 nodes along an axis, at most n - 1:
+    further offsets meet no node of the grid.
     """
-    *h_lead, h_last = grid.spacing
-    along = [mask]  # along[w]: the mask dilated by |k_last| <= w
-    out = np.zeros_like(mask)
-    for k in itertools.product(*(range(-int(radius / h) - 1, int(radius / h) + 2) for h in h_lead)):
-        d2 = 0.0
-        for ki, h in zip(k, h_lead):
-            d2 += (ki * h) * (ki * h)
-        w = -1
-        while math.sqrt(d2 + ((w + 1) * h_last) * ((w + 1) * h_last)) < radius:
-            w += 1
-        if w < 0:
-            continue
-        while len(along) <= w:
-            j = len(along)
-            grown = along[-1].copy()
-            grown[..., j:] |= mask[..., :-j]
-            grown[..., :-j] |= mask[..., j:]
-            along.append(grown)
-        src, dst = _shift_slices(k)
-        out[dst] |= along[w][src]
-    return out
+    reach = [min(int(radius / h) + 1, n - 1) for h, n in zip(grid.spacing, grid.dims)]
+    pad = _PaddedFFT(grid.dims, reach)
+    d2 = 0.0
+    for k, h in zip(np.ix_(*(np.arange(-r, r + 1) for r in reach)), grid.spacing):
+        d2 = d2 + (k * h) * (k * h)
+    spec, ball = (pad.rfft(a, np.empty(pad.half, complex)) for a in (mask, np.sqrt(d2) < radius))
+    return pad.irfft(np.multiply(spec, ball, out=spec), np.empty(pad.rows)) > 0.5
 
 
 def build_exponent(cfg, domain):
@@ -172,7 +157,7 @@ def build_exponent(cfg, domain):
 def _construction(cfg, domain):
     """(|grad u|, |eps(u)|, p) of the velocity and the exponent, once per (cfg, domain)."""
     grad_abs, eps_abs = (field_abs(f) for f in _grad_sym(build_velocity(cfg, domain), domain))
-    supp = eps_abs.values > 1e-13 * eps_abs.max_abs()
+    supp = _strain_support(eps_abs)
     g = domain.grid
     grown = _dilate_mask(supp, cfg.eps, g)
     if not (grown <= domain.mask).all():
@@ -187,6 +172,11 @@ def _construction(cfg, domain):
     mix = np.clip(convolve(chi, cfg.eps / 2.0).values, 0.0, 1.0)
     p = cfg.alpha * mix + cfg.beta * (1.0 - mix)
     return grad_abs, eps_abs, ExponentField(ScalarField(g, p))
+
+
+def _strain_support(eps_abs):
+    """The discrete support of eps(u): the nodes where |eps(u)| exceeds 1e-13 of its max."""
+    return eps_abs.values > 1e-13 * eps_abs.max_abs()
 
 
 def phi_raw(t):
@@ -294,7 +284,7 @@ def korn_ratio_sequence(cfg, domain, time_grid, n_max):
     _check_finite(abs_eu.values)
 
     # pure-exponent regions for the factorized bound
-    ring = abs_eu.values > 1e-13 * abs_eu.max_abs()
+    ring = _strain_support(abs_eu)
     far = domain.mask & (p.values.values >= cfg.beta - 1e-12) & ~ring
     vol = domain.grid.cell_volume
     g_beta = float(np.sum(abs_gu.values[far] ** cfg.beta) * vol) ** (1.0 / cfg.beta)

@@ -87,18 +87,10 @@ def log_holder_estimate(p, radius_cells):
     spacing = np.asarray(grid.spacing)
     r2 = radius_cells * radius_cells
     best = 0.0
-    # scan half of the offset lattice; swapped pairs give the same value
-    axes_ranges = [range(0, radius_cells + 1)] + [
-        range(-radius_cells, radius_cells + 1)
-    ] * (grid.ndim - 1)
-    for o in product(*axes_ranges):
-        if all(k == 0 for k in o):
-            continue
-        if o[0] == 0:
-            lead = next((k for k in o if k != 0), 0)
-            if lead < 0:
-                continue
-        if sum(k * k for k in o) > r2:
+    # scan half of the offset lattice, the offsets whose first nonzero entry
+    # is positive; swapped pairs give the same value
+    for o in product(range(-radius_cells, radius_cells + 1), repeat=grid.ndim):
+        if o <= (0,) * grid.ndim or sum(k * k for k in o) > r2:
             continue
         src, dst = _shift_slices(o)
         a = vals[src]
@@ -130,21 +122,23 @@ def modular(f, p, domain):
     A field holding a NaN or inf is refused with a ValueError, as in
     `luxembourg_norm`.
     """
-    pv = _on_field_grid(f.grid, p.grid, p.values.values, "exponent")
-    mask = _on_field_grid(f.grid, domain.grid, domain.mask, "domain")
-    absf = _abs_values(f)
-    _check_finite(absf)
-    return float(np.sum(absf[mask] ** pv[mask]) * f.grid.cell_volume)
+    absf, q = _masked_abs(f, p, domain)
+    return float(np.sum(absf**q) * f.grid.cell_volume)
 
 
 def luxembourg_norm(f, p, domain, tol=1e-8):
     """Luxembourg norm: the root lambda of modular(f/lambda) = 1, by Newton in s = log lambda
     (see `_luxembourg_root`); 0 for the zero field."""
+    absf, q = _masked_abs(f, p, domain)
+    return _luxembourg_root(absf, q, None, np.log(f.grid.cell_volume), tol)
+
+
+def _masked_abs(f, p, domain):
+    """|f| and p at the domain's nodes, a NaN or inf in f refused, p and the mask placed on f's grid."""
     absf = _abs_values(f)
     _check_finite(absf)
     mask = _on_field_grid(f.grid, domain.grid, domain.mask, "domain")
-    q = _on_field_grid(f.grid, p.grid, p.values.values, "exponent")[mask]
-    return _luxembourg_root(absf[mask], q, None, np.log(f.grid.cell_volume), tol)
+    return absf[mask], _on_field_grid(f.grid, p.grid, p.values.values, "exponent")[mask]
 
 
 def _luxembourg_root(a, q, log_c, log_w, tol):

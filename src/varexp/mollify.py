@@ -3,17 +3,17 @@
 The scaled standard mollifier is sampled on the grid and its weights are
 renormalized to sum exactly to 1, so convolution is exact on constants.
 Convolution and the maximal operator share one zero-padded FFT core,
-`_PaddedFFT`.  Convolution is one product per component, and an integer
-window sum restores the exact zeros and exact constants that the support
-statements need; the maximal operator is one correlation per ladder
-radius, each padded only as far as its ball reaches.  The smoothing
-operator cuts off, zero-extends, then mollifies; its quasi adjoint
-mollifies first and cuts off afterwards.  Neither builds the zero-extended
-field or the cutoff product: the padded transform takes the field's own
-values a few rows into its time axis, and the cutoff multiplies each
-component on its way into the transform's buffer, with the same values,
-bit for bit.  Smoothing scales are snapped to whole grid cells so support
-statements stay cell-exact.
+`_PaddedFFT`, which also dilates `korn`'s masks.  Convolution is one
+product per component, and an integer window sum restores the exact zeros
+and exact constants that the support statements need; the maximal operator
+is one correlation per ladder radius, each padded only as far as its ball
+reaches.  The smoothing operator cuts off, zero-extends, then mollifies;
+its quasi adjoint mollifies first and cuts off afterwards.  Neither builds
+the zero-extended field or the cutoff product: the padded transform takes
+the field's own values a few rows into its time axis, and the cutoff
+multiplies each component on its way into the transform's buffer, with the
+same values, bit for bit.  Smoothing scales are snapped to whole grid
+cells so support statements stay cell-exact.
 
 The FFT work runs on two lanes where the process may use two or more CPUs
 and VAREXP_THREADS is not 1: the calling thread and one worker thread,
@@ -128,13 +128,7 @@ class MollifierFamily(_Frozen):
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         w = self.profile(pts / eps).reshape([2 * k + 1 for k in radii])
-        total = w.sum()
-        if total <= 0.0:
-            # only the center sample survives: point mass
-            w = np.zeros_like(w)
-            w[tuple(k for k in radii)] = 1.0
-            return w
-        return w / total
+        return w / w.sum()
 
 
 def _fast_length(n):

@@ -301,6 +301,18 @@ def test_dilation_matches_distance_transform_on_random_masks():
             for radius in exact + [0.5 * min(h), 0.07, 0.2, 0.45]:
                 got = korn._dilate_mask(mask, radius, g)
                 assert np.array_equal(got, _edt_dilation(mask, radius, g)), (g.dims, density, radius)
+        # past the diagonal the ball's reach is capped at n - 1 nodes per axis,
+        # which still joins opposite corners
+        beyond = 1.5 * g.diameter()
+        corner = np.zeros(g.dims, dtype=bool)
+        corner[(0,) * g.ndim] = True
+        for mask in (corner, rng.random(g.dims) < 0.02):
+            assert np.array_equal(korn._dilate_mask(mask, beyond, g), _edt_dilation(mask, beyond, g))
+        # the EDT has no background to measure from in an empty mask
+        full = np.ones(g.dims, dtype=bool)
+        for radius in exact + [0.2, beyond]:
+            assert not korn._dilate_mask(~full, radius, g).any()
+            assert np.array_equal(korn._dilate_mask(full, radius, g), _edt_dilation(full, radius, g))
 
 
 def test_log_sum_exp_matches_scipy_bitwise():

@@ -36,13 +36,9 @@ def test_exponent_bounds_and_rejection():
     assert p.p_minus == p.p_plus == 1.5
 
 
-def test_clog_estimate_matches_all_pairs_oracle():
-    grid = vx.grid_on_box([0, 0], [1, 1], [12, 12])
-    xx = grid.coords()
-    p = vx.ExponentField(vx.ScalarField(grid, 1.5 + 0.4 * np.sin(3 * xx[0]) * xx[1]))
-
-    # independent O(N^2) sweep over all pairs within the same radius
-    radius = 8
+def _all_pairs_clog(p, radius):
+    """Independent O(N^2) sweep over all node pairs within `radius` cells."""
+    grid = p.grid
     pts = np.argwhere(np.ones(grid.dims, dtype=bool))
     vals = p.values.values.reshape(-1)
     spacing = np.asarray(grid.spacing)
@@ -50,15 +46,29 @@ def test_clog_estimate_matches_all_pairs_oracle():
     for a in range(len(pts)):
         d = (pts - pts[a]) * spacing
         dist = np.sqrt((d**2).sum(axis=1))
-        cells = np.abs(pts - pts[a]).max(axis=1)
         ok = (dist > 0) & (((pts - pts[a]) ** 2).sum(axis=1) <= radius**2)
         if ok.any():
             best = max(
                 best,
                 float(np.max(np.abs(vals[ok] - vals[a]) * np.log(np.e + 1.0 / dist[ok]))),
             )
-    assert p.clog_estimate == pytest.approx(best, rel=1e-12)
-    assert vx.constant_exponent(grid, 2.0).clog_estimate == 0.0
+    return best
+
+
+def test_clog_estimate_matches_all_pairs_oracle():
+    grid = vx.grid_on_box([0, 0], [1, 1], [12, 12])
+    xx = grid.coords()
+    # a space-time grid, time first, with anisotropic spacings and variation along every axis
+    st = vx.grid_on_box([-1, 0, 0], [1, 1, 2], [7, 9, 10])
+    t, x, y = st.coords()
+    # and one that varies along the last axis alone, so its largest term sits
+    # at an offset (0, 0, k) of the half lattice's boundary plane
+    for g, values in ((grid, 1.5 + 0.4 * np.sin(3 * xx[0]) * xx[1]),
+                      (st, 1.5 + 0.3 * np.sin(2 * t) * x + 0.2 * np.cos(3 * y) * t),
+                      (st, 1.5 + 0.4 * np.sin(5 * y))):
+        p = vx.ExponentField(vx.ScalarField(g, values))
+        assert p.clog_estimate == pytest.approx(_all_pairs_clog(p, 8), rel=1e-12)
+        assert vx.constant_exponent(g, 2.0).clog_estimate == 0.0
 
 
 def test_conjugate_values_and_bounds():

@@ -99,14 +99,8 @@ def axis_derivative(values, axis, h, mask=None):
     return _derivative(values, off, mask, axis - off, h)
 
 
-def gradient(u, domain):
-    """Full tensor (grad u)_{ij} = du_i/dx_j along the spatial axes.
-
-    Exact on affine fields at interior nodes (central differences), and on
-    quadratics in a single variable.  `domain=None` applies unmasked
-    stencils on the whole grid (one-sided at the array edge), which is the
-    right choice for smooth fields on extended grids.
-    """
+def _axis_derivatives(u, domain):
+    """du/dx_j along each spatial axis j, one array at a time, each of u's shape: its entry i is (grad u)_ij."""
     if not isinstance(u, VectorField):
         raise TypeError("gradient expects a VectorField")
     d = u.ncomp
@@ -115,21 +109,38 @@ def gradient(u, domain):
         raise ValueError(
             f"vector with {d} components on a grid with {u.grid.ndim - off} spatial axes"
         )
-    out = np.empty(u.grid.dims + (d, d))
-    for j in range(d):
-        out[..., j] = _derivative(u.values, off, mask, j, u.grid.spacing[off + j])
+    return (_derivative(u.values, off, mask, j, u.grid.spacing[off + j]) for j in range(d))
+
+
+def gradient(u, domain):
+    """Full tensor (grad u)_{ij} = du_i/dx_j along the spatial axes.
+
+    Exact on affine fields at interior nodes (central differences), and on
+    quadratics in a single variable.  `domain=None` applies unmasked
+    stencils on the whole grid (one-sided at the array edge), which is the
+    right choice for smooth fields on extended grids.
+    """
+    derivatives = _axis_derivatives(u, domain)
+    out = np.empty(u.grid.dims + (u.ncomp, u.ncomp))
+    for j, dj in enumerate(derivatives):
+        out[..., j] = dj
     return TensorField._own(u.grid, out)
 
 
 def _grad_sym(u, domain):
     """(grad u, eps(u)) from one `gradient` pass, eps(u) the symmetric part of that gradient."""
     grad = gradient(u, domain)
-    return grad, SymTensorField._own(u.grid, _sym_part(grad.values))
+    return grad, SymTensorField._own(u.grid, _sym_part(lambda i, j: grad.values[..., i, j], u.ncomp))
 
 
 def sym_gradient(u, domain):
-    """Symmetric part of the gradient in compact storage; symmetric by construction."""
-    return _grad_sym(u, domain)[1]
+    """Symmetric part of the gradient in compact storage; symmetric by construction.
+
+    Written one component at a time from the axis derivatives, without the
+    full gradient; the bits are those of the symmetric part of `gradient`.
+    """
+    D = list(_axis_derivatives(u, domain))
+    return SymTensorField._own(u.grid, _sym_part(lambda i, j: D[j][..., i], len(D)))
 
 
 def divergence(T, domain):

@@ -19,6 +19,10 @@ axes after the grid axes (0 for `ScalarField`, 1 for `VectorField` and
 (none for `TensorField`), and the weights of the Frobenius product (2 on
 the off-diagonals of the compact symmetric storage, else 1).  Magnitudes,
 the Hoelder pairing's contraction and the field files read that layout.
+The kernels that compute with it (magnitudes, the contraction and the
+symmetric part) go one component plane at a time, summing in np.sum's
+order: they hold a few plane-sized arrays, where a reduction over the
+short trailing axes would copy the whole field, and give np.sum's bits.
 
 A field constructor keeps a read-only copy of the values it is given, so
 later writes to the caller's array never reach the field.  The package's
@@ -371,14 +375,73 @@ class SymTensorField(_Field):
         full = tensor.values
         if not np.array_equal(full, np.swapaxes(full, -1, -2)):
             raise ValueError("tensor is not exactly symmetric")
-        return cls(tensor.grid, _sym_part(full))
+        return cls._own(tensor.grid, _sym_part(lambda i, j: full[..., i, j], tensor.d))
 
 
-def _sym_part(full):
-    """Compact components of (A + A^T)/2 for full d x d tensors on the trailing two axes."""
-    comps = [full[..., i, i] if i == j else 0.5 * (full[..., i, j] + full[..., j, i])
-             for i, j in sym_pairs(full.shape[-1])]
-    return np.stack(comps, axis=-1)
+def _sym_part(entry, d):
+    """Compact components of (A + A^T)/2, written one component plane at a time into one array.
+
+    entry(i, j) is the array of A's entry (i, j) over the nodes; every
+    entry has one shape, which is that of each plane of the result.
+    """
+    first = entry(0, 0)
+    out = np.empty(first.shape + (d * (d + 1) // 2,))
+    for c, (i, j) in enumerate(sym_pairs(d)):
+        if i == j:
+            out[..., c] = entry(i, i)
+        else:
+            np.multiply(0.5, np.add(entry(i, j), entry(j, i), out=out[..., c]), out=out[..., c])
+    return out
+
+
+def _plane_sum(term, n, first=0):
+    """term(first) + ... + term(first + n - 1), in the order np.sum adds n values along a contiguous axis.
+
+    Below eight terms that is left to right.  From eight to 128, eight
+    running sums each take every eighth term, they are added pairwise, and
+    the terms past the last whole eight follow one at a time; above 128
+    the two halves, the first a multiple of eight long, are summed so and
+    added (numpy's pairwise summation).  np.sum starts from +0.0, which
+    only turns a sum of -0.0 terms into +0.0; this sum does not.  Each
+    term(c) is a new plane array, and the sum is accumulated in one of them.
+    """
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        acc = _plane_sum(term, half, first)
+        acc += _plane_sum(term, n - half, first + half)
+        return acc
+    whole = n - n % 8 if n >= 8 else 0
+
+    def running(j):
+        acc = term(first + j)
+        for c in range(first + j + 8, first + whole, 8):
+            acc += term(c)
+        return acc
+
+    if whole:
+        acc, pair = running(0), running(2)
+        acc += running(1)
+        pair += running(3)
+        acc += pair
+        pair, other = running(4), running(6)
+        pair += running(5)
+        other += running(7)
+        pair += other
+        acc += pair
+    else:
+        acc = term(first)
+    for c in range(first + max(whole, 1), first + n):
+        acc += term(c)
+    return acc
+
+
+def _abs_max(planes):
+    """max over the last axis of |planes|, one component plane at a time; a NaN stays NaN."""
+    m = np.abs(planes[..., 0], out=np.empty(planes.shape[:-1]))
+    buf = np.empty_like(m)
+    for c in range(1, planes.shape[-1]):
+        np.maximum(m, np.abs(planes[..., c], out=buf), out=m)
+    return m
 
 
 def _magnitude(v, w, axes):
@@ -386,17 +449,24 @@ def _magnitude(v, w, axes):
 
     v * v overflows above about 1e154 and underflows below about 1e-162, so a
     node whose largest component m lies outside [1e-150, 1e150] is computed
-    as m |v / m|; every other node takes m = 1, which is exact.  The max runs
-    over a component-major copy: along the short trailing axes it is ~10x slower.
+    as m |v / m|; every other node takes m = 1, which is exact.  The
+    components are read one plane at a time, in C order of `axes`, and the
+    squares summed as np.sum sums them, so the bits are np.sum's; the work
+    holds three plane-sized arrays, never a copy of v.
     """
-    comps = np.abs(v).reshape(v.shape[: v.ndim - len(axes)] + (-1,))
-    m = np.max(np.moveaxis(comps, -1, 0).copy(), axis=0)
-    del comps
+    planes = v.reshape(v.shape[: v.ndim - len(axes)] + (-1,))
+    w = np.broadcast_to(w, planes.shape[-1:])
+    m = _abs_max(planes)
     m = np.where(((m > 1e150) & (m < np.inf)) | ((m < 1e-150) & (m > 0.0)), m, 1.0)
-    v = v / m[(...,) + (None,) * len(axes)]
-    v *= v  # w v^2 in place, in v's new array
-    v *= w
-    return m * np.sqrt(np.sum(v, axis=axes))
+
+    def term(c):
+        t = np.divide(planes[..., c], m)
+        t *= t
+        if w[c] != 1.0:
+            t *= w[c]
+        return t
+
+    return m * np.sqrt(_plane_sum(term, planes.shape[-1]))
 
 
 def field_abs(f):

@@ -122,22 +122,31 @@ def build_velocity(cfg, domain):
 
 
 def _dilate_mask(mask, radius, grid):
-    """Nodes at physical distance < radius from the mask (Euclidean dilation).
+    """Nodes at physical distance < radius from the mask (Euclidean dilation), per radius.
 
     The mask correlated with the open lattice ball of offsets k with
     sqrt(sum_i (k_i h_i)^2) < radius, the squares summed in axis order as a
     Euclidean distance transform sums them, in one zero-padded FFT product:
     a node is kept where its count of mask nodes in the ball exceeds 0.5.
     The ball reaches int(radius/h) + 1 nodes along an axis, at most n - 1:
-    further offsets meet no node of the grid.
+    further offsets meet no node of the grid.  `radius` may be an array of
+    radii: the mask is transformed once, on the padding of the largest,
+    which holds every smaller ball, and the dilations are stacked along
+    radius's axes before the grid's.
     """
-    reach = [min(int(radius / h) + 1, n - 1) for h, n in zip(grid.spacing, grid.dims)]
+    radii = np.asarray(radius, dtype=float)
+    reach = [min(int(radii.max() / h) + 1, n - 1) for h, n in zip(grid.spacing, grid.dims)]
     pad = _PaddedFFT(grid.dims, reach)
     d2 = 0.0
     for k, h in zip(np.ix_(*(np.arange(-r, r + 1) for r in reach)), grid.spacing):
         d2 = d2 + (k * h) * (k * h)
-    spec, ball = (pad.rfft(a, np.empty(pad.half, complex)) for a in (mask, np.sqrt(d2) < radius))
-    return pad.irfft(np.multiply(spec, ball, out=spec), np.empty(pad.rows)) > 0.5
+    dist = np.sqrt(d2)
+    spec, ball, rows = pad.rfft(mask, np.empty(pad.half, complex)), np.empty(pad.half, complex), np.empty(pad.rows)
+    out = np.empty(radii.shape + grid.dims, dtype=bool)
+    for at in np.ndindex(radii.shape):
+        pad.rfft(dist < radii[at], ball)
+        np.greater(pad.irfft(np.multiply(ball, spec, out=ball), rows), 0.5, out=out[at])
+    return out
 
 
 def build_exponent(cfg, domain):
@@ -159,7 +168,7 @@ def _construction(cfg, domain):
     grad_abs, eps_abs = (field_abs(f) for f in _grad_sym(build_velocity(cfg, domain), domain))
     supp = _strain_support(eps_abs)
     g = domain.grid
-    grown = _dilate_mask(supp, cfg.eps, g)
+    grown, half = _dilate_mask(supp, (cfg.eps, cfg.eps / 2.0), g)
     if not (grown <= domain.mask).all():
         raise ValueError("the eps-neighborhood of the rigid ring leaks out of the domain")
     outside = domain.mask & ~grown
@@ -167,7 +176,7 @@ def _construction(cfg, domain):
     if not (outside & gu_supp).any():
         raise ValueError("the large-exponent region misses the gradient support")
 
-    chi = ScalarField(g, _dilate_mask(supp, cfg.eps / 2.0, g).astype(float))
+    chi = ScalarField(g, half.astype(float))
     # the FFT convolution leaves roundoff just outside [0, 1] in the transition ring
     mix = np.clip(convolve(chi, cfg.eps / 2.0).values, 0.0, 1.0)
     p = cfg.alpha * mix + cfg.beta * (1.0 - mix)

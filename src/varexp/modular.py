@@ -16,7 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .fields import ScalarField, _abs_values, _check_finite, _Frozen, _on_field_grid, _shift_slices, integrate
+from .fields import ScalarField, _abs_values, _check_finite, _Frozen, _on_field_grid, _plane_sum, _shift_slices
+from .fields import integrate
 
 __all__ = [
     "ExponentField",
@@ -185,13 +186,27 @@ def _contract(f, g):
     with the kind's weights w (1, or 2 on the compact off-diagonals of a
     symmetric tensor), summed over the component axes: the dot product for
     vectors and the Frobenius product of the full matrices for either
-    tensor kind.
+    tensor kind.  The products are formed one component plane at a time and
+    summed in np.sum's order, so the bits are those of the whole-array sum.
     """
     if type(f) is not type(g):
         raise TypeError("holder_pairing needs fields of the same kind")
+    f._check_same(g)  # a plane loop would pair unequal component counts silently
     if not f._COMP_AXES:
-        return ScalarField(f.grid, f.values * g.values)
-    return ScalarField(f.grid, np.sum(f._weights * f.values * g.values, axis=f._comp_axes))
+        return ScalarField._own(f.grid, f.values * g.values)
+    fp, gp = (h.values.reshape(f.grid.dims + (-1,)) for h in (f, g))
+    w = np.broadcast_to(f._weights, fp.shape[-1:])
+
+    def term(c):
+        if w[c] == 1.0:
+            return fp[..., c] * gp[..., c]
+        t = fp[..., c] * w[c]
+        t *= gp[..., c]
+        return t
+
+    acc = _plane_sum(term, fp.shape[-1])
+    acc += 0.0  # np.sum starts from +0.0, so a sum of -0.0 terms is +0.0
+    return ScalarField._own(f.grid, acc)
 
 
 def holder_pairing(f, g, p=None, domain=None):

@@ -279,15 +279,14 @@ def _mollified(parts, grid, eps, lead=0):
     pad = _PaddedFFT(grid.dims, [n // 2 for n in w.shape])
     footprint = w != 0.0
     box = (grid.dims[0] - 2 * lead,) + grid.dims[1:]
-    window = np.empty((2,) + pad.half, complex), np.empty(pad.rows), np.empty(box)
+    work = np.empty((2,) + pad.half, complex), np.empty(pad.rows), np.empty(box)
     lane = _lane() if math.prod(pad.shape) >= _LANE_MIN_NODES else None
     if lane is not None:
-        sums = lane.submit(_window_sums, parts, lead, footprint, pad, *window)
+        sums = lane.submit(_window_sums, parts, lead, footprint, pad, *work)
+        work = np.empty((2,) + pad.half, complex), np.empty(pad.rows), np.empty(box)
 
-    kspec, spec = np.empty((2,) + pad.half, complex)
+    (kspec, spec), rows, data = work
     pad.rfft(w, kspec)
-    rows = np.empty(pad.rows)
-    data = np.empty(box)
     out = np.empty(grid.dims + (len(parts),))
     # one contiguous component at a time: strided transforms of the whole
     # field are slower and hold every component's spectrum at once
@@ -297,7 +296,12 @@ def _mollified(parts, grid, eps, lead=0):
         out[..., c] = pad.irfft(np.multiply(spec, kspec, out=spec), rows)
     del kspec, spec, rows, data
 
-    sums = _window_sums(parts, lead, footprint, pad, *window) if lane is None else sums.result()
+    if lane is None:
+        # serial: the window sum writes every buffer before it reads it, so it takes over these
+        sums = _window_sums(parts, lead, footprint, pad, *work)
+    else:
+        del work
+        sums = sums.result()
     if sums is not None:
         zero, one = sums == 0.0, sums == 2 * footprint.sum()
         # per component, the masks have the shape of what they select: about

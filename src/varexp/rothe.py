@@ -33,7 +33,8 @@ import os
 import numpy as np
 
 from .calculus import _stencil
-from .fields import Grid, ScalarField, VectorField, _magnitude, make_rectangle_domain, sym_pairs, sym_weights
+from .fields import Grid, ScalarField, VectorField, _abs_max, _magnitude, _plane_sum, make_rectangle_domain
+from .fields import sym_pairs, sym_weights
 from .fields import _check_scalar, _close, _time_axes, write_table
 from .modular import ExponentField
 
@@ -184,10 +185,11 @@ class LowerOrderLaw:
         out = self.c * _magnitude(a, 1.0, (-1,))[..., None] ** (self.r - 1.0) * a
         if self.kappa:
             # kappa (a/m) / (m |a/m|^2 + 1/m) where |a|^2 would overflow; m = 1 elsewhere
-            m = np.max(np.abs(a), axis=-1)[..., None]
+            m = _abs_max(a)[..., None]
             m = np.where((m > 1e150) & (m < np.inf), m, 1.0)
             s = a / m
-            out = out - self.kappa * s / (m * np.sum(s**2, axis=-1)[..., None] + 1.0 / m)
+            s2 = _plane_sum(lambda c: s[..., c] * s[..., c], a.shape[-1])
+            out = out - self.kappa * s / (m * s2[..., None] + 1.0 / m)
         return out
 
     def curvature(self, a):

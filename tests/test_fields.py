@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varexp as vx
-from varexp.fields import _FIELD_CHUNK_ROWS, _shift, domain_from_mask, fmt_float
+from varexp.fields import _FIELD_CHUNK_ROWS, _abs_max, _magnitude, _shift, domain_from_mask, fmt_float
+from varexp.modular import _contract
 
 
 def disc_setup(res=64):
@@ -531,3 +532,140 @@ def test_magnitude_at_extreme_scales(kind, scale):
     expected = np.full((8, 8), unit * scale)
     expected[0] = unit
     assert vx.field_abs(cls(grid, vals)).values == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+# -- component-plane kernels, against the whole-array formulas they replaced --
+
+
+def _magnitude_whole(v, w, axes):
+    """The whole-array magnitude: |v|, a component-major copy for the max, then one np.sum over `axes`."""
+    comps = np.abs(v).reshape(v.shape[: v.ndim - len(axes)] + (-1,))
+    m = np.max(np.moveaxis(comps, -1, 0).copy(), axis=0)
+    m = np.where(((m > 1e150) & (m < np.inf)) | ((m < 1e-150) & (m > 0.0)), m, 1.0)
+    v = v / m[(...,) + (None,) * len(axes)]
+    v *= v
+    v *= w
+    return m * np.sqrt(np.sum(v, axis=axes))
+
+
+def _contract_whole(f, g):
+    """The whole-array contraction: (w f) g over every component, then one np.sum over the component axes."""
+    if not f._COMP_AXES:
+        return f.values * g.values
+    return np.sum(f._weights * f.values * g.values, axis=f._comp_axes)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
+#: (grid, spatial dimension): a plane, a 3-d box (3 x 3 tensors: nine components,
+#: which np.sum adds pairwise) and a space-time grid over a plane
+_PLANE_GRIDS = {
+    "2d": (vx.Grid((7, 9), (0.1, 0.2), (0.0, 0.0)), 2),
+    "3d": (vx.Grid((5, 6, 4), (0.1, 0.2, 0.3), (0.0, 0.0, 0.0)), 3),
+    "spacetime": (vx.Grid((4, 7, 9), (0.05, 0.1, 0.2), (0.0, 0.0, 0.0)), 2),
+}
+_PLANE_KINDS = {
+    "scalar": (vx.ScalarField, lambda d: ()),
+    "vector": (vx.VectorField, lambda d: (d,)),
+    "sym": (vx.SymTensorField, lambda d: (d * (d + 1) // 2,)),
+    "full": (vx.TensorField, lambda d: (d, d)),
+}
+
+
+def _plane_values(shape, scale, rng):
+    """Signed normal values times `scale` (or a random one of 1, 1e-170, 1e170 per node for "mixed").
+
+    The first slice is +0.0 and the second -0.0, and a fifth of the other
+    entries are zeros of either sign.
+    """
+    vals = rng.normal(size=shape)
+    if scale == "mixed":
+        node = rng.choice([1.0, 1e-170, 1e170], size=shape[:2])
+        vals *= node.reshape(node.shape + (1,) * (len(shape) - 2))
+    else:
+        vals *= scale
+    zeros = rng.random(shape) < 0.2
+    vals[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    vals[0], vals[1] = 0.0, -0.0
+    return vals
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170, "mixed"])
+@pytest.mark.parametrize("where", sorted(_PLANE_GRIDS))
+@pytest.mark.parametrize("kind", ["vector", "sym", "full"])
+def test_magnitude_is_the_whole_array_formula_bit_for_bit(kind, where, scale):
+    grid, d = _PLANE_GRIDS[where]
+    cls, comps = _PLANE_KINDS[kind]
+    f = cls(grid, _plane_values(grid.dims + comps(d), scale, np.random.default_rng(7)))
+    got = vx.field_abs(f).values
+    assert _same_bits(got, _magnitude_whole(f.values, f._weights, f._comp_axes))
+    assert np.all(np.isfinite(got)) and np.all(got[0] == 0.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e150])  # a plain product: 1e170^2 overflows
+@pytest.mark.parametrize("where", sorted(_PLANE_GRIDS))
+@pytest.mark.parametrize("kind", sorted(_PLANE_KINDS))
+def test_contraction_is_the_whole_array_formula_bit_for_bit(kind, where, scale):
+    grid, d = _PLANE_GRIDS[where]
+    cls, comps = _PLANE_KINDS[kind]
+    rng = np.random.default_rng(11)
+    fv, gv = (_plane_values(grid.dims + comps(d), scale, rng) for _ in range(2))
+    # f is +0.0 on the first slice and g negative there: every product is
+    # -0.0, which np.sum adds up to +0.0
+    gv[0] = -np.abs(rng.normal(size=gv[0].shape))
+    f, g = cls(grid, fv), cls(grid, gv)
+    got = _contract(f, g).values
+    assert _same_bits(got, _contract_whole(f, g))
+    assert np.all(np.signbit(got[0]) == (kind == "scalar"))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 12])
+def test_plane_kernels_keep_np_sums_pairwise_order(k):
+    # k x k components: 9, 16, 25 and 144 (past numpy's 128-term block)
+    grid = vx.Grid((6, 5), (0.1, 0.2), (0.0, 0.0))
+    rng = np.random.default_rng(k)
+    f, g = (vx.TensorField(grid, rng.normal(size=(6, 5, k, k)) * 10.0 ** rng.integers(-6, 7, (6, 5, k, k)))
+            for _ in range(2))
+    assert _same_bits(vx.field_abs(f).values, _magnitude_whole(f.values, 1.0, (-1, -2)))
+    assert _same_bits(_contract(f, g).values, _contract_whole(f, g))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["vector", "sym", "full"])
+def test_plane_kernels_carry_non_finite_values_to_the_refusal(kind, bad):
+    grid, d = _PLANE_GRIDS["2d"]
+    cls, comps = _PLANE_KINDS[kind]
+    vals = _plane_values(grid.dims + comps(d), 1.0, np.random.default_rng(3))
+    vals[3, 4, ..., -1] = bad
+    f = cls(grid, vals)
+    got = vx.field_abs(f).values
+    assert np.array_equal(got, _magnitude_whole(f.values, f._weights, f._comp_axes), equal_nan=True)
+    assert not np.isfinite(got[3, 4]) and np.isfinite(np.delete(got.ravel(), 3 * 9 + 4)).all()
+    assert np.array_equal(_contract(f, f).values, _contract_whole(f, f), equal_nan=True)
+    # the magnitude is NaN at a NaN whatever its max reads; the max itself is np.max's, NaN included
+    planes = f.values.reshape(grid.dims + (-1,))
+    assert np.array_equal(_abs_max(planes), np.max(np.abs(planes), axis=-1), equal_nan=True)
+    dom = vx.make_rectangle_domain([-0.05, -0.05], [0.65, 1.65], grid)
+    p = vx.constant_exponent(grid, 1.5)
+    for measure in (vx.luxembourg_norm, vx.modular):
+        with pytest.raises(ValueError, match="non-finite"):
+            measure(f, p, dom)
+
+
+@pytest.mark.parametrize("res", [8, 5])
+def test_magnitude_of_the_solver_strain_view(res):
+    # EpsOperator.eps is a transposed view: one contiguous row per component
+    from varexp.rothe import EpsOperator
+
+    dims = 2 if res == 8 else 3
+    grid = vx.grid_on_box([0.0] * dims, [1.0] * dims, [res] * dims)
+    op = EpsOperator(vx.make_rectangle_domain([0.05] * dims, [0.95] * dims, grid))
+    rng = np.random.default_rng(res)
+    for scale in (1.0, 1e-170, 1e170):
+        eps = op.eps(rng.normal(size=op.B.shape[1]) * scale)
+        assert not eps.flags.c_contiguous and eps.shape[1] == op.m
+        assert _same_bits(_magnitude(eps, op.weights, (-1,)), _magnitude_whole(eps, op.weights, (-1,)))

@@ -300,6 +300,9 @@ def test_pairing_vector_and_tensor_contraction():
     v = vx.VectorField(grid, rng.normal(size=grid.dims + (2,)))
     direct = vx.integrate(vx.ScalarField(grid, np.sum(u.values * v.values, axis=-1)), dom)
     assert vx.holder_pairing(u, v, domain=dom) == pytest.approx(direct, rel=1e-12)
+    for comps in (1, 3):
+        with pytest.raises(ValueError, match="component count"):
+            vx.holder_pairing(u, vx.VectorField(grid, np.ones(grid.dims + (comps,))), domain=dom)
     S = vx.SymTensorField(grid, rng.normal(size=grid.dims + (3,)))
     T = vx.SymTensorField(grid, rng.normal(size=grid.dims + (3,)))
     full = np.sum(S.to_full().values * T.to_full().values, axis=(-1, -2))

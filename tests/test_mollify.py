@@ -599,7 +599,7 @@ def _extended_decomposition(u, domain, h):
     h_eff, cutoff, fu = _extended_setup(u, domain, h)
     termA = convolve(_times_eta(zero_extend(sym_gradient(u, domain), fu.grid), cutoff.eta.values), h_eff)
     outer = fu.values[..., :, None] * cutoff.grad_eta().values[np.newaxis, ..., None, :]
-    return termA, convolve(vx.SymTensorField(fu.grid, _sym_part(outer)), h_eff)
+    return termA, convolve(vx.SymTensorField(fu.grid, _sym_part(lambda i, j: outer[..., i, j], fu.ncomp)), h_eff)
 
 
 def _smoothing_case(name):

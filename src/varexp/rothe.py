@@ -7,11 +7,15 @@ form of
 
 with a flux of (p(t,x), delta)-structure, S(A) = (delta+|A|)^(p-2) A, and a
 lower-order term b = grad Psi, both implicit, so one Newton solve settles
-the step.  A step's data is assembled once into a `_Step`, whose energy,
-gradient and Hessian I/tau + B^T D B + L (B the exact-adjoint
-symmetric-gradient operator, L the Jacobian of b) inexact damped Newton
-reads (`_descend`), its forcing term floored at the step tolerance.  D
-and L are built once per point as per-node block arrays (`_Step._blocks`),
+the step.  A step's data is assembled once into a `_Step`, a stateless
+energy: `point(x)` evaluates the energy and strain at x into an immutable
+`_Point`, and the gradient and Hessian I/tau + B^T D B + L (B the
+exact-adjoint symmetric-gradient operator, L the Jacobian of b) take that
+point.  Inexact damped Newton (`_descend`) owns the current point, its
+forcing term floored at the step tolerance; the solve's one
+`NewtonSolver` holds the LU factor that carries from step to step and
+chooses each direction, so `EpsOperator` keeps no solver state.  D and L
+are built once per point as per-node block arrays (`_Step._blocks`),
 which `hessian` assembles for SuperLU and `hessian_operator` applies for
 conjugate gradients.  A Newton direction that does not descend shows an
 energy that is not convex, as tau kappa >= 1 can make it, and raises
@@ -29,6 +33,7 @@ import dataclasses
 import functools
 import logging
 import os
+import typing
 
 import numpy as np
 
@@ -47,6 +52,7 @@ __all__ = [
     "flux_potential",
     "ProblemData",
     "EpsOperator",
+    "NewtonSolver",
     "energy_step",
     "rothe_solve",
     "StepDiagnostics",
@@ -339,7 +345,6 @@ class EpsOperator:
                         vals.append(np.full(np.count_nonzero(keep), coeff if i == j else 0.5 * coeff))
         self.B = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                                    shape=(self.m * self.n_masked, d * self.n_free))
-        self._lu = None  # (tau, exact_quadratic, LU) of the last factor, see _Step.newton_direction
 
     @functools.cached_property
     def _Bt(self):
@@ -426,13 +431,24 @@ def _block_apply(blocks, v):
     return np.einsum("anb,bn->an", blocks, v.reshape(blocks.shape[:2])).ravel()
 
 
+class _Point(typing.NamedTuple):
+    """One evaluated point of a step energy: free dofs x, energy J, eps(x) at the masked nodes, |eps|_W."""
+
+    x: np.ndarray
+    J: float
+    eps: np.ndarray
+    mag: np.ndarray
+
+
 @dataclasses.dataclass(frozen=True)
 class _Step:
-    """The energy of one implicit step over the free dofs of `op`.
+    """The energy of one implicit step over the free dofs of `op`: pure maths, no state.
 
     x_prev and f are free-dof vectors, F holds compact components at the
     masked nodes, p is the exponent there, and low is the lower-order law;
     f, F and low may be None for zero data.  Values are per unit cell volume.
+    `point(x)` evaluates the energy and strain at x once; the gradient and
+    the Hessian there take that `_Point`, so they never evaluate eps again.
     """
 
     op: EpsOperator
@@ -443,10 +459,6 @@ class _Step:
     f: np.ndarray = None
     F: np.ndarray = None
     low: LowerOrderLaw = None
-    #: [x, (J, eps, |eps|_W)] of the last point evaluated, see `_point`
-    _last: list = dataclasses.field(
-        default_factory=lambda: [None, None], init=False, repr=False, compare=False
-    )
 
     @classmethod
     def at(cls, law, data, k, op, u_prev, low=None):
@@ -462,56 +474,40 @@ class _Step:
         """Free-dof vector x as node values, shape (n_free, d)."""
         return x.reshape(self.op.d, -1).T
 
-    def _point(self, x):
-        """(energy, eps, |eps|_W) at free dofs x; the last point's values are kept.
+    def point(self, x):
+        """The `_Point` at free dofs x: its energy, eps(x) and |eps(x)|_W."""
+        eps = self.op.eps(x)
+        w = self.op.weights
+        du = x - self.x_prev
+        mag = _magnitude(eps, w, (-1,))
+        J = float(np.sum(0.5 * du * du) / self.tau + np.sum(self.law.potential(mag, self.p)))
+        if self.f is not None:
+            J -= float(np.dot(self.f, x))
+        if self.low is not None:
+            J += float(np.sum(self.low.potential(self._nodes(x))))
+        if self.F is not None:
+            J -= float(np.sum(w * self.F * eps))
+        return _Point(x, J, eps, mag)
 
-        Newton's line search evaluates the energy at the point it accepts,
-        and the gradient and Hessian there read these values rather than
-        recompute them, so each iterate's strain is evaluated once.  The
-        point is recognised by the identity of x, which callers therefore
-        never change in place.
-        """
-        last = self._last
-        if last[0] is not x:
-            eps = self.op.eps(x)
-            w = self.op.weights
-            du = x - self.x_prev
-            mag = _magnitude(eps, w, (-1,))
-            J = float(np.sum(0.5 * du * du) / self.tau + np.sum(self.law.potential(mag, self.p)))
-            if self.f is not None:
-                J -= float(np.dot(self.f, x))
-            if self.low is not None:
-                J += float(np.sum(self.low.potential(self._nodes(x))))
-            if self.F is not None:
-                J -= float(np.sum(w * self.F * eps))
-            last[:] = x, (J, eps, mag)
-        return last[1]
-
-    def energy(self, x):
-        """Energy value at free dofs x, and eps(x) at masked nodes."""
-        J, eps, _ = self._point(x)
-        return J, eps
-
-    def energy_grad(self, x):
-        """Energy value and gradient at free dofs x."""
-        J, eps, mag = self._point(x)
-        S = flux_factor(mag, self.p, self.law.delta)[..., None] * eps
+    def gradient(self, pt):
+        """Energy gradient at the point `pt`."""
+        S = flux_factor(pt.mag, self.p, self.law.delta)[..., None] * pt.eps
         if self.F is not None:
             S = S - self.F
-        g = (x - self.x_prev) / self.tau + self.op.eps_adjoint(S)
+        g = (pt.x - self.x_prev) / self.tau + self.op.eps_adjoint(S)
         if self.f is not None:
             g -= self.f
         if self.low is not None:
-            g += self.low(self._nodes(x)).T.ravel()
-        return J, g
+            g += self.low(self._nodes(pt.x)).T.ravel()
+        return g
 
     @property
     def quadratic(self):
         """True when b is absent and p = 2 at every masked node: then H = I/tau + B^T W B for every x."""
         return self.low is None and bool(np.all(self.p == 2.0))
 
-    def _blocks(self, x):
-        """(D, L) at free dofs x as per-node block arrays, laid out as `_block_csr` reads them.
+    def _blocks(self, pt):
+        """(D, L) at the point `pt` as per-node block arrays, laid out as `_block_csr` reads them.
 
         D is (m, n_masked, m): with s = |eps|_W and W = diag(sym_weights) a
         node's block is (delta+s)^(p-2) [W + (p-2)/(s(delta+s)) (W eps)(W eps)^T]
@@ -521,9 +517,8 @@ class _Step:
         positive semidefinite for p > 1.  L is (d, n_free, d), the lower-order
         law's `curvature` at each free node, or None without a law.
         """
-        op, p_nodes = self.op, self.p
-        _, eps, s = self._point(x)
-        we = op.weights * eps
+        op, p_nodes, s = self.op, self.p, pt.mag
+        we = op.weights * pt.eps
         base = self.law.delta + s
         # base > 0 wherever p < 2 (see _step_law); phi = 1 at base = 0 keeps p = 2 exact
         phi = flux_factor(s, p_nodes, self.law.delta)
@@ -539,18 +534,18 @@ class _Step:
         D = _outer_blocks(phi, op.weights, coef, we)
         if self.low is None:
             return D, None
-        beta, coef, unit = self.low.curvature(self._nodes(x))
+        beta, coef, unit = self.low.curvature(self._nodes(pt.x))
         return D, _outer_blocks(beta, np.ones(op.d), coef, unit)
 
-    def hessian(self, x):
-        """Hessian I/tau + B^T D B + L of the energy at free dofs x, as a CSC matrix.
+    def hessian(self, pt):
+        """Hessian I/tau + B^T D B + L of the energy at the point `pt`, as a CSC matrix.
 
         D's and L's blocks are `_blocks`'; D's are positive semidefinite, so H is symmetric
         positive definite unless L outweighs I/tau.  Only a factorization needs H as a
         matrix: CG multiplies by `hessian_operator`.
         """
         op = self.op
-        D, L = self._blocks(x)
+        D, L = self._blocks(pt)
         # B^T is converted per assembly, so an operator that never factorizes holds no copy of it
         H = op._Bt.tocsr() @ (_block_csr(D) @ op.B)
         if L is not None:
@@ -559,14 +554,14 @@ class _Step:
         H.setdiag(H.diagonal() + 1.0 / self.tau)
         return H.tocsc()
 
-    def hessian_operator(self, x):
-        """H(x) = I/tau + B^T D B + L as a LinearOperator that never forms the matrix.
+    def hessian_operator(self, pt):
+        """H = I/tau + B^T D B + L at the point `pt` as a LinearOperator that never forms the matrix.
 
         A product v/tau + B^T (D (B v)) + L v applies `_blocks`' arrays node by node.
         """
         from scipy.sparse.linalg import LinearOperator
 
-        D, L = self._blocks(x)
+        D, L = self._blocks(pt)
         B, bt, inv_tau = self.op.B, self.op._Bt, 1.0 / self.tau
 
         def matvec(v):
@@ -578,36 +573,47 @@ class _Step:
         n = B.shape[1]
         return LinearOperator((n, n), matvec=matvec, dtype=np.float64)
 
-    def newton_direction(self, x, g, rtol):
-        """A Newton step dx with |H(x) dx + g| <= rtol |g|; returns (dx, CG iterations, factorized).
 
-        The operator holds one LU factor, tagged with its tau and with
-        whether it is the exact Hessian of a quadratic step.  A quadratic
-        step's Hessian depends only on the operator and tau, so a quadratic
-        step at the tau of an exact quadratic factor solves with it
-        directly.  Any other step runs CG from dx = 0, preconditioned by
+class NewtonSolver:
+    """Newton's state over the steps of one solve on the operator `op`: the held LU factor.
+
+    `held` is None or (tau, exact, LU): one factor, tagged with its tau and
+    with whether it is the exact Hessian of a quadratic step.  `direction`
+    is the one rule that uses and replaces it.
+    """
+
+    def __init__(self, op):
+        self.op = op
+        self.held = None
+
+    def direction(self, step, pt, g, rtol):
+        """Newton step dx, |H dx + g| <= rtol |g|, at `step`'s point `pt`: (dx, CG iterations, factorized).
+
+        A quadratic step's Hessian depends only on the operator and tau, so
+        a quadratic step at the tau of an exact quadratic factor solves with
+        it directly.  Any other step runs CG from dx = 0, preconditioned by
         the held factor, for at most `_PCG_MAX` iterations; with an SPD
         preconditioner every CG iterate is a descent direction.  CG
-        multiplies by H(x) through `hessian_operator` without forming it:
-        H is assembled only to be factorized.  When no factor is held, CG
+        multiplies by H through `hessian_operator` without forming it: H is
+        assembled only to be factorized.  When no factor is held, CG
         stalls, or a quadratic step lacks its exact factor, the step
-        assembles and factorizes H(x), holds that factor in place of the
-        old one and solves exactly, so at most one factor is alive.
+        assembles and factorizes H, holds that factor in place of the old
+        one and solves exactly, so at most one factor is alive.
         """
-        op, held, quadratic = self.op, self.op._lu, self.quadratic
-        if quadratic and held is not None and held[1] and held[0] == self.tau:
+        held, quadratic = self.held, step.quadratic
+        if quadratic and held is not None and held[1] and held[0] == step.tau:
             return held[2].solve(-g), 0, False
         cg_iters = 0
         if not quadratic and held is not None:
-            dx, cg_iters = _pcg(self.hessian_operator(x), -g, held[2].solve, rtol, _PCG_MAX)
+            dx, cg_iters = _pcg(step.hessian_operator(pt), -g, held[2].solve, rtol, _PCG_MAX)
             if dx is not None:
                 return dx, cg_iters, False
-        op._lu = None
-        H = self.hessian(x)
+        self.held = None
+        H = step.hessian(pt)
         # H is symmetric positive definite: symmetric ordering, no pivoting
         lu = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
-        op._lu = (self.tau, quadratic, lu)
+        self.held = (step.tau, quadratic, lu)
         return lu.solve(-g), cg_iters, True
 
 
@@ -651,32 +657,33 @@ def _pcg(H, b, precond, rtol, maxiter):
     return None, maxiter
 
 
-def _descend(step, x0, tol):
+def _descend(step, newton, x0, tol):
     """Inexact damped Newton on the step energy, globalised by Armijo backtracking.
 
     Each iteration solves H dx = -g to the relative residual eta_k of an
-    Eisenstat-Walker forcing term (`_Step.newton_direction`): eta_0 = 0.1,
-    then eta_k = `_forcing`: min(0.1, max(0.9 (res_k/res_{k-1})^2, 1e-6,
+    Eisenstat-Walker forcing term (`newton.direction`): eta_0 = 0.1, then
+    eta_k = `_forcing`: min(0.1, max(0.9 (res_k/res_{k-1})^2, 1e-6,
     tol/(2 res_k))), so the solve tightens as Newton converges, but never
     past what res <= tol needs.  It then halves t from 1 until the
-    energy meets the Armijo test along dx.  The accepted point is the last
-    one the line search evaluated, so the gradient and Newton direction
-    there read its energy and strain (`_Step._point`) instead of computing
-    them again.  The energy trail is monotone up to float roundoff; the loop
-    stops when the rms nodal residual falls below tol.  A residual that
-    does not end at or below tol, NaN included, raises RotheStepError, as
-    does a Newton direction with g.dx >= 0, which shows a non-convex energy.
-    Returns (x, J, residual, counts), counts holding `iters`,
-    `factorizations` and `cg_iters`.
+    energy meets the Armijo test along dx.  The loop owns the current
+    point, gradient, residual and counts; `newton` owns the held factor.
+    The accepted point is the last `_Point` the line search evaluated, so
+    the gradient and Newton direction there read its energy and strain
+    instead of computing them again.  The energy trail is monotone up to
+    float roundoff; the loop stops when the rms nodal residual falls below
+    tol.  A residual that does not end at or below tol, NaN included,
+    raises RotheStepError, as does a Newton direction with g.dx >= 0,
+    which shows a non-convex energy.  Returns (point, residual, counts),
+    counts holding `iters`, `factorizations` and `cg_iters`.
     """
-    x = x0.copy()
-    J, g = step.energy_grad(x)
-    n = max(x.size, 1)
+    pt = step.point(x0.copy())  # the point owns its x, which the caller may change
+    g = step.gradient(pt)
+    n = max(x0.size, 1)
     res = float(np.sqrt(np.dot(g, g) / n))
     eta = _ETA_MAX
     it = factorizations = cg_total = 0
     while res > tol and it < _NEWTON_MAX:
-        dx, cg_iters, factorized = step.newton_direction(x, g, eta)
+        dx, cg_iters, factorized = newton.direction(step, pt, g, eta)
         factorizations += int(factorized)
         cg_total += cg_iters
         slope = float(np.dot(g, dx))
@@ -684,19 +691,19 @@ def _descend(step, x0, tol):
             raise RotheStepError(f"energy step is not convex: the Newton direction at iteration {it} "
                                  f"does not descend (g.dx = {slope:.3e})", res)
         t = 1.0
+        x, J = pt.x, pt.J
         # the roundoff allowance keeps Armijo decidable once the decrease
         # drops below the float noise of the (possibly large) energy value
         noise = 1e-14 * (abs(J) + 1.0)
+        # each trial replaces pt: the current point's strain is freed once the first trial is made
         for _ in range(60):
-            xn = x + t * dx
-            Jn, _ = step.energy(xn)
-            if Jn <= J + 1e-4 * t * slope + noise:
+            pt = step.point(x + t * dx)
+            if pt.J <= J + 1e-4 * t * slope + noise:
                 break
             t *= 0.5
         else:
             raise RotheStepError("backtracking stalled", res)
-        x = xn
-        J, g = step.energy_grad(x)
+        g = step.gradient(pt)
         res, res_old = float(np.sqrt(np.dot(g, g) / n)), res
         eta = _forcing(res, res_old, tol)
         it += 1
@@ -707,7 +714,7 @@ def _descend(step, x0, tol):
         else:
             why = f"reached a non-finite residual at iteration {it}"
         raise RotheStepError(f"energy step {why} (residual {res:.3e})", res)
-    return x, J, res, {"iters": it, "factorizations": factorizations, "cg_iters": cg_total}
+    return pt, res, {"iters": it, "factorizations": factorizations, "cg_iters": cg_total}
 
 
 def _tolerance(data, u_prev, k):
@@ -723,26 +730,30 @@ def _tolerance(data, u_prev, k):
     return 1e-8 * (1.0 + mag)
 
 
-def energy_step(u_prev, k, law, low, data, op=None):
+def energy_step(u_prev, k, law, low, data, newton=None):
     """One implicit step: minimize the step energy, lower-order potential included.
 
-    Returns (u, info): the new VectorField and a dict carrying the
-    converged energy and modular sum |eps(u)|_W^p over the masked nodes
-    (`modular_eps`), both per unit cell volume, the residual, `iters`,
-    `factorizations`, `cg_iters` and `delta`, the delta the step ran at.
-    `_descend` stops at an rms weak-form residual below tol = 1e-8 * (1 +
-    data magnitude); RotheStepError carries the final residual when the
-    step does not converge within 5000 Newton iterations or meets a
-    non-convex energy.
+    `newton` is the solve's `NewtonSolver`, whose held factor carries over
+    from step to step; None builds one.  Its operator must be built on
+    `data.domain`'s grid and mask.  Returns (u, info): the new VectorField
+    and a dict carrying the converged energy and modular sum |eps(u)|_W^p
+    over the masked nodes (`modular_eps`), both per unit cell volume, the
+    residual, `iters`, `factorizations`, `cg_iters` and `delta`, the delta
+    the step ran at.  `_descend` stops at an rms weak-form residual below
+    tol = 1e-8 * (1 + data magnitude); RotheStepError carries the final
+    residual when the step does not converge within 5000 Newton iterations
+    or meets a non-convex energy.
     """
-    if op is None:
-        op = EpsOperator(data.domain)
-    step = _Step.at(law, data, k, op, u_prev, low)
-    x, J, res, counts = _descend(step, step.x_prev, _tolerance(data, u_prev, k))
-    _, _, mag = step._point(x)  # the strain the last Newton iterate evaluated
-    info = {"energy": J, "residual": res, **counts, "delta": step.law.delta,
-            "modular_eps": float(np.sum(mag**step.p))}
-    return op.to_field(x), info
+    if newton is None:
+        newton = NewtonSolver(EpsOperator(data.domain))
+    own = newton.op.domain
+    if own.grid != data.domain.grid or not np.array_equal(own.mask, data.domain.mask):
+        raise ValueError("newton's EpsOperator is built on another grid or mask than data.domain's")
+    step = _Step.at(law, data, k, newton.op, u_prev, low)
+    pt, res, counts = _descend(step, newton, step.x_prev, _tolerance(data, u_prev, k))
+    info = {"energy": pt.J, "residual": res, **counts, "delta": step.law.delta,
+            "modular_eps": float(np.sum(pt.mag**step.p))}
+    return newton.op.to_field(pt.x), info
 
 
 def rothe_solve(data, law, low=None):
@@ -757,6 +768,7 @@ def rothe_solve(data, law, low=None):
     """
     domain = data.domain
     op = EpsOperator(domain)
+    newton = NewtonSolver(op)
     if low is not None and not low.is_zero:
         p_minus = law.exponent.p_minus
         bound = critical_growth_bound(p_minus, op.d)
@@ -778,7 +790,7 @@ def rothe_solve(data, law, low=None):
             if warned:
                 log.warning("delta=0 with p_min < 2 is non-smooth at eps=0; regularized with delta=%r, "
                             "first at step %d of %d", delta, k, data.steps)
-        u, info = energy_step(traj[-1], k, law, low, data, op=op)
+        u, info = energy_step(traj[-1], k, law, low, data, newton=newton)
         traj.append(u)
         diags.append(
             StepDiagnostics(
@@ -832,10 +844,8 @@ def energy_inequality_report(traj, law, low, data):
     acc_floor = 0.0
     for k in range(1, data.steps + 1):
         step = _Step.at(law, data, k, op, traj[k - 1], low)
-        x = op.to_free(traj[k])
-        _, g = step.energy_grad(x)
-        _, eps, mag = step._point(x)  # the strain energy_grad evaluated
-        g_k = float(np.dot(g, x)) * vol
+        x, _, eps, mag = pt = step.point(op.to_free(traj[k]))
+        g_k = float(np.dot(step.gradient(pt), x)) * vol
         f_pair = float(np.dot(step.f, x)) * vol if step.f is not None else 0.0
         F_pair = float(np.sum(op.weights * step.F * eps)) * vol if step.F is not None else 0.0
 

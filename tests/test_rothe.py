@@ -15,6 +15,7 @@ from varexp.rothe import (
     ConstitutiveLaw,
     EpsOperator,
     LowerOrderLaw,
+    NewtonSolver,
     ProblemData,
     RotheStepError,
     critical_growth_bound,
@@ -239,15 +240,13 @@ def test_energy_gradient_matches_finite_differences():
     fk = rng.normal(size=op.n_free * 2)
     Fk = rng.normal(size=(op.n_masked, 3))
     step = _Step(op, x_prev, tau, p_nodes, law, fk, Fk, LowerOrderLaw.damped(0.5, 1.2, 0.6))
-    J0, grad = step.energy_grad(x0)
+    grad = step.gradient(step.point(x0))
 
     for _ in range(20):
         v = rng.normal(size=x0.size)
         v /= np.linalg.norm(v)
         e = 1e-6
-        Jp, _ = step.energy(x0 + e * v)
-        Jm, _ = step.energy(x0 - e * v)
-        fd = (Jp - Jm) / (2 * e)
+        fd = (step.point(x0 + e * v).J - step.point(x0 - e * v).J) / (2 * e)
         assert fd == pytest.approx(np.dot(grad, v), rel=1e-5, abs=1e-9)
 
 
@@ -263,15 +262,14 @@ def test_descent_energy_monotone(monkeypatch):
     x_prev = np.zeros(op.n_free * 2)
     fk = rng.normal(size=op.n_free * 2)
     trail = []
-    real = rothe._Step.energy_grad
+    real = rothe._Step.gradient
 
-    def recorded(self, x):
-        J, g = real(self, x)
-        trail.append(J)
-        return J, g
+    def recorded(self, pt):
+        trail.append(pt.J)
+        return real(self, pt)
 
-    monkeypatch.setattr(rothe._Step, "energy_grad", recorded)
-    x, J, res, counts = _descend(_Step(op, x_prev, 0.05, p_nodes, law, fk), x_prev, 1e-10)
+    monkeypatch.setattr(rothe._Step, "gradient", recorded)
+    _, res, counts = _descend(_Step(op, x_prev, 0.05, p_nodes, law, fk), NewtonSolver(op), x_prev, 1e-10)
     assert res <= 1e-10
     assert len(trail) == counts["iters"] + 1  # the start, then every accepted iterate
     trail = np.asarray(trail)
@@ -294,14 +292,14 @@ def test_step_hessian_matches_finite_differences(p, delta):
     fk = rng.normal(size=op.n_free * 2)
     Fk = rng.normal(size=(op.n_masked, 3))
     step = _Step(op, x_prev, tau, p_nodes, law, fk, Fk, LowerOrderLaw.damped(0.5, 1.2, 0.6))
-    H = step.hessian(x0)
+    H = step.hessian(step.point(x0))
 
     for _ in range(10):
         v = rng.normal(size=x0.size)
         v /= np.linalg.norm(v)
         e = 1e-6
-        _, gp = step.energy_grad(x0 + e * v)
-        _, gm = step.energy_grad(x0 - e * v)
+        gp = step.gradient(step.point(x0 + e * v))
+        gm = step.gradient(step.point(x0 - e * v))
         fd = (gp - gm) / (2 * e)
         Hv = H @ v
         assert np.linalg.norm(fd - Hv) <= 1e-5 * np.linalg.norm(Hv)
@@ -325,13 +323,13 @@ def test_step_hessian_at_tiny_strains(p):
     mag = _magnitude(op.eps(x), op.weights, (-1,))
     assert mag.min() < 1e-215 and np.any((mag > 1e-172) & (mag < 1e-165)) and mag.max() > 1.0
 
-    H = step.hessian(x)
+    H = step.hessian(step.point(x))
     assert np.all(np.isfinite(H.data))
     # along x every node keeps its magnitude; the other direction moves ordinary dofs only
     ordinary = op.free_values(np.broadcast_to((scale == 1.0)[..., None], g.dims + (2,)).astype(float))
     for v in (x, ordinary * rng.normal(size=x.size)):
         e = 1e-6
-        fd = (step.energy_grad(x + e * v)[1] - step.energy_grad(x - e * v)[1]) / (2 * e)
+        fd = (step.gradient(step.point(x + e * v)) - step.gradient(step.point(x - e * v))) / (2 * e)
         size = abs(H) @ np.abs(v)  # each dof compared at its own scale
         assert np.all(np.abs(fd - H @ v) <= 1e-5 * size)
 
@@ -387,7 +385,7 @@ def test_step_hessian_matches_coo_assembly_bitwise(shape, p, delta):
         patch[op.n_free : op.n_free + op.n_free // 2] = 0.0
         xs += [patch, np.zeros(2 * op.n_free)]
     for x in xs:
-        H, ref = step.hessian(x), coo_hessian(step, x)
+        H, ref = step.hessian(step.point(x)), coo_hessian(step, x)
         assert H.format == ref.format == "csc"
         assert np.array_equal(H.indptr, ref.indptr)
         assert np.array_equal(H.indices, ref.indices)
@@ -424,7 +422,8 @@ def test_hessian_operator_matches_the_assembled_hessian(shape, p, delta):
         step = _Step(op, np.zeros(op.d * op.n_free), 0.05, p_nodes, law, low=low)
         for scale in (1.0, 1e-160):
             x = scale * rng.normal(size=op.d * op.n_free)
-            H, A = step.hessian(x), step.hessian_operator(x)
+            pt = step.point(x)
+            H, A = step.hessian(pt), step.hessian_operator(pt)
             assert A.shape == H.shape
             for _ in range(3):
                 v = rng.normal(size=x.size)
@@ -477,16 +476,16 @@ def test_new_tau_or_non_quadratic_step_refactors(monkeypatch):
     from varexp import rothe
 
     data, law = mms_p2_data()
-    op = EpsOperator(data.domain)
+    newton = NewtonSolver(EpsOperator(data.domain))
     calls = count_splu(monkeypatch)
-    u1, _ = energy_step(data.u0, 1, law, None, data, op=op)
-    energy_step(u1, 2, law, None, data, op=op)
+    u1, _ = energy_step(data.u0, 1, law, None, data, newton=newton)
+    energy_step(u1, 2, law, None, data, newton=newton)
     assert len(calls) == 1
 
     # half the step: a new tau, a new factor, which the next step at that tau reuses
     half = ProblemData(domain=data.domain, u0=data.u0, T=data.T, tau=data.tau / 2, f=None)
-    energy_step(half.u0, 1, law, None, half, op=op)
-    energy_step(half.u0, 2, law, None, half, op=op)
+    energy_step(half.u0, 1, law, None, half, newton=newton)
+    energy_step(half.u0, 2, law, None, half, newton=newton)
     assert len(calls) == 2
 
     # p = 2.5 at one node: not quadratic; with CG allowed no iteration every
@@ -494,13 +493,13 @@ def test_new_tau_or_non_quadratic_step_refactors(monkeypatch):
     # quadratic step after it refactors
     monkeypatch.setattr(rothe, "_PCG_MAX", 0)
     p = np.full(data.domain.grid.dims, 2.0)
-    p.flat[op.free_idx[0]] = 2.5
+    p.flat[newton.op.free_idx[0]] = 2.5
     bumpy = ConstitutiveLaw(exponent=vx.ExponentField(vx.ScalarField(data.domain.grid, p)), delta=0.0)
-    _, info = energy_step(u1, 2, bumpy, None, data, op=op)
+    _, info = energy_step(u1, 2, bumpy, None, data, newton=newton)
     assert info["iters"] >= 1
     assert len(calls) == 2 + info["iters"]
-    assert op._lu is not None and not op._lu[1]
-    energy_step(u1, 2, law, None, data, op=op)
+    assert newton.held is not None and not newton.held[1]
+    energy_step(u1, 2, law, None, data, newton=newton)
     assert len(calls) == 3 + info["iters"]
 
 
@@ -545,23 +544,23 @@ def test_non_quadratic_solve_reuses_its_factor(monkeypatch):
         assert np.abs(traj[k].values - ref[k].values).max() <= _tolerance(data, ref[k - 1], k)
 
 
-def reference_descend(step, x0, tol):
+def reference_descend(step, newton, x0, tol):
     """`_descend` with every energy, gradient and Hessian evaluated afresh.
 
-    The step keeps its last point by the identity of x, so handing each
-    call a copy makes it recompute; the loop is otherwise `_descend`'s.
+    Each gradient and Newton direction gets a point of its own, evaluated
+    from a copy of x; the loop is otherwise `_descend`'s.
     """
     from varexp import rothe
 
     x = x0.copy()
-    J, g = step.energy_grad(x.copy())
+    J, g = step.point(x.copy()).J, step.gradient(step.point(x.copy()))
     n = max(x.size, 1)
     res = float(np.sqrt(np.dot(g, g) / n))
     eta = rothe._ETA_MAX
     it = 0
     counts = {"factorizations": 0, "cg_iters": 0}
     while res > tol and it < rothe._NEWTON_MAX:
-        dx, cg_iters, factorized = step.newton_direction(x.copy(), g, eta)
+        dx, cg_iters, factorized = newton.direction(step, step.point(x.copy()), g, eta)
         counts["factorizations"] += int(factorized)
         counts["cg_iters"] += cg_iters
         slope = float(np.dot(g, dx))
@@ -571,14 +570,14 @@ def reference_descend(step, x0, tol):
         noise = 1e-14 * (abs(J) + 1.0)
         for _ in range(60):
             xn = x + t * dx
-            Jn, _ = step.energy(xn.copy())
+            Jn = step.point(xn.copy()).J
             if Jn <= J + 1e-4 * t * slope + noise:
                 break
             t *= 0.5
         else:
             raise RotheStepError("backtracking stalled", res)
         x = xn
-        J, g = step.energy_grad(x.copy())
+        J, g = step.point(x.copy()).J, step.gradient(step.point(x.copy()))
         res, res_old = float(np.sqrt(np.dot(g, g) / n)), res
         eta = rothe._forcing(res, res_old, tol)
         it += 1
@@ -606,27 +605,29 @@ def test_descend_reuses_each_iterates_strain_bitwise(shape, exponent):
     f = 20.0 * rng.normal(size=2 * op.n_free)
     tol = 1e-8 * (1.0 + np.abs(x_prev).max() / tau + np.abs(f).max())
 
-    x, J, res, counts = _descend(_Step(op, x_prev, tau, p_nodes, law, f), x_prev, tol)
-    op._lu = None  # the reference starts without a held factor too
-    ref = reference_descend(_Step(op, x_prev, tau, p_nodes, law, f), x_prev, tol)
+    step = _Step(op, x_prev, tau, p_nodes, law, f)
+    pt, res, counts = _descend(step, NewtonSolver(op), x_prev, tol)
+    ref = reference_descend(step, NewtonSolver(op), x_prev, tol)
     assert counts["iters"] > 1 and counts["factorizations"] >= 1
-    assert np.array_equal(x, ref[0])
-    assert (J, res, counts) == ref[1:]
+    assert np.array_equal(pt.x, ref[0])
+    assert (pt.J, res, counts) == ref[1:]
 
 
-def damped_half_step(u_prev, k, law, low, data, op):
+def damped_half_step(u_prev, k, law, low, data, newton):
     """One step with b explicit in the Picard loop v <- v/2 + x/2, stopped at rms(v_new - v) <= tol.
 
     Returns (u, Newton iterations over the sweeps).  b(v) enters each
     sweep's step as forcing, f - b(v).
     """
+    op = newton.op
     step = _Step.at(law, data, k, op, u_prev)
     tol = _tolerance(data, u_prev, k)
     v = x = step.x_prev
     iters = 0
     for _ in range(50):
         swept = dataclasses.replace(step, f=step.f - op.free_values(low(op.to_field(v).values)))
-        x, _, _, counts = _descend(swept, x, tol)
+        pt, _, counts = _descend(swept, newton, x, tol)
+        x = pt.x
         iters += counts["iters"]
         v_new = 0.5 * v + 0.5 * x
         if np.sqrt(np.mean((v_new - v) ** 2)) <= tol:
@@ -636,13 +637,13 @@ def damped_half_step(u_prev, k, law, low, data, op):
 
 
 def lower_order_problem(gamma, r, kappa, tau, amp):
-    """(op, law, low, data, u0) of a two-step 16^2 solve, p = 1.8, delta = 1e-2.
+    """(newton, law, low, data, u0) of a two-step 16^2 solve, p = 1.8, delta = 1e-2.
 
     The lower-order term is LowerOrderLaw.damped(gamma, r, kappa), added at
     the manufactured solution of amplitude `amp` to its forcing.
     """
     dom = box_domain(16)
-    op = EpsOperator(dom)
+    newton = NewtonSolver(EpsOperator(dom))
     law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.8), delta=1e-2)
     K = 2
     low = LowerOrderLaw.damped(gamma, r, kappa)
@@ -651,7 +652,7 @@ def lower_order_problem(gamma, r, kappa, tau, amp):
     f = mms_forcing_discrete(u_star, law, base, mms_time_derivative_p2(dom, K * tau, K, amp))
     f = vx.VectorField(f.grid, f.values + low(u_star.values))
     data = ProblemData(domain=dom, u0=u0, T=K * tau, tau=tau, f=f)
-    return op, law, low, data, op.to_field(op.to_free(u0))
+    return newton, law, low, data, newton.op.to_field(newton.op.to_free(u0))
 
 
 def lower_order_iterations(*case):
@@ -661,14 +662,14 @@ def lower_order_iterations(*case):
     agree with the damped loop's step to the step tolerance, in the rms that
     tolerance is stated in.
     """
-    op, law, low, data, u = lower_order_problem(*case)
+    newton, law, low, data, u = lower_order_problem(*case)
     iters = ref_iters = 0
     for k in (1, 2):
         tol = _tolerance(data, u, k)
-        new, info = energy_step(u, k, law, low, data, op=op)
-        ref, ref_k = damped_half_step(u, k, law, low, data, op)
+        new, info = energy_step(u, k, law, low, data, newton=newton)
+        ref, ref_k = damped_half_step(u, k, law, low, data, newton)
         assert info["residual"] <= tol
-        diff = op.to_free(new) - op.to_free(ref)
+        diff = newton.op.to_free(new) - newton.op.to_free(ref)
         assert np.sqrt(np.mean(diff**2)) <= tol
         iters += info["iters"]
         ref_iters += ref_k
@@ -702,10 +703,10 @@ def test_lower_order_steps_match_the_damped_picard_loop():
         assert iters < ref_iters, case
     # tau kappa = 5: the step energy is not convex along the path, and Newton
     # says so at once
-    op, law, low, data, u = lower_order_problem(0, 1, 20, 0.25, 1)
+    newton, law, low, data, u = lower_order_problem(0, 1, 20, 0.25, 1)
     start = time.perf_counter()
     with pytest.raises(RotheStepError, match="energy step is not convex"):
-        energy_step(u, 1, law, low, data, op=op)
+        energy_step(u, 1, law, low, data, newton=newton)
     assert time.perf_counter() - start < 1.0
 
 
@@ -717,7 +718,7 @@ def test_cg_on_the_exact_factor_is_one_iteration():
     op = EpsOperator(dom)
     law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.5), delta=0.05)
     step = _Step(op, np.zeros(2 * op.n_free), 0.05, np.full(op.n_masked, 1.5), law)
-    H = step.hessian(rng.normal(size=2 * op.n_free))
+    H = step.hessian(step.point(rng.normal(size=2 * op.n_free)))
     lu = splu(H)
     b = rng.normal(size=2 * op.n_free)
     x, iters = _pcg(H, b, lu.solve, 1e-10, 8)
@@ -727,7 +728,7 @@ def test_cg_on_the_exact_factor_is_one_iteration():
 
     # on the Hessian at another point the factor is only a preconditioner:
     # CG then takes more iterations and meets its relative residual
-    H_far = step.hessian(3.0 * rng.normal(size=2 * op.n_free))
+    H_far = step.hessian(step.point(3.0 * rng.normal(size=2 * op.n_free)))
     x, iters = _pcg(H_far, b, lu.solve, 1e-8, 50)
     assert iters > 1
     assert np.linalg.norm(b - H_far @ x) <= 1e-8 * np.linalg.norm(b)
@@ -743,20 +744,20 @@ def test_inexact_newton_directions_descend(monkeypatch):
     data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K)
     law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.1), delta=1e-3)
     slopes, from_cg, assembled = [], [], []
-    real = rothe._Step.newton_direction
+    real = rothe.NewtonSolver.direction
     real_hessian = rothe._Step.hessian
 
-    def recorded(self, x, g, rtol):
-        dx, cg_iters, factorized = real(self, x, g, rtol)
+    def recorded(self, step, pt, g, rtol):
+        dx, cg_iters, factorized = real(self, step, pt, g, rtol)
         slopes.append(float(np.dot(g, dx)))
         from_cg.append(not factorized)
         return dx, cg_iters, factorized
 
-    def counted_hessian(self, x):
+    def counted_hessian(self, pt):
         assembled.append(1)
-        return real_hessian(self, x)
+        return real_hessian(self, pt)
 
-    monkeypatch.setattr(rothe._Step, "newton_direction", recorded)
+    monkeypatch.setattr(rothe.NewtonSolver, "direction", recorded)
     monkeypatch.setattr(rothe._Step, "hessian", counted_hessian)
     _, info = energy_step(data.u0, 1, law, None, data)
     assert len(slopes) == info["iters"]
@@ -778,24 +779,24 @@ def floored_forcing_solve(monkeypatch):
     data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K, f=f)
     law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.1), delta=1e-3)
     infos, solves, tols = [], [], []
-    real_step, real_descend, real_direction = rothe.energy_step, rothe._descend, rothe._Step.newton_direction
+    real_step, real_descend, real_direction = rothe.energy_step, rothe._descend, rothe.NewtonSolver.direction
 
     def recorded_step(*args, **kwargs):
         u, info = real_step(*args, **kwargs)
         infos.append(info)
         return u, info
 
-    def recorded_descend(step, x0, tol):
+    def recorded_descend(step, newton, x0, tol):
         tols.append(tol)
-        return real_descend(step, x0, tol)
+        return real_descend(step, newton, x0, tol)
 
-    def recorded_direction(self, x, g, rtol):
+    def recorded_direction(self, step, pt, g, rtol):
         solves.append((rtol, float(np.sqrt(np.dot(g, g) / g.size)), tols[-1]))
-        return real_direction(self, x, g, rtol)
+        return real_direction(self, step, pt, g, rtol)
 
     monkeypatch.setattr(rothe, "energy_step", recorded_step)
     monkeypatch.setattr(rothe, "_descend", recorded_descend)
-    monkeypatch.setattr(rothe._Step, "newton_direction", recorded_direction)
+    monkeypatch.setattr(rothe.NewtonSolver, "direction", recorded_direction)
     traj, _ = rothe_solve(data, law)
     monkeypatch.undo()
     return traj, list(zip(infos, tols)), solves, data
@@ -831,6 +832,57 @@ def test_energy_step_zero_data_is_zero():
     assert np.abs(u1.values).max() == 0.0
 
 
+def test_energy_step_refuses_another_domains_operator():
+    # on a box of 17^2 nodes, a disc's operator on the same grid would solve
+    # another problem (a step 0.0447 max-abs off), and a 19^2 grid's would index out of bounds
+    data, law = mms_p2_data(n=16, T=0.5, K=4)
+    disc = vx.make_disc_domain((0.5, 0.5), 0.45, data.domain.grid)
+    for dom in (disc, box_domain(18)):
+        with pytest.raises(ValueError, match="newton's EpsOperator is built on another grid or mask"):
+            energy_step(data.u0, 1, law, None, data, newton=NewtonSolver(EpsOperator(dom)))
+    # an operator on an equal domain built apart is the domain's own
+    u1, info = energy_step(data.u0, 1, law, None, data, newton=NewtonSolver(EpsOperator(box_domain(16))))
+    ref, ref_info = energy_step(data.u0, 1, law, None, data)
+    assert np.array_equal(u1.values, ref.values) and info == ref_info
+
+
+def test_each_visited_point_evaluates_its_strain_once(monkeypatch):
+    # the 32^2 manufactured problem at p = 1.1, delta = 0, T = 0.5, K = 8
+    from varexp import rothe
+
+    dom = box_domain(32)
+    T, K = 0.5, 8
+    law = ConstitutiveLaw(exponent=vx.constant_exponent(dom.grid, 1.1), delta=0.0)
+    u_star, _, u0 = mms_solution_p2(dom, T, K)
+    base = ProblemData(domain=dom, u0=u0, T=T, tau=T / K)
+    data = dataclasses.replace(base, f=mms_forcing_discrete(u_star, law, base, mms_time_derivative_p2(dom, T, K)))
+    points = [[]]  # the bytes of each x whose strain is evaluated, one list per step
+    real_eps, real_step = EpsOperator.eps, rothe.energy_step
+
+    def eps(self, x):
+        points[-1].append(x.tobytes())
+        return real_eps(self, x)
+
+    def step(*args, **kwargs):
+        points.append([])
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(EpsOperator, "eps", eps)
+    monkeypatch.setattr(rothe, "energy_step", step)
+    traj, diags = rothe_solve(data, law)
+    assert points[0] == [] and len(points) == K + 1
+    # a step evaluates its start, then each line-search trial; the start of
+    # one step is the last trial of the step before, so points repeat across steps only
+    trials = sum(len(set(xs)) - 1 for xs in points[1:])
+    calls = sum(len(xs) for xs in points)
+    assert calls == K + trials
+    assert (calls, sum(dg.iters for dg in diags)) == (40, 32)
+
+    points[:] = [[]]
+    energy_inequality_report(traj, law, None, data)
+    assert len(points[0]) == K
+
+
 def test_energy_step_matches_linear_oracle():
     rng = np.random.default_rng(6)
     dom = box_domain(20)
@@ -845,7 +897,7 @@ def test_energy_step_matches_linear_oracle():
     data = ProblemData(
         domain=dom, u0=vx.VectorField(g, np.zeros(g.dims + (2,))), T=tau * K, tau=tau, f=f, F=F
     )
-    u1, _ = energy_step(data.u0, 1, law, None, data, op=op)
+    u1, _ = energy_step(data.u0, 1, law, None, data)
 
     W = sparse.diags(np.repeat(op.weights, op.n_masked))
     Amat = sparse.eye(op.n_free * 2) / tau + op.B.T @ W @ op.B
@@ -969,7 +1021,7 @@ def test_descend_refuses_a_nan_residual():
     x_prev[0] = np.nan
     step = _Step(op, x_prev, 0.05, np.full(op.n_masked, 1.5), law)
     with pytest.raises(RotheStepError, match="non-finite residual at iteration 0") as err:
-        _descend(step, x_prev, 1e-8)
+        _descend(step, NewtonSolver(op), x_prev, 1e-8)
     assert np.isnan(err.value.residual)
 
 
@@ -1143,14 +1195,14 @@ def test_newton_ladder_converges_mesh_independently():
     for n in (32, 64):
         dom = box_domain(n)
         g = dom.grid
-        op = EpsOperator(dom)
+        newton = NewtonSolver(EpsOperator(dom))
         _, _, u0 = mms_solution_p2(dom, T, K)
         data = ProblemData(domain=dom, u0=u0, T=T, tau=T / K)
         iters = []
         for p in (1.1, 1.5, 2.0, 3.0):
             for delta in (0.0, 1e-3, 0.05):
                 law = ConstitutiveLaw(exponent=vx.constant_exponent(g, p), delta=delta)
-                _, info = energy_step(data.u0, 1, law, None, data, op=op)
+                _, info = energy_step(data.u0, 1, law, None, data, newton=newton)
                 assert info["residual"] <= _tolerance(data, data.u0, 1)
                 iters.append(info["iters"])
         max_iters[n] = max(iters)

@@ -59,6 +59,8 @@ from sample import reference_seconds  # noqa: E402
 CONFIGS = {
     "rothe-p2-128": ("rothe-solve", 128, {}),
     "rothe-p1.1-delta0-128": ("rothe-solve", 128, {"rothe": {"p_constant": "1.1", "delta": "0.0"}}),
+    "rothe-p2-256": ("rothe-solve", 256, {}),
+    "rothe-p1.1-delta0-256": ("rothe-solve", 256, {"rothe": {"p_constant": "1.1", "delta": "0.0"}}),
     # more samples than near-boundary nodes, so every one is taken: 27 164 rows per report
     "poincare-512-all": ("poincare-verify", 512, {"poincare": {"samples": "1000000"}}),
     "korn-figure-512": ("korn-figure", 512, {}),
